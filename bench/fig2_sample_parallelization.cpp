@@ -8,18 +8,12 @@
 /// counts in O(#unique) rather than O(repetitions). The ablation column
 /// (batching disabled) keeps growing linearly instead.
 ///
-/// Part 2 (beyond the paper): the BatchEngine's thread-count sweep on
-/// the per-trajectory workload that dictionary batching cannot absorb
-/// (a noisy circuit), plus the multinomially split batched path. A
-/// histogram hash per row double-checks the determinism guarantee:
-/// every thread count must print the same hash.
-///
-/// Part 3 (engine v2): pool reuse. A tight loop of small engine runs
-/// with SimulatorOptions::reuse_thread_pool off pays thread-spawn
-/// latency per call; with it on, every call shares one long-lived
-/// process-wide pool (EngineContext). The loop speedup is the v2
-/// headline; the large-circuit rows double-check that reuse costs
-/// nothing when the run is big enough to amortize a fresh pool.
+/// Part 2 (beyond the paper): the thread-count sweep on the
+/// per-trajectory workload that dictionary batching cannot absorb (a
+/// noisy circuit), plus the dictionary path, which resamples on the
+/// calling thread at every thread count. A histogram hash per row
+/// double-checks the determinism guarantee: every thread count must
+/// print the same hash.
 ///
 /// Results are also written as machine-readable JSON (BENCH_fig2.json,
 /// or the path given as argv[1]) so future PRs can track the perf
@@ -73,17 +67,6 @@ struct SweepRow {
   double seconds = 0.0;
   double speedup = 1.0;
   std::uint64_t hash = 0;
-};
-
-struct PoolReuseRow {
-  std::string workload;
-  double fresh_seconds = 0.0;
-  double reused_seconds = 0.0;
-  std::uint64_t fresh_hash = 0;
-  std::uint64_t reused_hash = 0;
-  [[nodiscard]] double speedup() const {
-    return reused_seconds > 0.0 ? fresh_seconds / reused_seconds : 1.0;
-  }
 };
 
 }  // namespace
@@ -151,7 +134,7 @@ int main(int argc, char** argv) {
             << "trajectory workload: noisy " << traj_qubits << "-qubit GHZ, "
             << traj_reps << " trajectories\n"
             << "batched workload: the Fig. 2 circuit, " << batched_reps
-            << " repetitions, multinomially split\n"
+            << " repetitions, resampled on the calling thread\n"
             << "(identical 'histogram hash' across thread counts = the "
                "determinism guarantee)\n\n";
 
@@ -164,11 +147,9 @@ int main(int argc, char** argv) {
     for (const int threads : {1, 2, 4, 8}) {
       SimulatorOptions engine_options;
       engine_options.num_threads = threads;
-      engine_options.num_rng_streams = 16;
-      Simulator<StateVectorState> prototype{
+      Simulator<StateVectorState> simulator{
           StateVectorState(path == "trajectory" ? traj_qubits : n),
           engine_options};
-      BatchEngine<StateVectorState> engine{std::move(prototype)};
       const Circuit& workload =
           path == "trajectory" ? trajectory_circuit : circuit;
       const std::uint64_t reps =
@@ -176,7 +157,7 @@ int main(int argc, char** argv) {
       Counts counts;
       const double seconds = median_runtime([&] {
         Rng rng(3);
-        counts = engine.sample(workload, reps, rng);
+        counts = simulator.sample(workload, reps, rng);
       });
       if (threads == 1) base_seconds = seconds;
       SweepRow row;
@@ -200,81 +181,6 @@ int main(int argc, char** argv) {
   std::cout << "\n(speedup tracks the physical core count; on a single-core "
                "machine all\nthread counts cost the same wall clock while "
                "the hashes stay identical.)\n";
-
-  // --- Part 3: pool reuse across Simulator::run calls -----------------
-  const int reuse_threads = 8;
-  const int small_n = 4;
-  const std::uint64_t small_reps = 8;
-  const int loop_iterations = 300;
-  Circuit small_circuit =
-      with_noise(ghz_circuit(small_n), depolarize(0.05));
-
-  std::cout << "\n=== Engine v2: pool reuse across Simulator::run calls "
-               "===\n\n"
-            << "small workload: " << loop_iterations << " x (noisy "
-            << small_n << "-qubit GHZ, " << small_reps
-            << " trajectories), num_threads = " << reuse_threads << "\n"
-            << "large workload: the Fig. 2 circuit, " << batched_reps
-            << " repetitions (one call)\n"
-            << "fresh = reuse_thread_pool off (v1: pool constructed per "
-               "call); reused = shared pool\n\n";
-
-  std::vector<PoolReuseRow> pool_reuse;
-  ConsoleTable reuse_table({"workload", "fresh pool/call", "reused pool",
-                            "speedup", "hashes match"});
-  for (const std::string& workload :
-       {std::string("small-run loop"), std::string("large circuit")}) {
-    PoolReuseRow row;
-    row.workload = workload;
-    for (const bool reuse : {false, true}) {
-      SimulatorOptions options;
-      options.num_threads = reuse_threads;
-      options.num_rng_streams = 16;
-      options.reuse_thread_pool = reuse;
-      std::uint64_t hash = 0;
-      double seconds = 0.0;
-      if (workload == "small-run loop") {
-        Simulator<StateVectorState> sim{StateVectorState(small_n), options};
-        seconds = median_runtime([&] {
-          Counts merged;
-          for (int it = 0; it < loop_iterations; ++it) {
-            Rng rng(static_cast<std::uint64_t>(it));
-            for (const auto& [bits, count] :
-                 sim.sample(small_circuit, small_reps, rng)) {
-              merged[bits] += count;
-            }
-          }
-          hash = histogram_hash(merged);
-        });
-      } else {
-        Simulator<StateVectorState> sim{StateVectorState(n), options};
-        seconds = median_runtime([&] {
-          Rng rng(3);
-          hash = histogram_hash(sim.sample(circuit, batched_reps, rng));
-        });
-      }
-      if (reuse) {
-        row.reused_seconds = seconds;
-        row.reused_hash = hash;
-      } else {
-        row.fresh_seconds = seconds;
-        row.fresh_hash = hash;
-      }
-    }
-    pool_reuse.push_back(row);
-    char speedup_text[32];
-    std::snprintf(speedup_text, sizeof(speedup_text), "%.2fx",
-                  row.speedup());
-    reuse_table.add_row({row.workload,
-                         ConsoleTable::duration(row.fresh_seconds),
-                         ConsoleTable::duration(row.reused_seconds),
-                         speedup_text,
-                         row.fresh_hash == row.reused_hash ? "yes" : "NO"});
-  }
-  reuse_table.print(std::cout);
-  std::cout << "\nPool reuse only changes where the threads come from, "
-               "never what they compute:\nthe histogram hashes must match "
-               "in every row.\n";
 
   // --- JSON emission --------------------------------------------------
   std::ofstream json_file = bench::open_bench_json(json_path);
@@ -315,22 +221,6 @@ int main(int argc, char** argv) {
     json.end_object();
   }
   json.end_array();
-  json.key("pool_reuse").begin_object();
-  json.key("num_threads").value(reuse_threads);
-  json.key("loop_iterations").value(loop_iterations);
-  json.key("loop_repetitions_per_call").value(small_reps);
-  json.key("rows").begin_array();
-  for (const PoolReuseRow& row : pool_reuse) {
-    json.begin_object();
-    json.key("workload").value(row.workload);
-    json.key("fresh_pool_seconds").value(row.fresh_seconds);
-    json.key("reused_pool_seconds").value(row.reused_seconds);
-    json.key("speedup").value(row.speedup());
-    json.key("hashes_match").value(row.fresh_hash == row.reused_hash);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
   json.end_object();
   json_file << "\n";
   bench::report_bench_json(json_path);

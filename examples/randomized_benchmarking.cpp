@@ -8,8 +8,8 @@
 /// Two execution paths, both over the runtime API:
 ///  1. Session::run_batch — the whole depth sweep as one mixed-depth
 ///     batch through the engine (kAuto routes every circuit; the noise
-///     channels force per-trajectory sampling, the engine shards the
-///     trajectories across streams);
+///     channels force per-trajectory sampling, whose shards fan out
+///     across the pool);
 ///  2. the service JobScheduler — the same circuits as queued jobs with
 ///     depth-dependent priorities and per-job streaming, i.e. the
 ///     heterogeneous-traffic shape bgls_serve multiplexes.

@@ -3,12 +3,12 @@
 ///
 /// StateBackend<State> is the bridge between the erased interface and
 /// the zero-overhead templated core: its run()/run_batch() construct an
-/// ordinary Simulator<State>/BatchEngine<State> with the request's
-/// options and delegate, so a Session run is bit-identical to the
-/// corresponding direct templated run for the same seed — the erased
-/// layer adds one virtual dispatch per *request*, never per gate. The
-/// type-erased triple (create_state/apply_op/compute_probability) and
-/// collapse route to each backend's native hooks.
+/// ordinary Simulator<State> with the request's options and delegate,
+/// so a Session run is bit-identical to the corresponding direct
+/// templated run for the same seed — the erased layer adds one virtual
+/// dispatch per *request*, never per gate. The type-erased triple
+/// (create_state/apply_op/compute_probability) and collapse route to
+/// each backend's native hooks.
 ///
 /// Concrete adapters:
 ///  - StateVectorBackend    — dense amplitudes, any circuit ≤ 30 qubits;
@@ -34,7 +34,6 @@
 #include "api/backend.h"
 #include "core/simulator.h"
 #include "densitymatrix/state.h"
-#include "engine/engine.h"
 #include "mps/state.h"
 #include "stabilizer/ch_form.h"
 #include "stabilizer/near_clifford.h"
@@ -103,10 +102,10 @@ class StateBackend : public Backend {
       require_runnable(circuits[i],
                        " (batch circuit #" + std::to_string(i) + ")");
     }
-    BatchEngine<State> engine(make_batch_simulator(request, circuits));
+    Simulator<State> simulator = make_batch_simulator(request, circuits);
     Rng rng(request.seed);
     std::vector<Result> merged =
-        engine.run_batch(circuits, request.repetitions, rng);
+        simulator.run_batch(circuits, request.repetitions, rng);
     results.reserve(merged.size());
     for (Result& result : merged) {
       RunResult out;
@@ -115,7 +114,7 @@ class StateBackend : public Backend {
       out.measurements = std::move(result);
       // Engine counters are merged across the whole batch; every
       // result of the batch shares them.
-      out.stats = engine.last_run_stats();
+      out.stats = simulator.last_run_stats();
       results.push_back(std::move(out));
     }
     return results;

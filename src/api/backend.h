@@ -15,8 +15,8 @@
 ///    apply op, compute probability) plus measurement collapse,
 ///    capability flags for routing, and bulk run()/run_batch() entry
 ///    points that dispatch *into* the zero-overhead templated
-///    Simulator/BatchEngine, so the erased layer costs one virtual call
-///    per request, not per gate.
+///    Simulator, so the erased layer costs one virtual call per
+///    request, not per gate.
 ///
 /// Library adapters for the four shipped representations live in
 /// api/adapters.h; user code can subclass Backend (or an adapter)
@@ -157,10 +157,10 @@ class Backend {
   /// returns an empty well-formed result.
   [[nodiscard]] virtual RunResult run(const RunRequest& request) const = 0;
 
-  /// Samples every circuit for request.repetitions through the batch
-  /// engine (results in input order; circuits must share one qubit
-  /// count). Bit-identical to a direct BatchEngine<State>::run_batch
-  /// with the same options and seed.
+  /// Samples every circuit for request.repetitions through one
+  /// Simulator::run_batch (results in input order; circuits must share
+  /// one qubit count). Bit-identical to a direct
+  /// Simulator<State>::run_batch with the same options and seed.
   [[nodiscard]] virtual std::vector<RunResult> run_batch(
       std::span<const Circuit> circuits, const RunRequest& request) const = 0;
 

@@ -34,9 +34,6 @@ SimulatorOptions RunRequest::simulator_options() const {
   options.skip_diagonal_updates = skip_diagonal_updates;
   options.disable_sample_parallelization = disable_sample_parallelization;
   options.num_threads = num_threads;
-  options.num_rng_streams = num_rng_streams;
-  options.reuse_thread_pool = reuse_thread_pool;
-  options.two_level_batch_sharding = two_level_batch_sharding;
   options.cancel_token = cancel_token;
   options.progress = progress;
   options.trace = trace;

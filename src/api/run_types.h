@@ -3,7 +3,7 @@
 /// capability flags, and the RunRequest/RunResult pair every entry point
 /// of the type-erased layer speaks.
 ///
-/// The templated core (Simulator<State>, BatchEngine<State>) stays the
+/// The templated core (Simulator<State>) stays the
 /// zero-overhead way to drive one statically chosen representation; the
 /// runtime API wraps it for callers that pick the representation per
 /// request — a service routing heterogeneous circuits, a CLI taking
@@ -105,16 +105,12 @@ struct RunRequest {
   std::string backend_name;
   /// Initial computational-basis state |initial⟩ (default |0...0⟩).
   Bitstring initial_state = 0;
-  /// Worker threads (SimulatorOptions::num_threads: 1 serial, 0 auto).
+  /// Worker threads (SimulatorOptions::num_threads: 0 auto); never
+  /// changes the sampled records.
   int num_threads = 1;
-  /// Deterministic RNG shards for engine runs (fixes sampled values
-  /// independently of the thread count).
-  std::uint64_t num_rng_streams = 16;
   /// SimulatorOptions passthroughs (see core/simulator.h).
   bool skip_diagonal_updates = false;
   bool disable_sample_parallelization = false;
-  bool reuse_thread_pool = true;
-  bool two_level_batch_sharding = true;
   /// Run optimize_for_bgls on the circuit before backend selection and
   /// sampling (fusion may change which backend is eligible: fused
   /// matrix gates are not Clifford).
@@ -163,8 +159,8 @@ struct RunRequest {
   /// snapshots every `checkpoint.every` completed repetitions within a
   /// shard plus at shard completion. Observation-only.
   CheckpointOptions checkpoint;
-  /// Resume a previous run from its checkpoint: same circuit, seed,
-  /// backend, and rng-stream count required; the finished run is
+  /// Resume a previous run from its checkpoint: same circuit, seed and
+  /// backend required (any thread count); the finished run is
   /// bit-identical to the uninterrupted one.
   std::shared_ptr<const RunCheckpoint> resume;
 
@@ -198,24 +194,12 @@ struct RunRequest {
     num_threads = threads;
     return *this;
   }
-  RunRequest& with_rng_streams(std::uint64_t streams) {
-    num_rng_streams = streams;
-    return *this;
-  }
   RunRequest& with_skip_diagonal_updates(bool skip = true) {
     skip_diagonal_updates = skip;
     return *this;
   }
   RunRequest& with_sample_parallelization(bool enabled) {
     disable_sample_parallelization = !enabled;
-    return *this;
-  }
-  RunRequest& with_thread_pool_reuse(bool reuse) {
-    reuse_thread_pool = reuse;
-    return *this;
-  }
-  RunRequest& with_two_level_batch_sharding(bool two_level) {
-    two_level_batch_sharding = two_level;
     return *this;
   }
   RunRequest& with_optimization(bool optimize = true) {

@@ -161,14 +161,12 @@ std::future<RunResult> Session::run_async(RunRequest request) {
   // Armed at submission: a job that waits out its whole budget in the
   // pool queue times out without sampling (the service contract).
   arm_cancellation(request);
+  // The job runs on the immortal shared pool (a job may hold its
+  // pool's last reference, which must never tear the pool down from one
+  // of its own workers). Pool choice is scheduling-only, so the records
+  // match the synchronous run bit for bit.
   const int resolved = ThreadPool::resolve_num_threads(request.num_threads);
-  // The job always runs on the immortal shared pool, and — like
-  // Simulator::run_async — the inner run is forced onto pool reuse: a
-  // private pool spawned per in-flight job is exactly the latency
-  // async exists to avoid. Pool choice is scheduling-only, so the
-  // records still match the synchronous run bit for bit.
   std::shared_ptr<EngineContext> context = ensure_context(resolved);
-  request.reuse_thread_pool = true;
   auto task = std::make_shared<std::packaged_task<RunResult()>>(
       [backend = resolution.backend, reason = std::move(resolution.reason),
        request = std::move(request), optimize_seconds]() {
@@ -200,7 +198,7 @@ std::vector<RunResult> Session::run_batch(std::span<const Circuit> circuits,
 
   // Route every circuit (on its unoptimized form, exactly like run()),
   // then group by (backend, width) so each group runs through one
-  // BatchEngine::run_batch (one prototype state per group) while kAuto
+  // Simulator::run_batch (one prototype state per group) while kAuto
   // still routes heterogeneous traffic per circuit. Per-circuit
   // capability validation happens once, inside each group's
   // Backend::run_batch.

@@ -17,13 +17,13 @@
 /// capabilities up front (an unrunnable or measurement-less circuit
 /// throws, even at 0 repetitions — never a silent empty result), and
 /// dispatches into the templated core. Results are bit-identical to the
-/// corresponding direct Simulator<State>/BatchEngine<State> run with
-/// the same options and seed.
+/// corresponding direct Simulator<State> run with the same options and
+/// seed.
 ///
 /// run_async() schedules the whole request on the persistent pool and
-/// returns a future; run_batch() fans many circuits out through the
-/// batch engine, routing each circuit to its own backend under kAuto
-/// (grouped so every group still gets engine-level sharding).
+/// returns a future; run_batch() fans many circuits out through
+/// Simulator::run_batch, routing each circuit to its own backend under
+/// kAuto (grouped so every group still gets engine-level sharding).
 
 #pragma once
 
@@ -84,7 +84,7 @@ class Session {
   /// Samples every circuit for request.repetitions (request.circuit is
   /// ignored). Under kAuto each circuit is routed independently;
   /// circuits landing on the same (backend, qubit count) are batched
-  /// through one BatchEngine::run_batch so they share engine-level
+  /// through one Simulator::run_batch so they share engine-level
   /// sharding — mixed widths are fine, each width gets its own
   /// prototype state. Results come back in input order.
   [[nodiscard]] std::vector<RunResult> run_batch(

@@ -11,15 +11,15 @@
 ///    (api/backend.h, api/registry.h, api/selector.h);
 ///  - bgls::Circuit / bgls::Gate / free operation builders (h, cnot,
 ///    measure, ...) — circuit construction (circuit/*.h);
-///  - bgls::Simulator<State> — the gate-by-gate sampler (core/simulator.h);
-///  - bgls::BatchEngine<State> / bgls::EngineContext / bgls::ThreadPool
-///    — the parallel batch-sampling engine: shards trajectories and
-///    dictionary-batched repetition counts across deterministic RNG
-///    streams on a long-lived shared pool, two-level run_batch() for
-///    many-circuit sweeps, and submit()/run_async() futures for
-///    overlapping circuit construction with sampling (engine/engine.h;
-///    also reachable via SimulatorOptions::num_threads and
-///    Simulator::run_async);
+///  - bgls::Simulator<State> — the gate-by-gate sampler, one loop per
+///    path whose trajectory shards fan out on a long-lived pool at
+///    SimulatorOptions::num_threads, plus run_batch() for many-circuit
+///    sweeps; every draw is keyed to its repetition or dictionary
+///    entry, so results never depend on the thread count
+///    (core/simulator.h);
+///  - bgls::EngineContext / bgls::ThreadPool — the shared pools behind
+///    every run (engine/context.h); async runs go through
+///    Session::run_async;
 ///  - state backends: bgls::StateVectorState, bgls::DensityMatrixState,
 ///    bgls::CHState (+ act_on_near_clifford), bgls::MPSState;
 ///  - bgls::optimize_for_bgls — circuit fusion for the sampler;
@@ -31,8 +31,8 @@
 ///    spans with deterministic IDs, and Prometheus text exposition
 ///    (obs/metrics.h, obs/trace.h, obs/exposition.h; compile out with
 ///    -DBGLS_ENABLE_TELEMETRY=OFF);
-///  - bgls::Rng — seeded randomness for reproducible sampling, with
-///    jump()/split(i) deterministic stream derivation for parallel runs.
+///  - bgls::Rng / bgls::mix_key — seeded randomness for reproducible
+///    sampling and the keyed seeds behind thread-count-free draws.
 
 #pragma once
 
@@ -55,7 +55,6 @@
 #include "core/simulator.h"
 #include "densitymatrix/state.h"
 #include "engine/context.h"
-#include "engine/engine.h"
 #include "engine/thread_pool.h"
 #include "mps/state.h"
 #include "obs/exposition.h"

@@ -44,19 +44,15 @@ void add_checkpoint_stats(CheckpointStats& into, const CheckpointStats& delta) {
 
 std::string_view checkpoint_mode_name(CheckpointMode mode) {
   switch (mode) {
-    case CheckpointMode::kSerial: return "serial";
-    case CheckpointMode::kSerialBatched: return "serial_batched";
-    case CheckpointMode::kEngine: return "engine";
-    case CheckpointMode::kEngineBatched: return "engine_batched";
+    case CheckpointMode::kTrajectory: return "trajectory";
+    case CheckpointMode::kDictionary: return "dictionary";
   }
   return "?";
 }
 
 CheckpointMode parse_checkpoint_mode(std::string_view name) {
-  if (name == "serial") return CheckpointMode::kSerial;
-  if (name == "serial_batched") return CheckpointMode::kSerialBatched;
-  if (name == "engine") return CheckpointMode::kEngine;
-  if (name == "engine_batched") return CheckpointMode::kEngineBatched;
+  if (name == "trajectory") return CheckpointMode::kTrajectory;
+  if (name == "dictionary") return CheckpointMode::kDictionary;
   detail::throw_error<ParseError>("unknown checkpoint mode '", name, "'");
 }
 
@@ -77,8 +73,9 @@ std::string RunCheckpoint::to_json() const {
   std::ostringstream out;
   JsonWriter json(out, JsonWriter::Style::kCompact);
   json.begin_object();
-  json.key("version").value(version);
+  json.key("version").value(kVersion);
   json.key("mode").value(checkpoint_mode_name(mode));
+  json.key("run_key").value(run_key);
   json.key("total").value(total_repetitions);
   json.key("stats").begin_object();
   json.key("state_applications").value(stats.state_applications);
@@ -92,9 +89,6 @@ std::string RunCheckpoint::to_json() const {
     json.begin_object();
     json.key("total").value(shard.total);
     json.key("completed").value(shard.completed);
-    json.key("rng").begin_array();
-    for (const std::uint64_t word : shard.rng_state) json.value(word);
-    json.end_array();
     json.key("histograms").begin_object();
     for (const auto& [key, counts] : shard.histograms) {
       json.key(key).begin_object();
@@ -137,28 +131,31 @@ std::uint64_t parse_u64_key(const std::string& text) {
 RunCheckpoint RunCheckpoint::from_json(const JsonValue& value) {
   BGLS_REQUIRE(value.kind() == JsonValue::Kind::kObject,
                "checkpoint JSON must be an object");
-  RunCheckpoint checkpoint;
-  checkpoint.version = static_cast<int>(value.u64_or("version", 1));
   const JsonValue* mode = value.find("mode");
   BGLS_REQUIRE(mode != nullptr, "checkpoint JSON missing 'mode'");
+  const JsonValue* shards = value.find("shards");
+  BGLS_REQUIRE(shards != nullptr, "checkpoint JSON missing 'shards'");
+  const std::uint64_t version = value.u64_or("version", 1);
+  if (version != RunCheckpoint::kVersion) {
+    detail::throw_error<ParseError>(
+        "checkpoint version ", version,
+        " is not supported (this build reads version ",
+        RunCheckpoint::kVersion, "); rerun the job from the start");
+  }
+  RunCheckpoint checkpoint;
   checkpoint.mode = parse_checkpoint_mode(mode->as_string());
+  const JsonValue* run_key = value.find("run_key");
+  BGLS_REQUIRE(run_key != nullptr, "checkpoint JSON missing 'run_key'");
+  checkpoint.run_key = run_key->as_u64();
   checkpoint.total_repetitions = value.u64_or("total", 0);
   const JsonValue* stats = value.find("stats");
   if (stats != nullptr) checkpoint.stats = stats_from_json(*stats);
-  const JsonValue* shards = value.find("shards");
-  BGLS_REQUIRE(shards != nullptr, "checkpoint JSON missing 'shards'");
   for (const JsonValue& entry : shards->items()) {
     ShardCheckpoint shard;
     shard.total = entry.u64_or("total", 0);
     shard.completed = entry.u64_or("completed", 0);
     BGLS_REQUIRE(shard.completed <= shard.total,
                  "checkpoint shard completed > total");
-    const JsonValue* rng = entry.find("rng");
-    BGLS_REQUIRE(rng != nullptr && rng->items().size() == 4,
-                 "checkpoint shard needs a 4-word rng state");
-    for (std::size_t i = 0; i < 4; ++i) {
-      shard.rng_state[i] = rng->items()[i].as_u64();
-    }
     if (const JsonValue* histograms = entry.find("histograms")) {
       for (const auto& [key, counts] : histograms->members()) {
         Counts& into = shard.histograms[key];
@@ -177,20 +174,24 @@ RunCheckpoint RunCheckpoint::parse(std::string_view text) {
 }
 
 void validate_resume(const RunCheckpoint& checkpoint, CheckpointMode mode,
-                     std::uint64_t total_repetitions, std::size_t shards) {
+                     std::uint64_t total_repetitions, std::size_t shards,
+                     std::uint64_t run_key) {
   BGLS_REQUIRE(checkpoint.mode == mode,
                "checkpoint was produced by the '",
                checkpoint_mode_name(checkpoint.mode),
                "' sampling path but this run takes '",
                checkpoint_mode_name(mode),
-               "'; resume with the same thread/batching configuration");
+               "'; resume with the same batching configuration");
+  BGLS_REQUIRE(checkpoint.run_key == run_key,
+               "checkpoint belongs to another run (run key ",
+               checkpoint.run_key, ", this run's is ", run_key,
+               "); resume with the original seed");
   BGLS_REQUIRE(checkpoint.total_repetitions == total_repetitions,
                "checkpoint covers ", checkpoint.total_repetitions,
                " repetitions but the run asks for ", total_repetitions);
   BGLS_REQUIRE(checkpoint.shards.size() == shards,
                "checkpoint has ", checkpoint.shards.size(),
-               " shards but the run decomposes into ", shards,
-               "; resume with the same num_rng_streams");
+               " shards but the run splits into ", shards);
   for (const ShardCheckpoint& shard : checkpoint.shards) {
     BGLS_REQUIRE(shard.completed <= shard.total,
                  "checkpoint shard completed > total");
@@ -214,13 +215,11 @@ CheckpointCollector::CheckpointCollector(CheckpointOptions options,
       deltas_(current_.shards.size()) {}
 
 void CheckpointCollector::record(std::size_t shard, std::uint64_t completed,
-                                 const std::array<std::uint64_t, 4>& rng_state,
                                  const std::map<std::string, Counts>& cumulative,
                                  const CheckpointStats& delta) {
   const std::lock_guard<std::mutex> lock(mutex_);
   ShardCheckpoint& slot = current_.shards.at(shard);
   slot.completed = completed;
-  slot.rng_state = rng_state;
   slot.histograms = cumulative;
   deltas_.at(shard) = delta;
   CheckpointStats stats = base_stats_;
@@ -232,11 +231,6 @@ void CheckpointCollector::record(std::size_t shard, std::uint64_t completed,
 void CheckpointCollector::emit() {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (options_.sink) options_.sink(current_);
-}
-
-RunCheckpoint CheckpointCollector::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return current_;
 }
 
 }  // namespace bgls

@@ -2,33 +2,33 @@
 /// Crash-safe checkpoint/resume for sampling runs.
 ///
 /// A RunCheckpoint captures everything a run needs to continue from a
-/// chunk boundary: per-shard RNG engine state, the completed-repetition
-/// cursor, the cumulative per-key histograms of the completed prefix,
-/// and the run-level instrumentation counters for that prefix. Because
-/// the shard decomposition and every shard's draw sequence are fixed by
-/// the seed and SimulatorOptions::num_rng_streams alone (see
-/// engine/engine.h), resuming from a checkpoint and finishing the run
+/// shard boundary: the run key, each shard's completed-repetition
+/// cursor and the cumulative per-key histograms of its completed
+/// prefix, and the run-level instrumentation counters for that prefix.
+/// It carries no RNG state: every draw of a run is keyed to the run key
+/// and its position (repetition r, or dictionary entry and gate; see
+/// core/simulator.h), so the resumed run re-derives the draws of the
+/// repetitions it still owes. Finishing a resumed run therefore
 /// produces a final histogram — and the byte-stable report counters —
 /// bit-identical to the uninterrupted run, on any thread count.
 ///
-/// Production: Simulator::run (serial paths) and BatchEngine (sharded
-/// paths) emit checkpoints through CheckpointOptions::sink every
-/// `every` completed repetitions within a shard, plus at shard
-/// completion. Consumption: SimulatorOptions::resume /
-/// RunRequest::with_resume re-enter the same run mid-stream. The
+/// Production: Simulator::run emits checkpoints through
+/// CheckpointOptions::sink every `every` completed repetitions within a
+/// shard, plus at shard completion. Consumption: SimulatorOptions::resume
+/// / RunRequest::with_resume re-enter the same run mid-stream; a resume
+/// under another seed (another run key) fails with ValueError. The
 /// service scheduler uses checkpoints for preemption and retry, and the
 /// daemon journals them (service/journal.h) so a killed process resumes
 /// its jobs on restart.
 ///
-/// Checkpoints are mode-tagged: the serial (num_threads == 1) and
-/// engine paths draw from different streams, and the trajectory and
-/// dictionary-batched paths chunk differently, so a checkpoint only
-/// resumes the path that produced it. Thread count is *not* part of the
-/// mode — engine checkpoints resume on any thread count.
+/// Checkpoints are mode-tagged: the trajectory and dictionary paths
+/// checkpoint differently, so a checkpoint only resumes the path that
+/// produced it. Thread count is not part of a checkpoint. Version 2 is
+/// the keyed format; version 1 (per-stream RNG state) is rejected with
+/// ParseError.
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -69,30 +69,24 @@ void add_checkpoint_stats(CheckpointStats& into, const CheckpointStats& delta);
 
 /// Which sampling path produced a checkpoint (see file comment).
 enum class CheckpointMode {
-  /// Serial per-trajectory loop (num_threads == 1).
-  kSerial,
-  /// Serial dictionary-batched path (Sec. 3.2.3; shard-atomic).
-  kSerialBatched,
-  /// Engine trajectory sharding (per-shard streams, chunked).
-  kEngine,
-  /// Engine dictionary-batched sharding (multinomial split;
-  /// shard-atomic).
-  kEngineBatched,
+  /// Per-trajectory path: shards advance independently and checkpoint
+  /// every `every` repetitions.
+  kTrajectory,
+  /// Dictionary path (Sec. 3.2.3): one shard that completes atomically
+  /// at the final gate.
+  kDictionary,
 };
 
 [[nodiscard]] std::string_view checkpoint_mode_name(CheckpointMode mode);
 [[nodiscard]] CheckpointMode parse_checkpoint_mode(std::string_view name);
 
-/// One shard's progress: how far its stream has been consumed and what
-/// it produced so far.
+/// One shard's progress: how many of its repetitions are done and what
+/// they produced.
 struct ShardCheckpoint {
-  /// Repetitions assigned to this shard by the decomposition.
+  /// Repetitions assigned to this shard by the run's split.
   std::uint64_t total = 0;
   /// Repetitions completed (<= total; == total when the shard is done).
   std::uint64_t completed = 0;
-  /// The shard's Rng engine state after `completed` repetitions
-  /// (Rng::state()/from_state()).
-  std::array<std::uint64_t, 4> rng_state{};
   /// Cumulative per-measurement-key packed-outcome counts for the
   /// completed prefix.
   std::map<std::string, Counts> histograms;
@@ -100,11 +94,16 @@ struct ShardCheckpoint {
 
 /// A resumable snapshot of a whole run.
 struct RunCheckpoint {
-  int version = 1;
-  CheckpointMode mode = CheckpointMode::kSerial;
+  /// The format version this build writes and reads.
+  static constexpr std::uint64_t kVersion = 2;
+
+  CheckpointMode mode = CheckpointMode::kTrajectory;
+  /// The key every draw of the run derives from (drawn from the
+  /// caller's Rng, so fixed by the seed).
+  std::uint64_t run_key = 0;
   /// Total repetitions of the run (must match the resuming request).
   std::uint64_t total_repetitions = 0;
-  /// Per-shard progress in shard order (one entry on serial paths).
+  /// Per-shard progress in shard order.
   std::vector<ShardCheckpoint> shards;
   /// Run-level counters for the completed prefix (summed over shards).
   CheckpointStats stats;
@@ -116,17 +115,19 @@ struct RunCheckpoint {
 
   /// Compact single-line JSON (journal-record friendly).
   [[nodiscard]] std::string to_json() const;
-  /// Inverse of to_json(). Throws ParseError on malformed input.
+  /// Inverse of to_json(). Throws ValueError on a document that is not
+  /// a checkpoint, ParseError on malformed fields or another version.
   [[nodiscard]] static RunCheckpoint from_json(const JsonValue& value);
   [[nodiscard]] static RunCheckpoint parse(std::string_view text);
 };
 
 /// Throws ValueError unless `checkpoint` matches the resuming run's
-/// shape: same mode, same total repetitions, same shard count, and
-/// per-shard completed <= total. A mismatch means the checkpoint was
-/// produced by a different sampling path or request.
+/// shape: same mode, same run key (same seed), same total repetitions,
+/// same shard count, and per-shard completed <= total. A mismatch means
+/// the checkpoint was produced by a different sampling path or request.
 void validate_resume(const RunCheckpoint& checkpoint, CheckpointMode mode,
-                     std::uint64_t total_repetitions, std::size_t shards);
+                     std::uint64_t total_repetitions, std::size_t shards,
+                     std::uint64_t run_key);
 
 /// Replays per-key histograms into a Result as add_records calls (keys
 /// must already be declared). Record *order* differs from the original
@@ -149,23 +150,20 @@ struct CheckpointOptions {
   [[nodiscard]] bool enabled() const { return every > 0 && sink != nullptr; }
 };
 
-/// Engine-side merger: shards record their progress as they reach
+/// Run-side merger: shards record their progress as they reach
 /// checkpoint boundaries (concurrently, in any order) and the collector
 /// emits a consistent whole-run snapshot per record. Seeded with a base
-/// checkpoint (the initial shard decomposition, or the checkpoint a
-/// resumed run continues from) so re-checkpointing after a resume stays
-/// correct.
+/// checkpoint (the initial split, or the checkpoint a resumed run
+/// continues from) so re-checkpointing after a resume stays correct.
 class CheckpointCollector {
  public:
   CheckpointCollector(CheckpointOptions options, RunCheckpoint base);
 
   /// Shard `shard` has completed `completed` of its repetitions (base
-  /// prefix included); `rng_state` is its engine state at that
-  /// boundary, `cumulative` its prefix histograms, and `delta` the
-  /// counters for the work done *since this run began* (the base
-  /// checkpoint's share is accounted separately).
+  /// prefix included); `cumulative` holds its prefix histograms and
+  /// `delta` the counters for the work done *since this run began* (the
+  /// base checkpoint's share is accounted separately).
   void record(std::size_t shard, std::uint64_t completed,
-              const std::array<std::uint64_t, 4>& rng_state,
               const std::map<std::string, Counts>& cumulative,
               const CheckpointStats& delta);
 
@@ -173,12 +171,9 @@ class CheckpointCollector {
   /// checkpoint of a fresh run).
   void emit();
 
-  /// The current snapshot.
-  [[nodiscard]] RunCheckpoint snapshot() const;
-
  private:
   CheckpointOptions options_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   RunCheckpoint current_;
   CheckpointStats base_stats_;
   std::vector<CheckpointStats> deltas_;

@@ -16,11 +16,9 @@ void merge_histograms(std::map<std::string, Counts>& into,
 }
 
 ProgressCollector::ProgressCollector(ProgressOptions options,
-                                     std::vector<std::uint64_t> shard_reps,
-                                     bool chunked)
+                                     std::vector<std::uint64_t> shard_reps)
     : options_(std::move(options)),
       shard_reps_(std::move(shard_reps)),
-      chunked_(chunked),
       slots_(shard_reps_.size()) {
   BGLS_REQUIRE(options_.enabled(),
                "ProgressCollector needs enabled ProgressOptions");
@@ -32,9 +30,7 @@ std::uint64_t ProgressCollector::next_checkpoint(std::uint64_t done,
                                                  std::uint64_t total,
                                                  std::uint64_t every) {
   if (done >= total) return total;
-  // Reports always land exactly on checkpoints, so `done` is a multiple
-  // of `every` here and the next checkpoint is one full step away.
-  return std::min(done + every, total);
+  return std::min(done + (every - done % every), total);
 }
 
 void ProgressCollector::report(std::size_t shard, std::uint64_t done,
@@ -49,8 +45,12 @@ void ProgressCollector::report(std::size_t shard, std::uint64_t done,
 void ProgressCollector::flush_locked() {
   while (cursor_shard_ < slots_.size()) {
     const std::uint64_t reps = shard_reps_[cursor_shard_];
+    // Reports land where the canonical prefix crosses a multiple of
+    // `every`, or at the shard's end.
     const std::uint64_t expected =
-        chunked_ ? next_checkpoint(cursor_done_, reps, options_.every) : reps;
+        next_checkpoint(prefix_base_ + cursor_done_, prefix_base_ + reps,
+                        options_.every) -
+        prefix_base_;
     auto& pending = slots_[cursor_shard_].pending;
     const auto it = pending.find(expected);
     if (it == pending.end()) return;  // canonical predecessor still running
@@ -61,9 +61,10 @@ void ProgressCollector::flush_locked() {
     const std::uint64_t completed = prefix_base_ + expected;
     const bool shard_complete = expected == reps;
     const bool final = shard_complete && cursor_shard_ + 1 == slots_.size();
-    // Zero-advance checkpoints (empty shards) fold into the next real
-    // one; the rule depends only on canonical positions, never timing.
-    if (completed > last_emitted_ || (final && !final_emitted_)) {
+    // A shard's end between two multiples only carries the prefix base;
+    // the rule depends on canonical positions alone, never on timing.
+    if ((completed % options_.every == 0 && completed > 0) ||
+        (final && !final_emitted_)) {
       ProgressUpdate update;
       update.completed_repetitions = completed;
       update.total_repetitions = total_;
@@ -71,7 +72,6 @@ void ProgressCollector::flush_locked() {
       update.histograms = base_histograms_;
       merge_histograms(update.histograms, cumulative);
       options_.sink(update);
-      last_emitted_ = completed;
       final_emitted_ = final;
     }
 

@@ -3,27 +3,26 @@
 ///
 /// A run configured with ProgressOptions emits ProgressUpdate values as
 /// repetitions complete: cumulative per-measurement-key histograms over
-/// a *canonical prefix* of the run's repetitions. The canonical order
-/// is shard-major (all repetitions of RNG stream 0, then stream 1, ...;
-/// the serial path is a single shard), and within a shard updates fire
-/// every `every` repetitions plus at shard completion. Because both the
-/// shard decomposition and every shard's per-repetition outcomes are
-/// fixed by the seed and SimulatorOptions::num_rng_streams alone, the
+/// a *canonical prefix* of the run's repetitions — repetitions 0..k-1 in
+/// order, whichever shard and thread ran them. Updates fire at every
+/// multiple of `every` plus at the end of the run. Every repetition's
+/// outcome is fixed by the seed and its index (core/simulator.h), so the
 /// emitted update *sequence* — positions and contents — is bit-identical
 /// across thread counts and scheduling: threads only change when an
 /// update is delivered, never what it says. The final update carries
 /// the complete histogram of the run.
 ///
-/// On the dictionary-batched path (Sec. 3.2.3) all of a shard's
-/// repetitions complete together at the final gate, so streaming
-/// degenerates to one update per shard prefix emitted at the end of the
-/// run; per-trajectory workloads (channels, mid-circuit measurement, or
-/// RunRequest::with_sample_parallelization(false)) stream throughout.
+/// On the dictionary path (Sec. 3.2.3) all repetitions complete
+/// together at the final gate, so streaming degenerates to the one
+/// final update; per-trajectory workloads (channels, mid-circuit
+/// measurement, or RunRequest::with_sample_parallelization(false))
+/// stream throughout.
 ///
-/// ProgressCollector is the engine-side merger: shards report their
-/// cumulative histograms at the canonical checkpoints as they reach
-/// them (possibly out of order across shards), and the collector
-/// buffers and flushes updates strictly in canonical order.
+/// ProgressCollector is the run-side merger: shards (contiguous ranges
+/// of repetitions) report their cumulative histograms at the prefix
+/// positions inside their range and at their end, possibly out of order
+/// across shards, and the collector buffers and flushes updates strictly
+/// in canonical order.
 
 #pragma once
 
@@ -67,32 +66,28 @@ struct ProgressOptions {
   [[nodiscard]] bool enabled() const { return every > 0 && sink != nullptr; }
 };
 
-/// Merges per-shard checkpoint reports into the canonical update
-/// sequence (see file comment). Thread-safe: shards report
-/// concurrently; updates are emitted under the internal lock, strictly
-/// in canonical order.
+/// Merges per-shard reports into the canonical update sequence (see
+/// file comment). Thread-safe: shards report concurrently; updates are
+/// emitted under the internal lock, strictly in canonical order.
 class ProgressCollector {
  public:
-  /// `shard_reps[i]` is shard i's repetition count. `chunked` selects
-  /// the checkpoint schedule: true = every `options.every` repetitions
-  /// within a shard plus shard completion (per-trajectory paths);
-  /// false = shard completion only (dictionary-batched paths, where all
-  /// of a shard's repetitions finish together).
+  /// `shard_reps[i]` is shard i's repetition count; shard i covers the
+  /// repetitions after shards 0..i-1.
   ProgressCollector(ProgressOptions options,
-                    std::vector<std::uint64_t> shard_reps, bool chunked);
+                    std::vector<std::uint64_t> shard_reps);
 
-  /// The canonical checkpoint after `done` of `total` shard repetitions
-  /// under cadence `every`: the next multiple of `every`, capped at
-  /// `total`. Shared by the collector and the engine's chunk loop so
-  /// both walk the identical schedule.
+  /// The next multiple of `every` after `done`, capped at `total` (and
+  /// `total` once done >= total). Shared by the collector and the
+  /// sampling loop so both walk the identical schedule.
   [[nodiscard]] static std::uint64_t next_checkpoint(std::uint64_t done,
                                                      std::uint64_t total,
                                                      std::uint64_t every);
 
   /// Shard `shard` has completed `done` of its repetitions; `cumulative`
-  /// holds its per-key counts for those repetitions. Must be called at
-  /// exactly the canonical checkpoints, in order within the shard
-  /// (shards may interleave freely).
+  /// holds its per-key counts for those repetitions. Must be called
+  /// exactly where the shard's range meets a multiple of `every` and at
+  /// the shard's end, in order within the shard (shards may interleave
+  /// freely).
   void report(std::size_t shard, std::uint64_t done,
               std::map<std::string, Counts> cumulative);
 
@@ -101,28 +96,25 @@ class ProgressCollector {
   void flush_locked();
 
   struct ShardSlot {
-    /// Buffered checkpoints (done -> cumulative histograms) not yet
+    /// Buffered reports (done -> cumulative histograms) not yet
     /// consumed by the canonical cursor.
     std::map<std::uint64_t, std::map<std::string, Counts>> pending;
   };
 
   ProgressOptions options_;
   std::vector<std::uint64_t> shard_reps_;
-  bool chunked_;
   std::uint64_t total_ = 0;
 
   std::mutex mutex_;
   std::vector<ShardSlot> slots_;
-  /// Canonical cursor: next shard to consume, the checkpoint expected
+  /// Canonical cursor: next shard to consume, the report expected
   /// from it, and the repetitions of fully consumed shards.
   std::size_t cursor_shard_ = 0;
   std::uint64_t cursor_done_ = 0;
   std::uint64_t prefix_base_ = 0;
   /// Merged histograms of fully consumed shards (the prefix base).
   std::map<std::string, Counts> base_histograms_;
-  /// Largest prefix emitted so far / whether the final update went out
-  /// (dedups zero-advance checkpoints from empty shards).
-  std::uint64_t last_emitted_ = 0;
+  /// Whether the final update went out (an empty run still owes one).
   bool final_emitted_ = false;
 };
 

@@ -31,7 +31,7 @@ class Result {
   void add_records(const std::string& key, Bitstring value,
                    std::uint64_t count);
 
-  /// Appends every record of `other` to this result (the BatchEngine's
+  /// Appends every record of `other` to this result (the sampler's
   /// shard merge). Keys unknown here are declared with the other
   /// result's qubits; keys known to both must measure the same qubits.
   void append(const Result& other);
@@ -70,14 +70,14 @@ class Result {
 class Circuit;
 
 /// Declares every measurement key of `circuit` (with its qubits, in
-/// gate order) on `result` — the shared preamble of Simulator::run, the
-/// engine's batch paths, and the Session facade, so a 0-repetition run
+/// gate order) on `result` — the shared preamble of Simulator::run's
+/// paths and shards and the Session facade, so a 0-repetition run
 /// still yields a well-formed result with all keys present.
 void declare_measurement_keys(const Circuit& circuit, Result& result);
 
 /// All of a result's histograms keyed by measurement key — the
-/// progress-snapshot shape (core/progress.h), shared by the serial
-/// sampler's final update and the engine's per-shard reporting.
+/// progress-snapshot shape (core/progress.h) of a run's final update
+/// and of its checkpoints.
 [[nodiscard]] std::map<std::string, Counts> key_histograms(
     const Result& result);
 

@@ -36,14 +36,32 @@
 ///    rescales every candidate amplitude by a unit-modulus phase, so the
 ///    candidate distribution is unchanged and the resampling step can be
 ///    elided exactly (ablated in the bench suite).
+///
+/// One loop per path, at every thread count. A run draws one key from
+/// the caller's Rng and keys every later draw to a position in the run:
+///  - trajectory r draws from Rng(mix_key(key, r));
+///  - on the dictionary path, entry `bits` at gate g draws its
+///    multinomial split from Rng(mix_key(mix_key(key, g), bits)).
+/// A trajectory run splits into min(repetitions, kMaxShards) contiguous
+/// shards, which fan out across the thread pool
+/// (SimulatorOptions::num_threads); a dictionary run is one shard that
+/// resamples each gate's entries in order on the calling thread. The
+/// split fixes where trace spans, progress prefixes and checkpoint
+/// cursors fall, but no draw depends on it, on the thread count or on
+/// execution order. So one seed gives the same records, counters,
+/// progress sequence and span tree at every thread count. run_batch()
+/// runs many circuits across the pool, circuit i under its own key.
 
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
+#include <span>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -51,29 +69,21 @@
 #include "core/checkpoint.h"
 #include "core/progress.h"
 #include "core/result.h"
-#include "engine/context.h"  // the reusable pool cached behind the simulator
+#include "engine/context.h"  // the pool shards fan out on
 #include "obs/trace.h"
 #include "util/bits.h"
 #include "util/cancellation.h"
 #include "util/error.h"
 #include "util/fault.h"
 #include "util/rng.h"
+#include "util/timing.h"
 
 namespace bgls {
 
-template <typename State>
-class BatchEngine;  // engine/engine.h — included at the end of this file
-
-/// The Sec. 3.2.3 bitstring→multiplicity dictionary the batched sampler
-/// resamples per gate.
-using BatchDictionary = std::map<Bitstring, std::uint64_t>;
-
-/// Per-RNG-stream shard counters, filled by the BatchEngine (engine.h)
-/// when a run is sharded across streams.
-struct StreamStats {
+/// One shard's counters (RunStats::per_shard).
+struct ShardStats {
   /// Independent state evolutions executed in this shard (0 on the
-  /// engine's snapshot-sharing batched path, where one shared evolution
-  /// serves every shard).
+  /// dictionary path, whose one shard resamples a shared evolution).
   std::size_t trajectories = 0;
   /// apply_op invocations executed in this shard.
   std::size_t state_applications = 0;
@@ -91,17 +101,17 @@ struct RunStats {
   std::size_t probability_evaluations = 0;
   /// Peak unique-bitstring dictionary size (≤ 2^n; Sec. 3.2.3).
   std::size_t max_dictionary_size = 0;
-  /// Number of independent state evolutions (1 when parallelized).
+  /// Number of independent state evolutions (1 on the dictionary path).
   std::size_t trajectories = 0;
-  /// Whether the dictionary-batched path was used.
+  /// Whether the dictionary path was used.
   bool used_sample_parallelization = false;
   /// Candidate updates skipped because the gate was diagonal.
   std::size_t diagonal_updates_skipped = 0;
-  /// Worker threads the run was executed with (1 for the serial path).
+  /// Worker threads available to the run: the resolved num_threads,
+  /// capped at the shard count.
   std::size_t threads_used = 1;
-  /// Per-stream shard counters in shard order (empty on the serial
-  /// path; one entry per RNG stream on engine runs).
-  std::vector<StreamStats> per_stream;
+  /// Per-shard counters in shard order (see file comment).
+  std::vector<ShardStats> per_shard;
   /// Why the runtime layer routed this run to its backend — filled by
   /// Session for kAuto requests, including every job of a run_batch, so
   /// per-job routing decisions survive into stats reporting (the
@@ -114,8 +124,8 @@ struct RunStats {
   /// op. queue_wait_ms is filled by the service scheduler (time from
   /// admission to run start; 0 for direct Session calls); optimize_ms
   /// and sample_ms by Session::run (circuit fusion / backend dispatch);
-  /// evolve_ms by the engine's shared-snapshot batched path (gate
-  /// applies on the shared state, a subset of sample_ms).
+  /// evolve_ms by the dictionary path (gate applies on the shared state
+  /// plus the per-gate dictionary merges, a subset of sample_ms).
   double queue_wait_ms = 0.0;
   double optimize_ms = 0.0;
   double evolve_ms = 0.0;
@@ -130,44 +140,24 @@ struct SimulatorOptions {
   /// Force-disable the dictionary batching of Sec. 3.2.3 even when the
   /// circuit allows it (used by the Fig. 2 ablation).
   bool disable_sample_parallelization = false;
-  /// Worker threads for multi-repetition runs: 1 (default) keeps the
-  /// classic serial path, 0 auto-detects hardware concurrency, N > 1
-  /// routes run()/sample() through the BatchEngine (engine/engine.h).
-  /// Engine results are bit-identical for every thread count >= 1 given
-  /// the same seed and num_rng_streams; only the serial num_threads == 1
-  /// path draws from a different (single) stream.
+  /// Worker threads a trajectory run's shards (and run_batch()'s
+  /// circuits) fan out on: 1 (default) runs them on the calling thread,
+  /// 0 auto-detects hardware concurrency, N > 1 uses a cached
+  /// process-wide pool (engine/context.h). Never changes what a run
+  /// samples.
   int num_threads = 1;
-  /// Number of deterministic RNG shards an engine run is split into.
-  /// This — not the thread count — fixes the sampled values, so keep it
-  /// constant when comparing runs across machines or thread counts.
-  std::uint64_t num_rng_streams = 16;
-  /// Reuse one long-lived thread pool across engine runs: the pool is
-  /// cached process-wide per thread count behind a shared EngineContext
-  /// (engine/context.h), and copying a Simulator shares its context.
-  /// false restores the v1 behavior — a fresh pool per delegated run —
-  /// which the fig2 pool-reuse bench measures against. Never affects
-  /// the sampled values, only where the threads come from.
-  bool reuse_thread_pool = true;
-  /// run_batch scheduling granularity: true (default) schedules one
-  /// pool job per (circuit, repetition-shard) pair so a few large
-  /// trajectory circuits still saturate the pool; false schedules one
-  /// job per circuit and runs its shards serially inside it. The shard
-  /// decomposition is identical in both modes, so results are
-  /// bit-identical either way.
-  bool two_level_batch_sharding = true;
-  /// Cooperative stop handle, polled at bounded intervals (per gate on
-  /// the trajectory and dictionary-batched loops; additionally per
-  /// shard/chunk in the engine). Inert by default. Scheduling-only: an
-  /// aborted run throws CancelledError/DeadlineExceededError and
-  /// discards its partial work; it never alters what an uncancelled run
-  /// samples, nor any shared state later runs depend on.
+  /// Cooperative stop handle, polled at bounded intervals (per gate and
+  /// per shard). Inert by default. Scheduling-only: an aborted run
+  /// throws CancelledError/DeadlineExceededError and discards its
+  /// partial work; it never alters what an uncancelled run samples, nor
+  /// any shared state later runs depend on.
   CancellationToken cancel_token{};
   /// Streaming partial histograms (core/progress.h): run() emits
   /// cumulative per-key histograms every `progress.every` completed
-  /// repetitions in canonical shard order. sample()/run_batch ignore
-  /// it. Observation-only: never changes the sampled records.
+  /// repetitions of the canonical order. sample()/run_batch() ignore it.
+  /// Observation-only: never changes the sampled records.
   ProgressOptions progress{};
-  /// Optional telemetry trace (obs/trace.h) the engine records shard
+  /// Optional telemetry trace (obs/trace.h) run()/sample() record shard
   /// and phase spans into; non-owning, may be null. Observation-only:
   /// spans time existing work and never touch RNG state, so a traced
   /// run samples exactly what an untraced one does.
@@ -175,16 +165,16 @@ struct SimulatorOptions {
   /// Checkpoint capture (core/checkpoint.h): run() emits resumable
   /// RunCheckpoint snapshots every `checkpoint.every` completed
   /// repetitions within a shard plus at shard completion.
-  /// sample()/run_batch ignore it. Observation-only: capture never
+  /// sample()/run_batch() ignore it. Observation-only: capture never
   /// changes the sampled records.
   CheckpointOptions checkpoint{};
   /// Resume a previous run from its checkpoint: run() validates the
-  /// checkpoint against this request's shape (mode, totals, shard
-  /// count) and continues it, producing a final histogram and report
-  /// counters bit-identical to the uninterrupted run. The request must
-  /// carry the same circuit/seed/num_rng_streams as the checkpointed
-  /// one. Intermediate progress updates are suppressed on a resumed
-  /// run; the final update still fires.
+  /// checkpoint against this request's shape (mode, run key, totals,
+  /// shard count) and continues it, producing a final histogram and
+  /// report counters bit-identical to the uninterrupted run. The request
+  /// must carry the same circuit and seed as the checkpointed one.
+  /// Intermediate progress updates are suppressed on a resumed run; the
+  /// final update still fires.
   std::shared_ptr<const RunCheckpoint> resume{};
 };
 
@@ -204,6 +194,10 @@ class Simulator {
  public:
   using ApplyOpFn = std::function<void(const Operation&, State&, Rng&)>;
   using ProbabilityFn = std::function<double(const State&, Bitstring)>;
+
+  /// Shard count cap: a trajectory run splits into
+  /// min(repetitions, kMaxShards) shards (at least one).
+  static constexpr std::uint64_t kMaxShards = 16;
 
   /// Builds a simulator whose apply/probability hooks are the backend's
   /// ADL free functions.
@@ -233,120 +227,12 @@ class Simulator {
   /// Runs the circuit end-to-end `repetitions` times and returns the
   /// measurement records, mirroring cirq.Simulator.run. The circuit must
   /// contain at least one measurement and must be fully resolved.
+  /// Records come in repetition order.
   Result run(const Circuit& circuit, std::uint64_t repetitions, Rng& rng) {
-    if (options_.num_threads != 1 && repetitions > 1) {
-      return run_with_engine(
-          [&](BatchEngine<State>& engine) {
-            return engine.run(circuit, repetitions, rng);
-          });
-    }
-    validate(circuit, /*require_measurements=*/true);
-    options_.cancel_token.throw_if_stopped();
-    const RunCheckpoint* resume = options_.resume.get();
-    // A resumed run suppresses intermediate progress updates (the
-    // pre-interruption prefix already streamed them) and emits only the
-    // final one.
-    const bool streaming = options_.progress.enabled() && resume == nullptr;
-    const bool checkpointing = options_.checkpoint.enabled();
-    Result result;
-    declare_measurement_keys(circuit, result);
-    if (can_parallelize(circuit)) {
-      // The dictionary-batched path is shard-atomic: every repetition
-      // completes together at the final gate, so checkpoints exist only
-      // at 0 (entry RNG state) and at completion.
-      Counts counts;
-      std::array<std::uint64_t, 4> engine_state = rng.state();
-      if (resume != nullptr) {
-        validate_resume(*resume, CheckpointMode::kSerialBatched, repetitions,
-                        1);
-        const ShardCheckpoint& shard = resume->shards.front();
-        if (shard.completed == repetitions && repetitions > 0) {
-          // Already finished: rebuild the result and counters from the
-          // checkpoint without sampling.
-          restore_result_histograms(result, shard.histograms);
-          apply_checkpoint_stats(stats_, resume->stats);
-          stats_.used_sample_parallelization = true;
-          if (options_.progress.enabled()) {
-            emit_final_progress(result, repetitions);
-          }
-          return result;
-        }
-        Rng restored = Rng::from_state(shard.rng_state);
-        engine_state = shard.rng_state;
-        counts = sample_parallel(circuit, repetitions, restored);
-      } else {
-        if (checkpointing) {
-          emit_serial_checkpoint(CheckpointMode::kSerialBatched, repetitions,
-                                 0, engine_state, {});
-        }
-        counts = sample_parallel(circuit, repetitions, rng);
-      }
-      for (const auto& [bits, count] : counts) {
-        for (const auto& op : circuit.all_operations()) {
-          if (!op.gate().is_measurement()) continue;
-          result.add_records(op.gate().measurement_key(),
-                             pack_key_bits(bits, op.qubits()), count);
-        }
-      }
-      if (checkpointing) {
-        emit_serial_checkpoint(CheckpointMode::kSerialBatched, repetitions,
-                               repetitions, engine_state,
-                               key_histograms(result));
-      }
-      // Dictionary batching completes every repetition together at the
-      // final gate, so streaming degenerates to the one final update.
-      if (options_.progress.enabled()) emit_final_progress(result, repetitions);
-      return result;
-    }
-    std::map<std::string, Counts> cumulative;
-    std::uint64_t start = 0;
-    Rng resumed_rng;
-    Rng* engine = &rng;
-    if (resume != nullptr) {
-      validate_resume(*resume, CheckpointMode::kSerial, repetitions, 1);
-      const ShardCheckpoint& shard = resume->shards.front();
-      start = shard.completed;
-      restore_result_histograms(result, shard.histograms);
-      cumulative = shard.histograms;
-      apply_checkpoint_stats(stats_, resume->stats);
-      resumed_rng = Rng::from_state(shard.rng_state);
-      engine = &resumed_rng;
-    }
-    const bool track = streaming || checkpointing;
-    for (std::uint64_t rep = start; rep < repetitions; ++rep) {
-      // Deterministic mid-run abort hook for crash-safety tests
-      // (util/fault.h); inert unless armed.
-      fault::throw_if_fails("shard_run");
-      run_one_trajectory(circuit, *engine, &result);
-      const std::uint64_t done = rep + 1;
-      if (track) {
-        for (const std::string& key : result.keys()) {
-          ++cumulative[key][result.values(key).back()];
-        }
-      }
-      // Canonical single-shard checkpoints: every `every` repetitions
-      // plus the final one (see core/progress.h). Streaming and
-      // checkpoint capture walk their own cadences independently.
-      if (streaming &&
-          (done % options_.progress.every == 0 || done == repetitions)) {
-        ProgressUpdate update;
-        update.completed_repetitions = done;
-        update.total_repetitions = repetitions;
-        update.final = done == repetitions;
-        update.histograms = cumulative;
-        options_.progress.sink(update);
-      }
-      if (checkpointing &&
-          (done % options_.checkpoint.every == 0 || done == repetitions)) {
-        emit_serial_checkpoint(CheckpointMode::kSerial, repetitions, done,
-                               engine->state(), cumulative);
-      }
-    }
-    if (options_.progress.enabled() && resume != nullptr) {
-      emit_final_progress(result, repetitions);
-    }
-    if (streaming && repetitions == 0) emit_final_progress(result, 0);
-    return result;
+    check_runnable(circuit, /*require_measurements=*/true);
+    const RunScope scope = begin_run(rng, shard_count(circuit, repetitions),
+                                     options_.trace, /*observed=*/true);
+    return run_scoped(circuit, repetitions, scope, stats_);
   }
 
   /// Convenience overload with a seed instead of an engine.
@@ -360,68 +246,78 @@ class Simulator {
   /// gates (the form the paper's runtime benchmarks use). Returns
   /// outcome counts.
   Counts sample(const Circuit& circuit, std::uint64_t repetitions, Rng& rng) {
-    if (options_.num_threads != 1 && repetitions > 1) {
-      return run_with_engine(
-          [&](BatchEngine<State>& engine) {
-            return engine.sample(circuit, repetitions, rng);
-          });
-    }
-    validate(circuit, /*require_measurements=*/false);
+    check_runnable(circuit, /*require_measurements=*/false);
+    const RunScope scope = begin_run(rng, shard_count(circuit, repetitions),
+                                     options_.trace, /*observed=*/false);
     if (can_parallelize(circuit)) {
-      return sample_parallel(circuit, repetitions, rng);
+      const Dictionary dictionary =
+          sample_dictionary(circuit, repetitions, scope, stats_);
+      return {dictionary.begin(), dictionary.end()};
     }
     Counts counts;
-    for (std::uint64_t rep = 0; rep < repetitions; ++rep) {
-      ++counts[run_one_trajectory(circuit, rng, nullptr)];
+    for (const Counts& shard :
+         run_trajectories<Counts>(circuit, repetitions, scope, stats_)) {
+      for (const auto& [bits, count] : shard) counts[bits] += count;
     }
     return counts;
   }
 
-  /// Asynchronous run(): schedules the whole run as a job on the
-  /// persistent process-wide pool and returns immediately with a future
-  /// over the merged Result. Bit-identical to
-  /// `run(circuit, repetitions, seed)` by construction — the job runs a
-  /// full copy of this simulator through the ordinary synchronous
-  /// run(), so it makes the same serial-vs-engine path choice
-  /// (num_threads, repetitions) and draws the same records. Async jobs
-  /// do not update last_run_stats() (that would race between in-flight
-  /// jobs); use BatchEngine::submit() when the per-run stats are
-  /// needed. Thread-safe against other run_async calls.
-  [[nodiscard]] std::future<Result> run_async(Circuit circuit,
-                                              std::uint64_t repetitions,
-                                              std::uint64_t seed);
+  /// Runs every circuit for `repetitions` and returns the per-circuit
+  /// results in input order (QAOA parameter sweeps, randomized
+  /// benchmarking). Circuit i is one run() under the key mix_key(batch
+  /// key, i), the batch key being one draw from `rng`; circuits fan out
+  /// across the pool and each circuit's trajectory shards fan out again
+  /// inside it. Progress, checkpoints, resume and trace are not applied.
+  /// last_run_stats() sums the circuits' counters (per_shard
+  /// concatenated in input order).
+  std::vector<Result> run_batch(std::span<const Circuit> circuits,
+                                std::uint64_t repetitions, Rng& rng) {
+    // Validate up front, so one bad circuit fails the batch before any
+    // sampling.
+    for (const Circuit& circuit : circuits) {
+      check_runnable(circuit, /*require_measurements=*/true);
+    }
+    const RunScope scope =
+        begin_run(rng, circuits.size() * shard_count(repetitions), nullptr,
+                  /*observed=*/false);
+    std::vector<Result> results(circuits.size());
+    std::vector<RunStats> stats(circuits.size());
+    run_indexed(scope.pool, circuits.size(), [&](std::size_t i) {
+      RunScope circuit_scope = scope;
+      circuit_scope.key = mix_key(scope.key, i);
+      // Counters go to a local first: run_scoped updates them per gate,
+      // and adjacent slots of `stats` share cache lines.
+      RunStats local;
+      results[i] = run_scoped(circuits[i], repetitions, circuit_scope, local);
+      stats[i] = std::move(local);
+    });
+    for (const RunStats& run : stats) {
+      stats_.state_applications += run.state_applications;
+      stats_.probability_evaluations += run.probability_evaluations;
+      stats_.max_dictionary_size =
+          std::max(stats_.max_dictionary_size, run.max_dictionary_size);
+      stats_.trajectories += run.trajectories;
+      stats_.used_sample_parallelization |= run.used_sample_parallelization;
+      stats_.diagonal_updates_skipped += run.diagonal_updates_skipped;
+      stats_.evolve_ms += run.evolve_ms;
+      stats_.per_shard.insert(stats_.per_shard.end(), run.per_shard.begin(),
+                              run.per_shard.end());
+    }
+    return results;
+  }
 
-  /// Counters from the most recent run()/sample() call.
+  /// Counters from the most recent run()/sample()/run_batch() call.
   [[nodiscard]] const RunStats& last_run_stats() const { return stats_; }
 
   /// Current tuning knobs.
   [[nodiscard]] const SimulatorOptions& options() const { return options_; }
 
-  /// Replaces the tuning knobs (used by the engine to force per-shard
-  /// runs onto the serial path).
+  /// Replaces the tuning knobs.
   void set_options(SimulatorOptions options) { options_ = options; }
 
-  /// True when run()/sample() would take the dictionary-batched path of
-  /// Sec. 3.2.3 for this circuit. The engine uses this to pick between
-  /// the multinomial (batched) and even (trajectory) repetition splits.
-  [[nodiscard]] bool can_parallelize_samples(const Circuit& circuit) const {
-    return can_parallelize(circuit);
-  }
-
-  /// The (unevolved) initial state the sampler copies per run. The
-  /// engine's snapshot-sharing batched path evolves one copy of it.
-  [[nodiscard]] const State& initial_state() const { return initial_state_; }
-
-  /// The apply_op ingredient (used by the engine to evolve the shared
-  /// snapshot).
-  [[nodiscard]] const ApplyOpFn& apply_fn() const { return apply_op_; }
-
-  /// True when both hooks are the library defaults. Native
-  /// compute_probability is a pure function of (state, bitstring), so
-  /// the engine may invoke it concurrently against one shared state;
-  /// user-provided hooks carry no such guarantee, so the engine keeps
-  /// them on the v1 path — private per-shard states, still parallel
-  /// across the pool.
+  /// True when both hooks are the library defaults, which is what lets
+  /// channels take the exact joint branch update (custom hooks route
+  /// channels through `apply` plus a standard candidate update).
   [[nodiscard]] bool hooks_are_native() const { return hooks_are_native_; }
 
   /// The lazily acquired engine context (null until a multi-threaded
@@ -431,8 +327,7 @@ class Simulator {
   }
 
   /// Throws unless `circuit` is runnable (parameters resolved, and
-  /// measured when `require_measurements`). Shared precondition of the
-  /// serial paths and the engine's snapshot path.
+  /// measured when `require_measurements`).
   void check_runnable(const Circuit& circuit, bool require_measurements) const {
     BGLS_REQUIRE(!circuit.is_parameterized(),
                  "circuit has unresolved parameters; resolve() it first");
@@ -440,74 +335,64 @@ class Simulator {
                  "circuit has no measurements to sample; append measure()");
   }
 
-  /// One Sec. 3.2.3 dictionary-resampling step against an already
-  /// evolved state: splits every unique bitstring's multiplicity across
-  /// its candidates with exact multinomial draws from `rng`, replacing
-  /// `dictionary` in place. Returns the number of probability
-  /// evaluations performed. Const and re-entrant — the engine calls it
-  /// concurrently from many shards against one shared read-only state,
-  /// but only when hooks_are_native() (native compute_probability hooks
-  /// are pure functions of their arguments); with user-provided hooks
-  /// the engine falls back to v1 per-shard private states and never
-  /// shares a snapshot.
-  std::size_t resample_dictionary(const State& state, const Operation& op,
-                                  BatchDictionary& dictionary,
-                                  Rng& rng) const {
-    const auto support = support_of(op);
-    BatchDictionary next;
-    std::array<double, (1u << kMaxGateArity)> weights{};
-    std::array<std::uint64_t, (1u << kMaxGateArity)> counts{};
-    std::size_t evaluations = 0;
-    for (const auto& [bits, multiplicity] : dictionary) {
-      const CandidateList candidates = expand_candidates(bits, support);
-      const auto n = static_cast<std::size_t>(candidates.count);
-      for (std::size_t i = 0; i < n; ++i) {
-        weights[i] = compute_probability_(state, candidates.values[i]);
-      }
-      evaluations += n;
-      rng.multinomial(multiplicity, {weights.data(), n}, {counts.data(), n});
-      for (std::size_t i = 0; i < n; ++i) {
-        if (counts[i] > 0) next[candidates.values[i]] += counts[i];
-      }
-    }
-    dictionary.swap(next);
-    return evaluations;
-  }
-
-  /// Extracts a key's packed value from a full bitstring: bit j of the
-  /// result is b[qubits[j]]. (Public: the engine packs measurement
-  /// records from merged shard histograms with the same convention.)
-  [[nodiscard]] static Bitstring pack_key_bits(Bitstring b,
-                                               std::span<const Qubit> qubits) {
-    Bitstring packed = 0;
-    for (std::size_t j = 0; j < qubits.size(); ++j) {
-      packed = with_bit(packed, static_cast<int>(j), get_bit(b, qubits[j]));
-    }
-    return packed;
-  }
-
  private:
-  /// Routes a multi-repetition call through a BatchEngine sharing the
-  /// cached context and adopts its merged counters so last_run_stats()
-  /// stays meaningful.
-  template <typename Body>
-  auto run_with_engine(Body&& body) {
-    BatchEngine<State> engine = make_engine();
-    auto result = body(engine);
-    stats_ = engine.last_run_stats();
-    return result;
+  /// The Sec. 3.2.3 dictionary: unique bitstring → multiplicity, sorted
+  /// by bitstring.
+  using Dictionary = std::vector<std::pair<Bitstring, std::uint64_t>>;
+
+  /// A run's fixed inputs besides the circuit: its key, the pool its
+  /// shards fan out on (null = the calling thread), the trace its spans
+  /// go to, and whether progress, checkpoints and resume apply (run()
+  /// only; sample() and run_batch() leave them off).
+  struct RunScope {
+    std::uint64_t key = 0;
+    EngineContext* pool = nullptr;
+    obs::Trace* trace = nullptr;
+    bool observed = false;
+  };
+
+  /// The shard count of a trajectory run: min(repetitions, kMaxShards),
+  /// at least 1.
+  [[nodiscard]] static std::uint64_t shard_count(std::uint64_t repetitions) {
+    return std::clamp<std::uint64_t>(repetitions, 1, kMaxShards);
   }
 
-  /// Builds an engine around a copy of this simulator. With
-  /// reuse_thread_pool the engine shares this simulator's cached
-  /// process-wide context (acquired on first use, re-acquired if the
-  /// configured thread count changed); otherwise the engine creates a
-  /// private pool per run — the v1 behavior.
-  BatchEngine<State> make_engine();
+  /// The shard count of a run of `circuit`: one on the dictionary path.
+  [[nodiscard]] std::uint64_t shard_count(const Circuit& circuit,
+                                          std::uint64_t repetitions) const {
+    return can_parallelize(circuit) ? 1 : shard_count(repetitions);
+  }
 
-  void validate(const Circuit& circuit, bool require_measurements) {
-    check_runnable(circuit, require_measurements);
+  /// Shard sizes of a run: shard_count near-equal contiguous pieces
+  /// (the first repetitions % shards get one extra).
+  [[nodiscard]] static std::vector<std::uint64_t> shard_sizes(
+      std::uint64_t repetitions) {
+    const std::uint64_t shards = shard_count(repetitions);
+    std::vector<std::uint64_t> sizes(shards, repetitions / shards);
+    for (std::uint64_t i = 0; i < repetitions % shards; ++i) ++sizes[i];
+    return sizes;
+  }
+
+  /// Shared preamble of every run: the cancellation check, the run key
+  /// (one draw from `rng`), fresh counters, and the pool, taken when
+  /// more than one thread is configured and `jobs` (the run's parallel
+  /// width) exceeds one.
+  RunScope begin_run(Rng& rng, std::uint64_t jobs, obs::Trace* trace,
+                     bool observed) {
+    options_.cancel_token.throw_if_stopped();
+    engine_detail::count_engine_run();
+    const int threads = ThreadPool::resolve_num_threads(options_.num_threads);
     stats_ = RunStats{};
+    stats_.threads_used = static_cast<std::size_t>(std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(threads), std::max<std::uint64_t>(jobs, 1)));
+    RunScope scope{rng(), nullptr, trace, observed};
+    if (stats_.threads_used > 1) {
+      if (!engine_context_ || engine_context_->num_threads() != threads) {
+        engine_context_ = EngineContext::shared(threads);
+      }
+      scope.pool = engine_context_.get();
+    }
+    return scope;
   }
 
   [[nodiscard]] bool can_parallelize(const Circuit& circuit) const {
@@ -518,62 +403,373 @@ class Simulator {
         !circuit.measurements_are_terminal()) {
       return false;
     }
-    for (const auto& op : circuit.all_operations()) {
-      if (op.is_classically_controlled()) return false;
-    }
-    return true;
+    return circuit.count_operations([](const Operation& op) {
+             return op.is_classically_controlled();
+           }) == 0;
   }
 
-  [[nodiscard]] static std::vector<int> support_of(const Operation& op) {
-    return {op.qubits().begin(), op.qubits().end()};
+  /// Extracts a key's packed value from a full bitstring: bit j of the
+  /// result is b[qubits[j]].
+  [[nodiscard]] static Bitstring pack_key_bits(Bitstring b,
+                                               std::span<const Qubit> qubits) {
+    Bitstring packed = 0;
+    for (std::size_t j = 0; j < qubits.size(); ++j) {
+      packed = with_bit(packed, static_cast<int>(j), get_bit(b, qubits[j]));
+    }
+    return packed;
+  }
+
+  /// run()'s body under an explicit scope, filling `stats` (run_batch()
+  /// runs each circuit of a batch through it concurrently).
+  Result run_scoped(const Circuit& circuit, std::uint64_t repetitions,
+                    const RunScope& scope, RunStats& stats) const {
+    const bool dictionary = can_parallelize(circuit);
+    Result result;
+    if (dictionary) {
+      result = run_dictionary(circuit, repetitions, scope, stats);
+    } else {
+      declare_measurement_keys(circuit, result);
+      for (const Result& shard :
+           run_trajectories<Result>(circuit, repetitions, scope, stats)) {
+        result.append(shard);
+      }
+    }
+    // The dictionary path completes every repetition at the final gate,
+    // and a resumed run streamed its prefix before the interruption:
+    // both owe only the final update.
+    if (scope.observed && options_.progress.enabled() &&
+        (dictionary || options_.resume != nullptr)) {
+      options_.progress.sink(ProgressUpdate{repetitions, repetitions, true,
+                                            key_histograms(result)});
+    }
+    return result;
+  }
+
+  /// The trajectory path (Sec. 3.2.1): shard i runs its contiguous
+  /// range of repetitions, repetition r as one evolution drawing from
+  /// Rng(mix_key(key, r)). Out is Result (run(): records, progress,
+  /// checkpoints, resume) or Counts (sample(): final bitstrings).
+  /// Returns the shards' outputs in shard order and fills `stats`.
+  template <typename Out>
+  std::vector<Out> run_trajectories(const Circuit& circuit,
+                                    std::uint64_t repetitions,
+                                    const RunScope& scope,
+                                    RunStats& stats) const {
+    constexpr bool kRecords = std::is_same_v<Out, Result>;
+    const std::vector<Operation> ops = circuit.all_operations();
+    const std::vector<std::uint64_t> sizes = shard_sizes(repetitions);
+    const std::size_t shards = sizes.size();
+    std::vector<std::uint64_t> first(shards, 0);
+    for (std::size_t i = 1; i < shards; ++i) {
+      first[i] = first[i - 1] + sizes[i - 1];
+    }
+
+    const RunCheckpoint* resume =
+        scope.observed ? options_.resume.get() : nullptr;
+    std::unique_ptr<ProgressCollector> progress;
+    std::unique_ptr<CheckpointCollector> checkpoints;
+    if (resume != nullptr) {
+      validate_resume(*resume, CheckpointMode::kTrajectory, repetitions,
+                      shards, scope.key);
+      for (std::size_t i = 0; i < shards; ++i) {
+        BGLS_REQUIRE(resume->shards[i].total == sizes[i],
+                     "checkpoint shard sizes do not match this run's split");
+      }
+    }
+    if (scope.observed && options_.progress.enabled() && resume == nullptr) {
+      progress = std::make_unique<ProgressCollector>(options_.progress, sizes);
+    }
+    if (scope.observed && options_.checkpoint.enabled()) {
+      RunCheckpoint base;
+      if (resume != nullptr) {
+        base = *resume;
+      } else {
+        base.mode = CheckpointMode::kTrajectory;
+        base.run_key = scope.key;
+        base.total_repetitions = repetitions;
+        base.shards.resize(shards);
+        for (std::size_t i = 0; i < shards; ++i) {
+          base.shards[i].total = sizes[i];
+        }
+      }
+      checkpoints = std::make_unique<CheckpointCollector>(options_.checkpoint,
+                                                          std::move(base));
+      // Durable initial checkpoint of a fresh run: the split and key.
+      if (resume == nullptr) checkpoints->emit();
+    }
+    const std::uint64_t progress_every = options_.progress.every;
+    const std::uint64_t checkpoint_every = options_.checkpoint.every;
+
+    std::vector<Out> outputs(shards);
+    std::vector<RunStats> shard_stats(shards);
+    run_indexed(scope.pool, shards, [&](std::size_t i) {
+      // The shard fills locals and stores them once at its end: adjacent
+      // slots of `outputs` and `shard_stats` share cache lines, and
+      // per-gate counter writes from different threads would contend.
+      Out out;
+      RunStats local;
+      const std::uint64_t size = sizes[i];
+      std::uint64_t done = 0;
+      std::map<std::string, Counts> cumulative;
+      if constexpr (kRecords) {
+        declare_measurement_keys(circuit, out);
+        if (resume != nullptr) {
+          done = resume->shards[i].completed;
+          cumulative = resume->shards[i].histograms;
+          restore_result_histograms(out, cumulative);
+        }
+      }
+      if (done == size) {
+        // Nothing to sample, but the canonical update sequence still
+        // needs the shard's end (an empty run's final update).
+        if (progress) progress->report(i, done, cumulative);
+        outputs[i] = std::move(out);
+        return;
+      }
+      options_.cancel_token.throw_if_stopped();
+      const engine_detail::ShardTimer timer;
+      // kRoot: a shard runs inline at 1 thread but on a pool thread
+      // otherwise; pinning its parent to the trace root keeps the span
+      // tree byte-stable across thread counts.
+      const obs::TraceSpan span(scope.trace, "shard", i,
+                                obs::TraceSpan::Nest::kRoot);
+      while (done < size) {
+        // Walk the union of the progress and checkpoint schedules.
+        std::uint64_t next = size;
+        if (progress) {
+          next = std::min(next, ProgressCollector::next_checkpoint(
+                                    first[i] + done, first[i] + size,
+                                    progress_every) -
+                                    first[i]);
+        }
+        if (checkpoints) {
+          next = std::min(next, ProgressCollector::next_checkpoint(
+                                    done, size, checkpoint_every));
+        }
+        for (; done < next; ++done) {
+          // Deterministic mid-run abort hook for crash-safety tests
+          // (util/fault.h); inert unless armed.
+          fault::throw_if_fails("shard_run");
+          Rng rng(mix_key(scope.key, first[i] + done));
+          if constexpr (kRecords) {
+            trajectory(ops, rng, &out, local);
+            if (progress || checkpoints) {
+              for (const std::string& key : out.keys()) {
+                ++cumulative[key][out.values(key).back()];
+              }
+            }
+          } else {
+            ++out[trajectory(ops, rng, nullptr, local)];
+          }
+        }
+        if (progress && ((first[i] + done) % progress_every == 0 ||
+                         done == size)) {
+          progress->report(i, done, cumulative);
+        }
+        if (checkpoints && (done % checkpoint_every == 0 || done == size)) {
+          checkpoints->record(i, done, cumulative,
+                              checkpoint_stats_from(local));
+        }
+      }
+      outputs[i] = std::move(out);
+      shard_stats[i] = local;
+    });
+
+    for (const RunStats& shard : shard_stats) {
+      stats.state_applications += shard.state_applications;
+      stats.probability_evaluations += shard.probability_evaluations;
+      stats.trajectories += shard.trajectories;
+      stats.diagonal_updates_skipped += shard.diagonal_updates_skipped;
+      stats.per_shard.push_back(ShardStats{shard.trajectories,
+                                           shard.state_applications,
+                                           shard.probability_evaluations});
+    }
+    // This run's counters cover its own work; fold in the resumed
+    // prefix so the totals match the uninterrupted run exactly.
+    if (resume != nullptr) apply_checkpoint_stats(stats, resume->stats);
+    return outputs;
+  }
+
+  /// run() on the dictionary path: the dictionary's entries become
+  /// records. Shard-atomic — every repetition completes together at the
+  /// final gate — so its checkpoints are the initial one (nothing done)
+  /// and the final one.
+  Result run_dictionary(const Circuit& circuit, std::uint64_t repetitions,
+                        const RunScope& scope, RunStats& stats) const {
+    Result result;
+    declare_measurement_keys(circuit, result);
+    const RunCheckpoint* resume =
+        scope.observed ? options_.resume.get() : nullptr;
+    const bool checkpointing = scope.observed && options_.checkpoint.enabled();
+    RunCheckpoint checkpoint;
+    checkpoint.mode = CheckpointMode::kDictionary;
+    checkpoint.run_key = scope.key;
+    checkpoint.total_repetitions = repetitions;
+    checkpoint.shards.resize(1);
+    checkpoint.shards[0].total = repetitions;
+    if (resume != nullptr) {
+      validate_resume(*resume, CheckpointMode::kDictionary, repetitions, 1,
+                      scope.key);
+    }
+    if (resume != nullptr && resume->complete() && repetitions > 0) {
+      // Already finished: rebuild the result and counters from the
+      // checkpoint without sampling.
+      restore_result_histograms(result, resume->shards[0].histograms);
+      apply_checkpoint_stats(stats, resume->stats);
+      stats.used_sample_parallelization = true;
+    } else {
+      if (resume == nullptr && checkpointing) {
+        options_.checkpoint.sink(checkpoint);
+      }
+      const Dictionary dictionary =
+          sample_dictionary(circuit, repetitions, scope, stats);
+      for (const Moment& moment : circuit.moments()) {
+        for (const Operation& op : moment.operations()) {
+          if (!op.gate().is_measurement()) continue;
+          for (const auto& [bits, count] : dictionary) {
+            result.add_records(op.gate().measurement_key(),
+                               pack_key_bits(bits, op.qubits()), count);
+          }
+        }
+      }
+      if (checkpointing) {
+        checkpoint.shards[0].completed = repetitions;
+        checkpoint.shards[0].histograms = key_histograms(result);
+        checkpoint.stats = checkpoint_stats_from(stats);
+        options_.checkpoint.sink(checkpoint);
+      }
+    }
+    return result;
+  }
+
+  /// The dictionary path (Sec. 3.2.3): evolves one state and, after
+  /// each gate, resamples the dictionary in order, each entry drawing
+  /// from Rng(mix_key(mix_key(key, g), bits)). The run is one shard.
+  /// Fills `stats`.
+  Dictionary sample_dictionary(const Circuit& circuit,
+                               std::uint64_t repetitions,
+                               const RunScope& scope, RunStats& stats) const {
+    stats.used_sample_parallelization = true;
+    stats.trajectories = 1;  // one shared evolution
+    stats.max_dictionary_size = 1;
+
+    State state = initial_state_;
+    // The evolution is deterministic on this path (no channels), but
+    // custom apply hooks receive a keyed stream in case they draw.
+    Rng evolution(scope.key);
+    Dictionary dictionary;
+    if (repetitions > 0) dictionary.emplace_back(Bitstring{0}, repetitions);
+    Dictionary resampled;
+    double evolve_seconds = 0.0;
+    double resample_seconds = 0.0;
+
+    // One running stopwatch: each lap is one clock read, which keeps
+    // the timing cheap for small runs with many gates. The moments are
+    // walked in place (a copy of the operation list would cost more
+    // than a small run); g counts operations in circuit order.
+    Stopwatch watch;
+    std::uint64_t g = 0;
+    for (const Moment& moment : circuit.moments()) {
+      for (const Operation& op : moment.operations()) {
+        const std::uint64_t position = g++;
+        if (op.gate().is_measurement()) continue;
+        // Cooperative stop at gate granularity.
+        options_.cancel_token.throw_if_stopped();
+        fault::throw_if_fails("shard_run");
+        apply_op_(op, state, evolution);
+        evolve_seconds += watch.lap();
+        ++stats.state_applications;
+        if (options_.skip_diagonal_updates && op.gate().is_diagonal()) {
+          ++stats.diagonal_updates_skipped;
+          continue;
+        }
+        resampled.clear();
+        stats.probability_evaluations +=
+            resample_entries(state, op, mix_key(scope.key, position),
+                             dictionary, resampled);
+        resample_seconds += watch.lap();
+        // Candidates of different entries may coincide: sort and fold
+        // equal bitstrings. (The merge's time falls into the next
+        // gate's evolve lap.)
+        std::sort(
+            resampled.begin(), resampled.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+        dictionary.clear();
+        for (const auto& entry : resampled) {
+          if (!dictionary.empty() && dictionary.back().first == entry.first) {
+            dictionary.back().second += entry.second;
+          } else {
+            dictionary.push_back(entry);
+          }
+        }
+        stats.max_dictionary_size =
+            std::max(stats.max_dictionary_size, dictionary.size());
+      }
+    }
+
+    stats.evolve_ms = evolve_seconds * 1000.0;
+    stats.per_shard.assign(1, ShardStats{0, 0, stats.probability_evaluations});
+    if constexpr (obs::kTelemetryCompiled) {
+      // The one shard's resample time as an observation and a span, and
+      // an "evolve" span for the shared evolution.
+      if (stats.probability_evaluations > 0) {
+        engine_detail::observe_shard(resample_seconds);
+      }
+      if (scope.trace != nullptr && obs::enabled()) {
+        scope.trace->record(obs::SpanRecord{
+            obs::Trace::span_id(scope.trace->id(), "shard", 0),
+            scope.trace->root(), "shard", 0, resample_seconds});
+        scope.trace->record(obs::SpanRecord{
+            obs::Trace::span_id(scope.trace->id(), "evolve", 0),
+            scope.trace->root(), "evolve", 0, evolve_seconds});
+      }
+    }
+    return dictionary;
+  }
+
+  /// One Sec. 3.2.3 resampling step for dictionary entries against the
+  /// evolved state: entry `bits` splits its multiplicity over its
+  /// candidates with an exact multinomial draw from
+  /// Rng(mix_key(gate_key, bits)) and appends the nonzero (candidate,
+  /// count) pairs to `out`. Returns the probability evaluations.
+  std::size_t resample_entries(const State& state, const Operation& op,
+                               std::uint64_t gate_key,
+                               const Dictionary& entries,
+                               Dictionary& out) const {
+    std::array<double, (1u << kMaxGateArity)> weights{};
+    std::array<std::uint64_t, (1u << kMaxGateArity)> counts{};
+    std::size_t evaluations = 0;
+    for (const auto& [bits, multiplicity] : entries) {
+      const CandidateList candidates = expand_candidates(bits, op.qubits());
+      const auto n = static_cast<std::size_t>(candidates.count);
+      for (std::size_t i = 0; i < n; ++i) {
+        weights[i] = compute_probability_(state, candidates.values[i]);
+      }
+      evaluations += n;
+      Rng rng(mix_key(gate_key, bits));
+      rng.multinomial(multiplicity, {weights.data(), n}, {counts.data(), n});
+      for (std::size_t i = 0; i < n; ++i) {
+        if (counts[i] > 0) out.emplace_back(candidates.values[i], counts[i]);
+      }
+    }
+    return evaluations;
   }
 
   /// One candidate-resampling step: draws the new bitstring for a single
   /// trajectory.
   Bitstring update_bits(const State& state, Bitstring b, const Operation& op,
-                        Rng& rng) {
-    const auto support = support_of(op);
-    const CandidateList candidates = expand_candidates(b, support);
+                        Rng& rng, RunStats& stats) const {
+    const CandidateList candidates = expand_candidates(b, op.qubits());
     std::array<double, (1u << kMaxGateArity)> weights{};
     for (int i = 0; i < candidates.count; ++i) {
       weights[static_cast<std::size_t>(i)] =
           compute_probability_(state, candidates.values[static_cast<std::size_t>(i)]);
     }
-    stats_.probability_evaluations +=
+    stats.probability_evaluations +=
         static_cast<std::size_t>(candidates.count);
     const std::size_t chosen = rng.categorical(
         {weights.data(), static_cast<std::size_t>(candidates.count)});
     return candidates.values[chosen];
-  }
-
-  /// Dictionary-batched sampling (Sec. 3.2.3): evolves one state and
-  /// resamples the dictionary after each gate. The per-gate step lives
-  /// in resample_dictionary() so the engine's snapshot-sharing path can
-  /// drive the identical arithmetic per shard.
-  Counts sample_parallel(const Circuit& circuit, std::uint64_t repetitions,
-                         Rng& rng) {
-    stats_.used_sample_parallelization = true;
-    stats_.trajectories = 1;
-    State state = initial_state_;
-    BatchDictionary dictionary{{Bitstring{0}, repetitions}};
-    stats_.max_dictionary_size = 1;
-
-    for (const auto& op : circuit.all_operations()) {
-      if (op.gate().is_measurement()) continue;
-      options_.cancel_token.throw_if_stopped();
-      fault::throw_if_fails("shard_run");
-      apply_op_(op, state, rng);
-      ++stats_.state_applications;
-      if (options_.skip_diagonal_updates && op.gate().is_diagonal()) {
-        ++stats_.diagonal_updates_skipped;
-        continue;
-      }
-      stats_.probability_evaluations +=
-          resample_dictionary(state, op, dictionary, rng);
-      stats_.max_dictionary_size =
-          std::max(stats_.max_dictionary_size, dictionary.size());
-    }
-    return {dictionary.begin(), dictionary.end()};
   }
 
   /// Exact channel handling: sample (Kraus branch, candidate) jointly —
@@ -581,15 +777,14 @@ class Simulator {
   /// bit discarded, so the hidden-variable invariant holds exactly.
   template <typename S = State>
   Bitstring apply_channel_jointly(const Operation& op, S& state, Bitstring b,
-                                  Rng& rng)
+                                  Rng& rng, RunStats& stats) const
     requires requires(S s, const Matrix& m, std::span<const Qubit> qs) {
       s.apply_matrix(m, qs);
       s.renormalize();
     }
   {
     const auto& kraus = op.gate().channel().operators();
-    const auto support = support_of(op);
-    const CandidateList candidates = expand_candidates(b, support);
+    const CandidateList candidates = expand_candidates(b, op.qubits());
     const auto num_candidates = static_cast<std::size_t>(candidates.count);
 
     std::vector<S> branches;
@@ -604,58 +799,26 @@ class Simulator {
       }
       branches.push_back(std::move(branch));
     }
-    stats_.probability_evaluations += weights.size();
+    stats.probability_evaluations += weights.size();
     const std::size_t chosen = rng.categorical(weights);
     state = std::move(branches[chosen / num_candidates]);
     state.renormalize();
-    ++stats_.state_applications;
+    ++stats.state_applications;
     return candidates.values[chosen % num_candidates];
   }
 
-  /// Emits one single-shard RunCheckpoint through the checkpoint sink
-  /// (the serial paths; see core/checkpoint.h). stats_ at the call
-  /// covers the whole completed prefix — a resumed run seeds it from
-  /// the base checkpoint — so the snapshot's counters are prefix-exact.
-  void emit_serial_checkpoint(CheckpointMode mode, std::uint64_t repetitions,
-                              std::uint64_t done,
-                              const std::array<std::uint64_t, 4>& rng_state,
-                              std::map<std::string, Counts> histograms) {
-    RunCheckpoint checkpoint;
-    checkpoint.mode = mode;
-    checkpoint.total_repetitions = repetitions;
-    ShardCheckpoint shard;
-    shard.total = repetitions;
-    shard.completed = done;
-    shard.rng_state = rng_state;
-    shard.histograms = std::move(histograms);
-    checkpoint.shards.push_back(std::move(shard));
-    checkpoint.stats = checkpoint_stats_from(stats_);
-    options_.checkpoint.sink(checkpoint);
-  }
-
-  /// Emits the final ProgressUpdate carrying the run's complete
-  /// histograms (the degenerate stream of the batched path and of
-  /// 0-repetition runs).
-  void emit_final_progress(const Result& result, std::uint64_t repetitions) {
-    ProgressUpdate update;
-    update.completed_repetitions = repetitions;
-    update.total_repetitions = repetitions;
-    update.final = true;
-    update.histograms = key_histograms(result);
-    options_.progress.sink(update);
-  }
-
-  /// One full trajectory; returns the final bitstring and (optionally)
-  /// appends measurement records.
-  Bitstring run_one_trajectory(const Circuit& circuit, Rng& rng,
-                               Result* result) {
+  /// One full trajectory over `ops` (the circuit's flattened
+  /// operations); returns the final bitstring and (optionally) appends
+  /// measurement records.
+  Bitstring trajectory(const std::vector<Operation>& ops, Rng& rng,
+                       Result* result, RunStats& stats) const {
     State state = initial_state_;
     Bitstring b = 0;
     // Per-trajectory classical record, read by classically-controlled
     // operations (feed-forward).
     std::map<std::string, Bitstring> records;
-    ++stats_.trajectories;
-    for (const auto& op : circuit.all_operations()) {
+    ++stats.trajectories;
+    for (const auto& op : ops) {
       options_.cancel_token.throw_if_stopped();
       const Gate& gate = op.gate();
       if (gate.is_measurement()) {
@@ -683,24 +846,24 @@ class Simulator {
                         s.apply_matrix(m, qs);
                         s.renormalize();
                       }) {
-          b = apply_channel_jointly(op, state, b, rng);
+          b = apply_channel_jointly(op, state, b, rng, stats);
           continue;
         }
       }
       apply_op_(op, state, rng);
-      ++stats_.state_applications;
+      ++stats.state_applications;
       if (options_.skip_diagonal_updates && gate.is_unitary() &&
           gate.is_diagonal()) {
-        ++stats_.diagonal_updates_skipped;
+        ++stats.diagonal_updates_skipped;
         continue;
       }
-      b = update_bits(state, b, op, rng);
+      b = update_bits(state, b, op, rng, stats);
     }
     return b;
   }
 
-  void project_state(State& state, std::span<const Qubit> qubits,
-                     Bitstring b) {
+  static void project_state(State& state, std::span<const Qubit> qubits,
+                            Bitstring b) {
     if constexpr (requires(State s, std::span<const Qubit> qs, Bitstring bb) {
                     s.project(qs, bb);
                   }) {
@@ -722,56 +885,5 @@ class Simulator {
   /// simulator copies the pointer, so copies share one pool.
   std::shared_ptr<EngineContext> engine_context_;
 };
-
-}  // namespace bgls
-
-// The engine templates need the full Simulator definition above, and
-// Simulator::run/sample instantiate BatchEngine when num_threads != 1 —
-// pulling the engine in here keeps "include core/simulator.h" a
-// complete, self-sufficient way to get the parallel paths too.
-#include "engine/engine.h"  // IWYU pragma: keep
-
-namespace bgls {
-
-// Out of line: needs the complete BatchEngine/EngineContext definitions.
-template <typename State>
-BatchEngine<State> Simulator<State>::make_engine() {
-  if (!options_.reuse_thread_pool) {
-    return BatchEngine<State>(*this);
-  }
-  const int resolved = ThreadPool::resolve_num_threads(options_.num_threads);
-  if (!engine_context_ || engine_context_->num_threads() != resolved) {
-    engine_context_ = EngineContext::shared(resolved);
-  }
-  return BatchEngine<State>(*this, engine_context_);
-}
-
-template <typename State>
-std::future<Result> Simulator<State>::run_async(Circuit circuit,
-                                                std::uint64_t repetitions,
-                                                std::uint64_t seed) {
-  // The job always schedules on the immortal shared pool (a private
-  // pool could be torn down by its own worker once the job holds the
-  // last reference), and *inside* the job a plain copy of this
-  // simulator runs synchronously — same path choice, same draws as
-  // run(circuit, repetitions, seed). The copy is forced onto the shared
-  // pool too: reuse_thread_pool = false would otherwise spawn and join
-  // a private pool inside every job — exactly the per-call cost async
-  // exists to avoid, oversubscribing the machine under many in-flight
-  // jobs. Pool choice is scheduling-only, so the forced reuse never
-  // changes the sampled records. A multi-threaded inner run fans its
-  // shards out on this same pool; nested parallel_for is safe (see
-  // thread_pool.h).
-  const int resolved = ThreadPool::resolve_num_threads(options_.num_threads);
-  std::shared_ptr<EngineContext> context = EngineContext::shared(resolved);
-  Simulator<State> copy = *this;
-  copy.options_.reuse_thread_pool = true;
-  auto task = std::make_shared<std::packaged_task<Result()>>(
-      [sim = std::move(copy), circuit = std::move(circuit), repetitions,
-       seed]() mutable { return sim.run(circuit, repetitions, seed); });
-  std::future<Result> future = task->get_future();
-  context->pool().submit([task] { (*task)(); });
-  return future;
-}
 
 }  // namespace bgls

@@ -3,6 +3,7 @@
 #include <map>
 #include <mutex>
 
+#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace bgls {
@@ -40,5 +41,44 @@ std::shared_ptr<EngineContext> EngineContext::shared(int num_threads) {
   if (!slot) slot = std::make_shared<EngineContext>(num_threads);
   return slot;
 }
+
+namespace engine_detail {
+
+namespace {
+
+struct EngineMetrics {
+  obs::Counter runs;
+  obs::Counter shards;
+  obs::Histogram shard_seconds;
+
+  EngineMetrics() {
+    auto& registry = obs::MetricsRegistry::global();
+    runs = registry.counter("bgls_engine_runs_total",
+                            "Sampling runs (run/sample/run_batch)");
+    shards = registry.counter("bgls_engine_shards_total",
+                              "Sampling shards executed");
+    shard_seconds = registry.histogram(
+        "bgls_engine_shard_seconds",
+        "Per-shard wall time (trajectory shards: whole shard; dictionary "
+        "path: the shard's accumulated resample time)");
+  }
+
+  static EngineMetrics& instance() {
+    static EngineMetrics metrics;
+    return metrics;
+  }
+};
+
+}  // namespace
+
+void count_engine_run() noexcept { EngineMetrics::instance().runs.add(); }
+
+void observe_shard(double seconds) noexcept {
+  EngineMetrics& metrics = EngineMetrics::instance();
+  metrics.shards.add();
+  metrics.shard_seconds.observe(seconds);
+}
+
+}  // namespace engine_detail
 
 }  // namespace bgls

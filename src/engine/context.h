@@ -1,24 +1,27 @@
 /// \file context.h
-/// Long-lived execution context shared by batch-engine runs.
+/// Long-lived execution context shared by sampling runs.
 ///
-/// The v1 engine constructed a fresh ThreadPool inside every delegated
-/// Simulator::run call — fine for one big run, wasteful in a tight loop
-/// of small ones, where thread-spawn latency dominates the sampling
-/// itself. EngineContext wraps the pool behind a shared_ptr with a
+/// A run fans its shards out over a thread pool (core/simulator.h).
+/// Spawning threads per call would dominate a tight loop of small runs,
+/// so EngineContext wraps the pool behind a shared_ptr with a
 /// process-wide per-thread-count cache (the qsim-style persistent
 /// executor): every Simulator — and every copy of it, since copying a
 /// Simulator copies the shared_ptr — reuses one pool for as long as
-/// anyone holds a reference.
+/// anyone holds a reference. Session::run_async schedules its jobs on
+/// the same cached pools.
 ///
-/// The context is also what asynchronous jobs (BatchEngine::submit /
-/// run_async) capture: a job keeps its own shared_ptr, so the pool
-/// outlives the engine that submitted it.
+/// Also home to the shard executor (run_indexed) and the process-wide
+/// engine telemetry series the sampling loops feed.
 
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <utility>
 
 #include "engine/thread_pool.h"
+#include "obs/metrics.h"  // BGLS_TELEMETRY
+#include "util/timing.h"
 
 namespace bgls {
 
@@ -26,11 +29,10 @@ namespace bgls {
 /// long-lived pool backing it.
 class EngineContext {
  public:
-  /// Builds a private (uncached) context for `num_threads`-way engine
-  /// runs (>= 1). The pool holds num_threads - 1 workers with a floor
-  /// of one: the synchronous path adds the calling thread to reach
-  /// num_threads-way concurrency, while asynchronous jobs run entirely
-  /// on the workers.
+  /// Builds a private (uncached) context for `num_threads`-way runs
+  /// (>= 1). The pool holds num_threads - 1 workers with a floor of
+  /// one: a run adds the calling thread to reach num_threads-way
+  /// concurrency, while asynchronous jobs run entirely on the workers.
   explicit EngineContext(int num_threads);
 
   EngineContext(const EngineContext&) = delete;
@@ -55,5 +57,46 @@ class EngineContext {
   int num_threads_;
   ThreadPool pool_;
 };
+
+/// Runs job(0) ... job(count - 1): across `context`'s pool (the calling
+/// thread included), or in order on the calling thread when `context`
+/// is null or there is at most one job. Jobs write indexed slots, so
+/// the executor never changes a run's output.
+template <typename Job>
+void run_indexed(EngineContext* context, std::size_t count, Job&& job) {
+  if (context == nullptr || count <= 1) {
+    for (std::size_t i = 0; i < count; ++i) job(i);
+    return;
+  }
+  context->pool().parallel_for(count, std::forward<Job>(job));
+}
+
+namespace engine_detail {
+
+/// Telemetry hooks (context.cpp) feeding the process-wide engine series
+/// — bgls_engine_runs_total / bgls_engine_shards_total /
+/// bgls_engine_shard_seconds. Inert when telemetry is compiled out.
+void count_engine_run() noexcept;
+void observe_shard(double seconds) noexcept;
+
+/// RAII shard timer: counts the shard and observes its wall time into
+/// bgls_engine_shard_seconds on destruction. Shards are coarse units
+/// (at most 16 per run), so the clock-read pair is lost in the noise.
+class [[maybe_unused]] ShardTimer {
+ public:
+  ShardTimer() = default;
+#if BGLS_TELEMETRY
+  ~ShardTimer() { observe_shard(watch_.seconds()); }
+#endif
+  ShardTimer(const ShardTimer&) = delete;
+  ShardTimer& operator=(const ShardTimer&) = delete;
+
+ private:
+#if BGLS_TELEMETRY
+  Stopwatch watch_;
+#endif
+};
+
+}  // namespace engine_detail
 
 }  // namespace bgls

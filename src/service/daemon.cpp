@@ -218,7 +218,18 @@ void ServiceDaemon::replay_journal() {
       job.line = record.string_or("line", "");
     } else if (type == "checkpoint") {
       const JsonValue* data = record.find("data");
-      if (data != nullptr) {
+      if (data != nullptr &&
+          data->u64_or("version", 1) < RunCheckpoint::kVersion) {
+        // An older checkpoint format (version 1 carried per-stream RNG
+        // state) cannot continue under this build's keyed draws: drop
+        // every snapshot so far and rerun the job from scratch.
+        obs::log(obs::LogLevel::kWarn, "daemon",
+                 "journal checkpoint has an old format; rerunning the job "
+                 "from scratch",
+                 {{"job", id}, {"version", data->u64_or("version", 1)}});
+        job.checkpoint = nullptr;
+        job.checkpoint_json.clear();
+      } else if (data != nullptr) {
         try {
           RunCheckpoint parsed = RunCheckpoint::from_json(*data);
           job.checkpoint_json = parsed.to_json();

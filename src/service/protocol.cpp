@@ -39,7 +39,6 @@ std::string submit_request_line(const SubmitArgs& args) {
   json.key("reps").value(args.repetitions);
   json.key("seed").value(args.seed);
   json.key("threads").value(args.threads);
-  json.key("streams").value(args.streams);
   json.key("optimize").value(args.optimize);
   json.key("no_batch").value(args.no_batch);
   json.key("priority").value(args.priority);
@@ -113,7 +112,6 @@ RunRequest parse_submit(const JsonValue& message) {
           .with_repetitions(message.u64_or("reps", 1024))
           .with_seed(message.u64_or("seed", 0))
           .with_threads(int_field_or(message, "threads", 1))
-          .with_rng_streams(message.u64_or("streams", 16))
           .with_optimization(message.bool_or("optimize", false))
           .with_sample_parallelization(!message.bool_or("no_batch", false))
           .with_priority(int_field_or(message, "priority", 0))

@@ -8,7 +8,7 @@
 /// line before its final response). Requests carry an "op" field:
 ///
 ///   {"op":"submit","qasm":"...", "reps":N, "seed":N, "backend":"auto",
-///    "threads":N, "streams":N, "optimize":false, "no_batch":false,
+///    "threads":N, "optimize":false, "no_batch":false,
 ///    "priority":N, "tenant":"...", "deadline_ms":N, "progress_every":N}
 ///   {"op":"status","job":N}        {"op":"cancel","job":N}
 ///   {"op":"wait","job":N,"timeout_ms":N}
@@ -62,7 +62,6 @@ struct SubmitArgs {
   std::uint64_t repetitions = 1024;
   std::uint64_t seed = 0;
   int threads = 1;
-  std::uint64_t streams = 16;
   bool optimize = false;
   /// Disable dictionary batching (per-trajectory sampling): the knob
   /// that makes unitary circuits stream partial histograms and react

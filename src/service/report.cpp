@@ -11,7 +11,6 @@ RunReportContext report_context(const RunRequest& request, int num_qubits) {
   RunReportContext context;
   context.repetitions = request.repetitions;
   context.seed = request.seed;
-  context.rng_streams = request.num_rng_streams;
   context.optimized = request.optimize_circuit;
   context.num_qubits = num_qubits;
   return context;
@@ -27,7 +26,6 @@ void write_run_report(std::ostream& os, const RunReportContext& context,
   json.key("num_qubits").value(context.num_qubits);
   json.key("repetitions").value(context.repetitions);
   json.key("seed").value(context.seed);
-  json.key("rng_streams").value(context.rng_streams);
   json.key("optimized").value(context.optimized);
 
   json.key("measurements").begin_array();

@@ -4,7 +4,7 @@
 /// socket yields *byte-identical* output to `bgls_run` on the same
 /// input and seed (pinned by the service end-to-end test).
 ///
-/// The report contains only result-determining fields (seed, streams,
+/// The report contains only result-determining fields (seed,
 /// repetitions, backend, histograms, scheduling-independent counters),
 /// so for a fixed seed it is byte-stable across runs, thread counts,
 /// and CLI-vs-daemon transport.
@@ -24,7 +24,6 @@ namespace bgls::service {
 struct RunReportContext {
   std::uint64_t repetitions = 0;
   std::uint64_t seed = 0;
-  std::uint64_t rng_streams = 16;
   bool optimized = false;
   int num_qubits = 0;
 };

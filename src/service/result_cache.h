@@ -2,7 +2,7 @@
 /// Deterministic result cache for the sampling service.
 ///
 /// BGLS sampling is a pure function of (circuit, seed, repetitions,
-/// rng streams, backend, knobs) — bit-identical on every run and every
+/// backend, knobs) — bit-identical on every run and every
 /// thread count (the determinism contract every tier-1 suite pins).
 /// That makes results perfectly cacheable: the million-user case is
 /// mostly hot circuits, and a repeat submission can be answered with a
@@ -11,7 +11,7 @@
 /// The key is the *full canonical serialization* of the
 /// result-determining request fields (not just a hash of them): circuit
 /// structure down to bit-exact gate parameters, Kraus operators and
-/// moment boundaries, plus seed/repetitions/streams/backend/knobs.
+/// moment boundaries, plus seed/repetitions/backend/knobs.
 /// Storing the serialization itself makes collisions impossible — the
 /// byte-identical-report contract must not hinge on a hash function.
 /// Scheduling-only fields (threads, priority, tenant, deadline) are

@@ -3,8 +3,8 @@
 ///
 /// A CancellationToken is a cheap copyable handle to shared stop state:
 /// any holder may cancel() it or arm a wall-clock deadline, and the
-/// sampling loops (Simulator's trajectory/gate loops, BatchEngine's
-/// shard loops) poll it at bounded intervals and abort by throwing
+/// sampling loops (Simulator's per-gate and per-shard checks) poll it
+/// at bounded intervals and abort by throwing
 /// CancelledError / DeadlineExceededError. Cancellation is *cooperative*
 /// and scheduling-only: an aborted run's partial work is discarded,
 /// nothing shared (thread pools, cached contexts, other in-flight runs)

@@ -230,4 +230,9 @@ Rng Rng::split(std::uint64_t index) const {
   return child;
 }
 
+std::uint64_t mix_key(std::uint64_t key, std::uint64_t value) {
+  std::uint64_t x = key + 0x9E3779B97F4A7C15ULL * value;
+  return splitmix64(x);
+}
+
 }  // namespace bgls

@@ -81,8 +81,8 @@ class Rng {
 
   /// Advances this engine by 2^128 steps using the standard xoshiro256++
   /// jump polynomial. Streams separated by jumps never overlap for fewer
-  /// than 2^128 draws each, which makes them suitable as per-shard
-  /// engines in the parallel batch engine.
+  /// than 2^128 draws each, which makes them suitable as independent
+  /// engines for parallel work.
   void jump();
 
   /// Returns the `index`-th jump-derived child stream: a copy of this
@@ -93,22 +93,17 @@ class Rng {
   /// streams, prefer jumping one engine incrementally.
   [[nodiscard]] Rng split(std::uint64_t index) const;
 
-  /// The raw engine state (checkpoint/resume support: a saved state plus
-  /// from_state() reproduces the exact draw sequence from this point).
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const { return state_; }
-
-  /// Reconstructs an engine from a state previously captured with
-  /// state(). The restored engine's draw sequence continues bit-for-bit
-  /// where the captured one left off.
-  [[nodiscard]] static Rng from_state(
-      const std::array<std::uint64_t, 4>& words) {
-    Rng rng;
-    rng.state_ = words;
-    return rng;
-  }
-
  private:
   std::array<std::uint64_t, 4> state_{};
 };
+
+/// Seed of a keyed draw: hashes `value` into `key` (the splitmix64
+/// finalizer over key + φ·(value + 1)). For a fixed key it is a
+/// bijection in `value`, so two positions of one run never share a
+/// seed. The sampler draws repetition r from Rng(mix_key(run_key, r))
+/// and dictionary entry `bits` at gate g from
+/// Rng(mix_key(mix_key(run_key, g), bits)) (core/simulator.h), so no
+/// draw depends on how the work is split across threads.
+[[nodiscard]] std::uint64_t mix_key(std::uint64_t key, std::uint64_t value);
 
 }  // namespace bgls

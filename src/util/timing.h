@@ -1,5 +1,6 @@
 /// \file timing.h
-/// Wall-clock timing helpers for the per-figure benches.
+/// Wall-clock timing helpers for the per-figure benches and the
+/// sampler's telemetry (shard and phase durations, never results).
 
 #pragma once
 
@@ -22,6 +23,14 @@ class Stopwatch {
   }
 
   void reset() { start_ = Clock::now(); }
+
+  /// seconds() and reset() with one clock read.
+  double lap() {
+    const Clock::time_point now = Clock::now();
+    const double elapsed = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return elapsed;
+  }
 
  private:
   using Clock = std::chrono::steady_clock;

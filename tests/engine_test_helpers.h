@@ -47,14 +47,10 @@ inline Circuit trajectory_workload(int n, double depolarize_p) {
   return with_terminal_measurement(std::move(noisy), n, "m");
 }
 
-/// A statevector simulator wired for engine runs.
-inline Simulator<StateVectorState> make_sv_simulator(int n, int num_threads,
-                                                     std::uint64_t num_streams,
-                                                     bool reuse_pool = true) {
+/// A statevector simulator whose shards fan out on `num_threads`.
+inline Simulator<StateVectorState> make_sv_simulator(int n, int num_threads) {
   SimulatorOptions options;
   options.num_threads = num_threads;
-  options.num_rng_streams = num_streams;
-  options.reuse_thread_pool = reuse_pool;
   return Simulator<StateVectorState>{StateVectorState(n), options};
 }
 

@@ -1,10 +1,10 @@
 /// \file test_cancellation.cpp
 /// Cooperative cancellation and deadlines (util/cancellation.h) through
-/// every execution layer: the serial Simulator loops, the BatchEngine
-/// shard loops, and the Session facade. The load-bearing guarantee: an
-/// aborted run discards its partial work and never corrupts shared
-/// state — later runs on the same pool/session are bit-identical to
-/// runs on a fresh one.
+/// every execution layer: the Simulator's shard loops on the calling
+/// thread and on the pool, and the Session facade. The load-bearing
+/// guarantee: an aborted run discards its partial work and never
+/// corrupts shared state — later runs on the same pool/session are
+/// bit-identical to runs on a fresh one.
 
 #include <gtest/gtest.h>
 
@@ -104,20 +104,16 @@ TEST(EngineCancellation, CancelledRunNeverCorruptsLaterRunsOnSamePool) {
   const Circuit circuit = trajectory_workload(3, 0.05);
   const std::uint64_t reps = 5000;
 
-  // Baseline on a fresh engine.
-  auto baseline_sim = make_sv_simulator(3, 4, 8);
-  BatchEngine<StateVectorState> baseline_engine(baseline_sim);
-  const Counts baseline =
-      baseline_engine.run(circuit, reps, 77).histogram("m");
+  // Baseline on a fresh simulator.
+  auto baseline_sim = make_sv_simulator(3, 4);
+  const Counts baseline = baseline_sim.run(circuit, reps, 77).histogram("m");
 
   // Same pool: run a huge job, cancel it mid-flight, then re-run the
   // baseline request. The abort must leave no trace.
   SimulatorOptions options;
   options.num_threads = 4;
-  options.num_rng_streams = 8;
   options.cancel_token = CancellationToken::make();
-  Simulator<StateVectorState> doomed_sim{StateVectorState(3), options};
-  BatchEngine<StateVectorState> doomed(doomed_sim);
+  Simulator<StateVectorState> doomed{StateVectorState(3), options};
   std::thread canceller([token = options.cancel_token]() mutable {
     std::this_thread::sleep_for(20ms);
     token.cancel();
@@ -126,20 +122,18 @@ TEST(EngineCancellation, CancelledRunNeverCorruptsLaterRunsOnSamePool) {
                CancelledError);
   canceller.join();
 
-  auto again_sim = make_sv_simulator(3, 4, 8);
-  BatchEngine<StateVectorState> again(again_sim);
+  auto again = make_sv_simulator(3, 4);
   EXPECT_EQ(again.run(circuit, reps, 77).histogram("m"), baseline);
 }
 
 TEST(EngineCancellation, CancelAtEveryEarlyGateIsClean) {
   // Cancellation at *any* point must be safe, not just at one lucky
   // timing: pre-cancelled tokens exercise the earliest checks, and the
-  // mid-run cases above the later ones. Sweep serial + engine paths.
+  // mid-run cases above the later ones. Sweep one and four threads.
   const Circuit circuit = batched_workload(4, 11, 10, 0.8);
   for (const int threads : {1, 4}) {
     SimulatorOptions options;
     options.num_threads = threads;
-    options.num_rng_streams = 8;
     options.cancel_token = CancellationToken::make();
     options.cancel_token.cancel();
     Simulator<StateVectorState> sim{StateVectorState(4), options};

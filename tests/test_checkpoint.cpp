@@ -2,16 +2,18 @@
 /// Checkpoint/resume (core/checkpoint.h): the crash-safety invariant —
 /// resuming from a checkpoint captured at ANY boundary and finishing
 /// produces a final histogram and byte-stable report counters identical
-/// to the uninterrupted run — pinned across the serial, engine
-/// (threads {2, 8}, cross-thread-count), and dictionary-batched paths,
-/// through the runtime Session on all four builtin backends, plus the
-/// JSON round trip and shape-mismatch rejection.
+/// to the uninterrupted run — pinned on the trajectory path at threads
+/// {1, 2, 8} and across thread counts (1 -> 8, 8 -> 1, 2 -> 8), on the
+/// dictionary path, through the runtime Session on all four builtin
+/// backends, plus the JSON round trip, version-1 rejection and
+/// mismatch rejection (another seed, total, or path).
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/session.h"
@@ -90,8 +92,7 @@ RunRequest trajectory_request(int threads) {
       .with_circuit(trajectory_workload(3, 0.05))
       .with_repetitions(120)
       .with_seed(7)
-      .with_threads(threads)
-      .with_rng_streams(8);
+      .with_threads(threads);
 }
 
 RunRequest batched_request(int threads) {
@@ -99,8 +100,7 @@ RunRequest batched_request(int threads) {
       .with_circuit(batched_workload(4, 21, 8, 0.9))
       .with_repetitions(200)
       .with_seed(9)
-      .with_threads(threads)
-      .with_rng_streams(8);
+      .with_threads(threads);
 }
 
 TEST(Checkpoint, SerialTrajectoryResumeAtEveryBoundary) {
@@ -140,31 +140,31 @@ TEST(Checkpoint, EngineBatchedResumeAtEveryBoundary) {
 }
 
 TEST(Checkpoint, EngineResumeOnDifferentThreadCount) {
-  // Checkpoints record per-shard stream state, not threads: a snapshot
-  // produced on 2 threads resumes on 8 (and vice versa) bit-identical.
+  // Checkpoints record per-shard cursors and the run key, not threads:
+  // a snapshot produced on one thread count resumes on any other
+  // bit-identical, the single-threaded run included.
   Session session;
-  const RunResult baseline = session.run(trajectory_request(2));
-
-  Checkpoints checkpoints;
-  RunRequest instrumented = trajectory_request(2);
-  instrumented.checkpoint.every = 30;
-  instrumented.checkpoint.sink = checkpoints.sink();
-  (void)session.run(std::move(instrumented));
-  ASSERT_GE(checkpoints.all().size(), 2u);
-  const auto middle = std::make_shared<const RunCheckpoint>(
-      checkpoints.all()[checkpoints.all().size() / 2]);
-
-  const RunResult on8 =
-      session.run(trajectory_request(8).with_resume(middle));
-  expect_same_run(on8, baseline, "resume 2->8 threads");
-  const RunResult on2 =
-      session.run(trajectory_request(2).with_resume(middle));
-  expect_same_run(on2, baseline, "resume 2->2 threads");
+  for (const auto& [from, to] :
+       std::vector<std::pair<int, int>>{{1, 8}, {8, 1}, {2, 8}}) {
+    const RunResult baseline = session.run(trajectory_request(from));
+    Checkpoints checkpoints;
+    RunRequest instrumented = trajectory_request(from);
+    instrumented.checkpoint.every = 3;
+    instrumented.checkpoint.sink = checkpoints.sink();
+    (void)session.run(std::move(instrumented));
+    ASSERT_GE(checkpoints.all().size(), 2u);
+    const auto middle = std::make_shared<const RunCheckpoint>(
+        checkpoints.all()[checkpoints.all().size() / 2]);
+    const std::string context = "resume " + std::to_string(from) + "->" +
+                                std::to_string(to) + " threads";
+    expect_same_run(session.run(trajectory_request(to).with_resume(middle)),
+                    baseline, context);
+  }
 }
 
 TEST(Checkpoint, SessionResumesOnEveryBuiltinBackend) {
-  // Pure-Clifford GHZ so the stabilizer backend qualifies; per-
-  // trajectory serial path on every backend via no-batch.
+  // Pure-Clifford GHZ so the stabilizer backend qualifies; the
+  // per-trajectory path on every backend via no-batch.
   const Circuit circuit = with_terminal_measurement(ghz_circuit(3), 3);
   for (const BackendId backend :
        {BackendId::kStateVector, BackendId::kDensityMatrix,
@@ -198,8 +198,10 @@ TEST(Checkpoint, JsonRoundTripPreservesEverything) {
   EXPECT_EQ(decoded.completed_repetitions(),
             original.completed_repetitions());
   ASSERT_EQ(decoded.shards.size(), original.shards.size());
+  EXPECT_EQ(decoded.run_key, original.run_key);
   for (std::size_t i = 0; i < decoded.shards.size(); ++i) {
-    EXPECT_EQ(decoded.shards[i].rng_state, original.shards[i].rng_state);
+    EXPECT_EQ(decoded.shards[i].total, original.shards[i].total);
+    EXPECT_EQ(decoded.shards[i].completed, original.shards[i].completed);
     EXPECT_EQ(decoded.shards[i].histograms, original.shards[i].histograms);
   }
 
@@ -213,6 +215,27 @@ TEST(Checkpoint, MalformedJsonIsRejected) {
   EXPECT_THROW((void)RunCheckpoint::parse("not json"), ParseError);
   // Parses as JSON but is not a checkpoint (missing 'mode'/'shards').
   EXPECT_THROW((void)RunCheckpoint::parse("{\"version\":1}"), ValueError);
+}
+
+TEST(Checkpoint, VersionOneIsRejected) {
+  // The version-1 format carried per-stream RNG state, which keyed
+  // draws cannot continue: reading one is a ParseError, never a resume.
+  const std::string v1 =
+      "{\"version\":1,\"mode\":\"engine\",\"total\":120,\"stats\":{},"
+      "\"shards\":[{\"total\":120,\"completed\":20,\"rng\":[1,2,3,4],"
+      "\"histograms\":{\"m\":{\"0\":20}}}]}";
+  EXPECT_THROW((void)RunCheckpoint::parse(v1), ParseError);
+
+  // The same snapshot in the current format reads fine.
+  Session session;
+  Checkpoints checkpoints;
+  RunRequest instrumented = trajectory_request(1);
+  instrumented.checkpoint.every = 20;
+  instrumented.checkpoint.sink = checkpoints.sink();
+  (void)session.run(std::move(instrumented));
+  ASSERT_FALSE(checkpoints.all().empty());
+  EXPECT_NO_THROW(
+      (void)RunCheckpoint::parse(checkpoints.all().back().to_json()));
 }
 
 TEST(Checkpoint, MismatchedResumeIsRejected) {
@@ -231,9 +254,16 @@ TEST(Checkpoint, MismatchedResumeIsRejected) {
                                      .with_repetitions(121)
                                      .with_resume(checkpoint)),
                ValueError);
-  // Wrong path: a serial checkpoint cannot resume an engine run.
+  // Another seed: the checkpoint's run key belongs to another run.
+  EXPECT_THROW((void)session.run(
+                   trajectory_request(1).with_seed(8).with_resume(checkpoint)),
+               ValueError);
+  // Wrong path: a trajectory checkpoint cannot resume a dictionary run.
   EXPECT_THROW(
-      (void)session.run(trajectory_request(2).with_resume(checkpoint)),
+      (void)session.run(batched_request(1)
+                            .with_repetitions(120)
+                            .with_seed(7)
+                            .with_resume(checkpoint)),
       ValueError);
 }
 

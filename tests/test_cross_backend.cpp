@@ -11,7 +11,6 @@
 #include "core/optimize.h"
 #include "core/simulator.h"
 #include "densitymatrix/state.h"
-#include "engine/engine.h"
 #include "mps/state.h"
 #include "stabilizer/ch_form.h"
 #include "statevector/state.h"
@@ -27,7 +26,7 @@ Circuit measured_on_all(Circuit circuit, int num_qubits) {
 }
 
 /// Runs `circuit` through a direct single-threaded Simulator::run and
-/// through a 4-thread BatchEngine (8 RNG streams) and returns both
+/// through a 4-thread Simulator::run and returns both
 /// normalized histograms — the two execution paths every backend must
 /// support interchangeably.
 template <typename State>
@@ -41,9 +40,7 @@ std::pair<Distribution, Distribution> direct_and_engine_distributions(
 
   SimulatorOptions engine_options;
   engine_options.num_threads = 4;
-  engine_options.num_rng_streams = 8;
-  BatchEngine<State> engine{Simulator<State>{std::move(initial),
-                                             engine_options}};
+  Simulator<State> engine{std::move(initial), engine_options};
   const Distribution engine_dist =
       engine.run(circuit, reps, seed + 1).distribution("m");
   return {direct_dist, engine_dist};
@@ -190,8 +187,8 @@ TEST(CrossBackend, MidCircuitMeasurementAgreesAcrossBackends) {
 
 // Randomized differential suite: seeded random Clifford+T circuits
 // sampled through statevector, density-matrix, and MPS backends — each
-// both directly (Simulator::run, one thread) and through the
-// BatchEngine — must all agree with the brute-force ideal distribution
+// both directly (Simulator::run, one thread) and with four threads —
+// must all agree with the brute-force ideal distribution
 // within sampling tolerance. The stabilizer backend joins on the
 // pure-Clifford (T→S) subset, where its simulation is exact.
 class CrossBackendDifferential : public ::testing::TestWithParam<int> {
@@ -253,9 +250,7 @@ TEST_P(CrossBackendDifferential, StabilizerExactOnPureCliffordSubset) {
   // Exactness also means bit-exact reproducibility through the engine.
   SimulatorOptions engine_options;
   engine_options.num_threads = 4;
-  engine_options.num_rng_streams = 8;
-  BatchEngine<CHState> repeat{
-      Simulator<CHState>{CHState(kQubits), engine_options}};
+  Simulator<CHState> repeat{CHState(kQubits), engine_options};
   EXPECT_EQ(repeat.run(clifford, 2000, seed).histogram("m"),
             repeat.run(clifford, 2000, seed).histogram("m"));
 }

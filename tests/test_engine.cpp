@@ -1,8 +1,8 @@
-// Tests for the parallel batch-sampling engine: bit-exact determinism
-// across thread counts on both sampler paths, statistical correctness,
-// the many-circuit batch API, and the per-stream stat counters.
+// Tests for the sampler's parallel shards and run_batch: bit-exact
+// determinism across thread counts on both sampler paths, statistical
+// correctness, the many-circuit batch API, and the per-shard counters.
 
-#include "engine/engine.h"
+#include "core/simulator.h"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "circuit/circuit.h"
 #include "circuit/noise.h"
 #include "circuit/random.h"
-#include "core/simulator.h"
 #include "engine_test_helpers.h"
 #include "statevector/state.h"
 #include "test_helpers.h"
@@ -49,16 +48,15 @@ Circuit feed_forward_workload() {
   return circuit;
 }
 
-Simulator<StateVectorState> make_simulator(int n, int num_threads,
-                                           std::uint64_t num_streams = 8) {
-  return testing::make_sv_simulator(n, num_threads, num_streams);
+Simulator<StateVectorState> make_simulator(int n, int num_threads) {
+  return testing::make_sv_simulator(n, num_threads);
 }
 
 Counts engine_histogram(const Circuit& circuit, int n, int num_threads,
                         std::uint64_t reps, const std::string& key) {
-  BatchEngine<StateVectorState> engine{make_simulator(n, num_threads)};
+  Simulator<StateVectorState> sim = make_simulator(n, num_threads);
   Rng rng(kSeed);
-  return engine.run(circuit, reps, rng).histogram(key);
+  return sim.run(circuit, reps, rng).histogram(key);
 }
 
 TEST(BatchEngine, BatchedPathBitIdenticalAcrossThreadCounts) {
@@ -94,9 +92,9 @@ TEST(BatchEngine, SampleBitIdenticalAcrossThreadCounts) {
   const Circuit circuit = batched_workload(n);
   Counts reference;
   for (const int threads : {1, 2, 8}) {
-    BatchEngine<StateVectorState> engine{make_simulator(n, threads)};
+    Simulator<StateVectorState> sim = make_simulator(n, threads);
     Rng rng(kSeed);
-    const Counts counts = engine.sample(circuit, 3000, rng);
+    const Counts counts = sim.sample(circuit, 3000, rng);
     std::uint64_t total = 0;
     for (const auto& [bits, count] : counts) total += count;
     EXPECT_EQ(total, 3000u);
@@ -113,9 +111,9 @@ TEST(BatchEngine, RepetitionCountIsPreserved) {
   const Circuit circuit = trajectory_workload(n);
   for (const std::uint64_t reps : {std::uint64_t{1}, std::uint64_t{7},
                                    std::uint64_t{64}, std::uint64_t{1001}}) {
-    BatchEngine<StateVectorState> engine{make_simulator(n, 4)};
+    Simulator<StateVectorState> sim = make_simulator(n, 4);
     Rng rng(kSeed);
-    EXPECT_EQ(engine.run(circuit, reps, rng).repetitions(), reps);
+    EXPECT_EQ(sim.run(circuit, reps, rng).repetitions(), reps);
   }
 }
 
@@ -123,10 +121,10 @@ TEST(BatchEngine, BatchedHistogramMatchesIdealDistribution) {
   const int n = 3;
   const Circuit circuit =
       with_terminal_measurement(ghz_circuit(n), n, "m");
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
+  Simulator<StateVectorState> sim = make_simulator(n, 2);
   Rng rng(kSeed);
   const std::uint64_t reps = 20000;
-  const Result result = engine.run(circuit, reps, rng);
+  const Result result = sim.run(circuit, reps, rng);
   const Distribution empirical = result.distribution("m");
   const Distribution ideal = testing::ideal_marginal_distribution(
       circuit, n, result.measured_qubits("m"));
@@ -134,8 +132,8 @@ TEST(BatchEngine, BatchedHistogramMatchesIdealDistribution) {
 }
 
 TEST(BatchEngine, TrajectoryHistogramMatchesSerialDistribution) {
-  // The sharded trajectory run samples the same distribution as the
-  // classic serial path (different streams, same statistics).
+  // Independent seeds of the sharded trajectory run, one on the calling
+  // thread and one on four, sample the same distribution.
   const int n = 3;
   const Circuit circuit = trajectory_workload(n);
   const std::uint64_t reps = 20000;
@@ -145,10 +143,10 @@ TEST(BatchEngine, TrajectoryHistogramMatchesSerialDistribution) {
   const Distribution serial_dist =
       serial.run(circuit, reps, serial_rng).distribution("m");
 
-  BatchEngine<StateVectorState> engine{make_simulator(n, 4)};
+  Simulator<StateVectorState> sim = make_simulator(n, 4);
   Rng engine_rng(kSeed + 1);
   const Distribution engine_dist =
-      engine.run(circuit, reps, engine_rng).distribution("m");
+      sim.run(circuit, reps, engine_rng).distribution("m");
 
   EXPECT_LT(total_variation_distance(serial_dist, engine_dist), 0.05);
 }
@@ -162,10 +160,9 @@ TEST(BatchEngine, RunBatchIsDeterministicAndOrdered) {
 
   std::vector<Counts> reference;
   for (const int threads : {1, 4}) {
-    BatchEngine<StateVectorState> engine{make_simulator(n, threads)};
+    Simulator<StateVectorState> sim = make_simulator(n, threads);
     Rng rng(kSeed);
-    const std::vector<Result> results =
-        engine.run_batch(circuits, 500, rng);
+    const std::vector<Result> results = sim.run_batch(circuits, 500, rng);
     ASSERT_EQ(results.size(), circuits.size());
     std::vector<Counts> histograms;
     for (const Result& result : results) {
@@ -187,23 +184,23 @@ TEST(BatchEngine, RunBatchValidatesEvenWithZeroRepetitions) {
   const int n = 2;
   std::vector<Circuit> circuits;
   circuits.push_back(ghz_circuit(n));  // no measurements
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
+  Simulator<StateVectorState> sim = make_simulator(n, 2);
   Rng rng(kSeed);
-  EXPECT_THROW(engine.run_batch(circuits, 0, rng), ValueError);
-  EXPECT_THROW(engine.run_batch(circuits, 100, rng), ValueError);
+  EXPECT_THROW(sim.run_batch(circuits, 0, rng), ValueError);
+  EXPECT_THROW(sim.run_batch(circuits, 100, rng), ValueError);
 }
 
 TEST(BatchEngine, PerStreamStatsSumToTotals) {
   const int n = 3;
   const Circuit circuit = trajectory_workload(n);
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2, /*streams=*/8)};
+  Simulator<StateVectorState> sim = make_simulator(n, 2);
   Rng rng(kSeed);
-  engine.run(circuit, 100, rng);
-  const RunStats& stats = engine.last_run_stats();
+  sim.run(circuit, 100, rng);
+  const RunStats& stats = sim.last_run_stats();
   EXPECT_EQ(stats.threads_used, 2u);
-  ASSERT_EQ(stats.per_stream.size(), 8u);
+  ASSERT_EQ(stats.per_shard.size(), 16u);
   std::size_t trajectories = 0, applications = 0;
-  for (const StreamStats& shard : stats.per_stream) {
+  for (const ShardStats& shard : stats.per_shard) {
     trajectories += shard.trajectories;
     applications += shard.state_applications;
   }
@@ -216,10 +213,10 @@ TEST(BatchEngine, StreamCountCapsAtRepetitions) {
   const int n = 2;
   const Circuit circuit =
       with_terminal_measurement(ghz_circuit(n), n, "m");
-  BatchEngine<StateVectorState> engine{make_simulator(n, 4, /*streams=*/16)};
+  Simulator<StateVectorState> sim = make_simulator(n, 4);
   Rng rng(kSeed);
-  engine.run(circuit, 3, rng);
-  EXPECT_LE(engine.last_run_stats().per_stream.size(), 3u);
+  sim.run(circuit, 3, rng);
+  EXPECT_LE(sim.last_run_stats().per_shard.size(), 3u);
 }
 
 TEST(Simulator, DelegatesMultiRepRunsToEngine) {
@@ -229,10 +226,12 @@ TEST(Simulator, DelegatesMultiRepRunsToEngine) {
   Rng rng(kSeed);
   sim.run(circuit, 50, rng);
   EXPECT_EQ(sim.last_run_stats().threads_used, 2u);
-  EXPECT_FALSE(sim.last_run_stats().per_stream.empty());
+  EXPECT_FALSE(sim.last_run_stats().per_shard.empty());
 }
 
 TEST(Simulator, SingleRepetitionStaysOnSerialPath) {
+  // One repetition is one shard, so it never leaves the calling thread
+  // whatever num_threads says.
   const int n = 2;
   const Circuit circuit =
       with_terminal_measurement(ghz_circuit(n), n, "m");
@@ -240,17 +239,17 @@ TEST(Simulator, SingleRepetitionStaysOnSerialPath) {
   Rng rng(kSeed);
   sim.run(circuit, 1, rng);
   EXPECT_EQ(sim.last_run_stats().threads_used, 1u);
-  EXPECT_TRUE(sim.last_run_stats().per_stream.empty());
+  EXPECT_EQ(sim.last_run_stats().per_shard.size(), 1u);
 }
 
 TEST(Simulator, EngineResultsIdenticalAcrossThreadCountsViaOptions) {
-  // The SimulatorOptions::num_threads plumbing preserves the engine's
-  // determinism guarantee for any thread count > 1 (and 0 = auto).
+  // The SimulatorOptions::num_threads plumbing preserves the
+  // determinism guarantee for any thread count (and 0 = auto).
   const int n = 4;
   const Circuit circuit = batched_workload(n);
   Counts reference;
   bool first = true;
-  for (const int threads : {2, 3, 8, 0}) {
+  for (const int threads : {1, 2, 3, 8, 0}) {
     Simulator<StateVectorState> sim = make_simulator(n, threads);
     Rng rng(kSeed);
     const Counts histogram = sim.run(circuit, 2000, rng).histogram("m");

@@ -1,24 +1,28 @@
-// Tests for the engine's asynchronous job API: futures resolve with the
-// merged Result and the job's own RunStats, concurrent submission from
-// many threads is race-free, shard exceptions propagate through the
-// future (not std::terminate), and the pool behind it all is genuinely
-// shared and long-lived.
+// Tests for asynchronous runs (Session::run_async on the shared engine
+// pools): futures resolve with the synchronous run's records and stats,
+// concurrent submission from many threads is race-free, exceptions from
+// a run's shards propagate through the future (not std::terminate), and
+// the pool behind it all is genuinely shared and long-lived.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "api/adapters.h"
+#include "api/registry.h"
+#include "api/session.h"
 #include "circuit/circuit.h"
 #include "circuit/noise.h"
 #include "circuit/random.h"
 #include "core/simulator.h"
 #include "engine/context.h"
-#include "engine/engine.h"
 #include "engine_test_helpers.h"
 #include "statevector/state.h"
 #include "util/error.h"
@@ -39,30 +43,92 @@ Circuit trajectory_workload(int n) {
   return testing::trajectory_workload(n, /*depolarize_p=*/0.05);
 }
 
-Simulator<StateVectorState> make_simulator(int n, int num_threads,
-                                           std::uint64_t num_streams = 8) {
-  return testing::make_sv_simulator(n, num_threads, num_streams);
+Circuit feed_forward_workload() {
+  Circuit circuit;
+  circuit.append(h(0));
+  circuit.append(measure({0}, "mid"));
+  circuit.append(x(1).controlled_by_measurement("mid"));
+  circuit.append(measure({1}, "out"));
+  return circuit;
 }
 
+RunRequest sv_request(const Circuit& circuit, std::uint64_t reps,
+                      int threads, std::uint64_t seed = kSeed) {
+  return RunRequest()
+      .with_circuit(circuit)
+      .with_repetitions(reps)
+      .with_seed(seed)
+      .with_backend(BackendId::kStateVector)
+      .with_threads(threads);
+}
+
+Simulator<StateVectorState> make_simulator(int n, int num_threads) {
+  return testing::make_sv_simulator(n, num_threads);
+}
+
+/// A statevector backend whose apply hook (or, with `in_probability`,
+/// whose probability hook) always throws: every shard fails.
+class ThrowingBackend final : public StateVectorBackend {
+ public:
+  explicit ThrowingBackend(bool in_probability)
+      : in_probability_(in_probability) {}
+  [[nodiscard]] std::string name() const override {
+    return in_probability_ ? "throwing-probability" : "throwing-apply";
+  }
+  [[nodiscard]] BackendId id() const override { return BackendId::kCustom; }
+
+ protected:
+  [[nodiscard]] Simulator<StateVectorState> make_simulator(
+      const RunRequest& request, const Circuit& circuit) const override {
+    const bool in_probability = in_probability_;
+    return Simulator<StateVectorState>{
+        make_state(request, std::max(1, circuit.num_qubits())),
+        [in_probability](const Operation& op, StateVectorState& state,
+                         Rng& rng) {
+          if (!in_probability) throw std::runtime_error("shard exploded");
+          bgls::apply_op(op, state, rng);
+        },
+        [in_probability](const StateVectorState& state, Bitstring b) {
+          if (in_probability) throw std::runtime_error("shard exploded");
+          return bgls::compute_probability(state, b);
+        },
+        request.simulator_options()};
+  }
+
+ private:
+  bool in_probability_;
+};
+
+/// A session whose registry also holds both throwing backends.
+struct ThrowingSession {
+  ThrowingSession() {
+    registry.register_backend(make_statevector_backend(), {"sv"});
+    registry.register_backend(std::make_shared<ThrowingBackend>(false));
+    registry.register_backend(std::make_shared<ThrowingBackend>(true));
+    SessionOptions options;
+    options.registry = &registry;
+    session = std::make_unique<Session>(options);
+  }
+  BackendRegistry registry;
+  std::unique_ptr<Session> session;
+};
+
 TEST(BatchEngineAsync, SubmitResolvesWithSyncResultAndPerStreamStats) {
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
+  const Circuit circuit = trajectory_workload(3);
   const std::uint64_t reps = 120;
+  Session session;
+  const RunResult sync = session.run(sv_request(circuit, reps, 2));
+  const RunResult async =
+      session.run_async(sv_request(circuit, reps, 2)).get();
 
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
-  const Result sync = engine.run(circuit, reps, kSeed);
-  const RunStats sync_stats = engine.last_run_stats();
-
-  auto future = engine.submit(circuit, reps, kSeed);
-  const auto outcome = future.get();
-
-  EXPECT_EQ(outcome.result.histogram("m"), sync.histogram("m"));
-  EXPECT_EQ(outcome.result.values("m"), sync.values("m"));
-  ASSERT_EQ(outcome.stats.per_stream.size(), sync_stats.per_stream.size());
+  EXPECT_EQ(async.measurements.histogram("m"),
+            sync.measurements.histogram("m"));
+  EXPECT_EQ(async.measurements.values("m"), sync.measurements.values("m"));
+  ASSERT_EQ(async.stats.per_shard.size(), sync.stats.per_shard.size());
   std::size_t trajectories = 0;
-  for (std::size_t i = 0; i < outcome.stats.per_stream.size(); ++i) {
-    const StreamStats& async_shard = outcome.stats.per_stream[i];
-    const StreamStats& sync_shard = sync_stats.per_stream[i];
+  for (std::size_t i = 0; i < async.stats.per_shard.size(); ++i) {
+    const ShardStats& async_shard = async.stats.per_shard[i];
+    const ShardStats& sync_shard = sync.stats.per_shard[i];
     EXPECT_EQ(async_shard.trajectories, sync_shard.trajectories);
     EXPECT_EQ(async_shard.state_applications, sync_shard.state_applications);
     EXPECT_EQ(async_shard.probability_evaluations,
@@ -70,21 +136,23 @@ TEST(BatchEngineAsync, SubmitResolvesWithSyncResultAndPerStreamStats) {
     trajectories += async_shard.trajectories;
   }
   EXPECT_EQ(trajectories, reps);
-  EXPECT_EQ(outcome.stats.trajectories, sync_stats.trajectories);
-  EXPECT_EQ(outcome.stats.state_applications, sync_stats.state_applications);
+  EXPECT_EQ(async.stats.trajectories, sync.stats.trajectories);
+  EXPECT_EQ(async.stats.state_applications, sync.stats.state_applications);
 }
 
 TEST(BatchEngineAsync, BatchedPathPerStreamCarriesProbabilityEvaluations) {
-  const int n = 4;
-  const Circuit circuit = batched_workload(n);
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
-  auto outcome = engine.submit(circuit, 5000, kSeed).get();
-  ASSERT_FALSE(outcome.stats.per_stream.empty());
+  const Circuit circuit = batched_workload(4);
+  Session session;
+  const RunResult outcome =
+      session.run_async(sv_request(circuit, 5000, 2)).get();
   EXPECT_TRUE(outcome.stats.used_sample_parallelization);
-  // One shared snapshot evolution serves every shard.
+  // A dictionary run is one shard over one shared evolution, on one
+  // thread whatever num_threads says.
+  ASSERT_EQ(outcome.stats.per_shard.size(), 1u);
+  EXPECT_EQ(outcome.stats.threads_used, 1u);
   EXPECT_EQ(outcome.stats.trajectories, 1u);
   std::size_t evaluations = 0;
-  for (const StreamStats& shard : outcome.stats.per_stream) {
+  for (const ShardStats& shard : outcome.stats.per_shard) {
     evaluations += shard.probability_evaluations;
   }
   EXPECT_EQ(evaluations, outcome.stats.probability_evaluations);
@@ -92,57 +160,35 @@ TEST(BatchEngineAsync, BatchedPathPerStreamCarriesProbabilityEvaluations) {
 }
 
 TEST(BatchEngineAsync, RunAsyncMatchesSyncRun) {
-  const int n = 4;
-  const Circuit circuit = batched_workload(n);
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
-  const Result sync = engine.run(circuit, 3000, kSeed);
-  auto future = engine.run_async(circuit, 3000, kSeed);
-  EXPECT_EQ(future.get().histogram("m"), sync.histogram("m"));
-}
-
-TEST(BatchEngineAsync, SimulatorRunAsyncMatchesRun) {
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
-  Simulator<StateVectorState> sim = make_simulator(n, 2);
-  const Counts sync = sim.run(circuit, 200, kSeed).histogram("m");
-  auto future = sim.run_async(circuit, 200, kSeed);
-  EXPECT_EQ(future.get().histogram("m"), sync);
-}
-
-TEST(BatchEngineAsync, SimulatorRunAsyncMatchesRunOnSerialPaths) {
-  // run() stays serial when num_threads == 1 or repetitions <= 1;
-  // run_async must reproduce those paths bit for bit too, not silently
-  // reroute through the engine's different stream layout.
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
-  for (std::uint64_t seed = kSeed; seed < kSeed + 5; ++seed) {
-    Simulator<StateVectorState> serial = make_simulator(n, 1);
-    EXPECT_EQ(serial.run_async(circuit, 200, seed).get().histogram("m"),
-              serial.run(circuit, 200, seed).histogram("m"));
-
-    Simulator<StateVectorState> single_rep = make_simulator(n, 4);
-    EXPECT_EQ(single_rep.run_async(circuit, 1, seed).get().histogram("m"),
-              single_rep.run(circuit, 1, seed).histogram("m"));
+  const Circuit circuit = batched_workload(4);
+  Session session;
+  for (const int threads : {1, 2, 8}) {
+    const Counts sync =
+        session.run(sv_request(circuit, 3000, threads)).measurements.histogram(
+            "m");
+    EXPECT_EQ(session.run_async(sv_request(circuit, 3000, threads))
+                  .get()
+                  .measurements.histogram("m"),
+              sync)
+        << threads << " threads";
   }
 }
 
 TEST(BatchEngineAsync, ManyJobsFromManyThreadsAreRaceFreeAndDeterministic) {
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
+  const Circuit circuit = trajectory_workload(3);
   const std::uint64_t reps = 60;
   constexpr int kThreads = 4;
   constexpr int kJobsPerThread = 6;
 
-  // Reference histograms computed serially, one per distinct seed.
-  BatchEngine<StateVectorState> reference_engine{make_simulator(n, 2)};
+  // Reference histograms computed synchronously, one per distinct seed.
+  Session session;
   std::vector<Counts> reference;
   for (int j = 0; j < kThreads * kJobsPerThread; ++j) {
-    reference.push_back(
-        reference_engine.run(circuit, reps, kSeed + j).histogram("m"));
+    reference.push_back(session.run(sv_request(circuit, reps, 2, kSeed + j))
+                            .measurements.histogram("m"));
   }
 
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
-  std::vector<std::future<BatchEngine<StateVectorState>::JobOutcome>> futures(
+  std::vector<std::future<RunResult>> futures(
       static_cast<std::size_t>(kThreads * kJobsPerThread));
   std::vector<std::thread> submitters;
   for (int t = 0; t < kThreads; ++t) {
@@ -150,103 +196,91 @@ TEST(BatchEngineAsync, ManyJobsFromManyThreadsAreRaceFreeAndDeterministic) {
       for (int j = 0; j < kJobsPerThread; ++j) {
         const int job = t * kJobsPerThread + j;
         futures[static_cast<std::size_t>(job)] =
-            engine.submit(circuit, reps, kSeed + job);
+            session.run_async(sv_request(circuit, reps, 2, kSeed + job));
       }
     });
   }
   for (std::thread& submitter : submitters) submitter.join();
   for (int job = 0; job < kThreads * kJobsPerThread; ++job) {
-    const auto outcome = futures[static_cast<std::size_t>(job)].get();
-    EXPECT_EQ(outcome.result.histogram("m"),
+    EXPECT_EQ(futures[static_cast<std::size_t>(job)]
+                  .get()
+                  .measurements.histogram("m"),
               reference[static_cast<std::size_t>(job)])
-        << "job " << job << " diverged from its serial reference";
+        << "job " << job << " diverged from its synchronous reference";
   }
 }
 
 TEST(BatchEngineAsync, AsyncWorksOnSingleThreadEngine) {
   const int n = 2;
-  const Circuit circuit =
-      with_terminal_measurement(ghz_circuit(n), n, "m");
-  BatchEngine<StateVectorState> engine{make_simulator(n, 1)};
-  const Counts sync = engine.run(circuit, 300, kSeed).histogram("m");
-  EXPECT_EQ(engine.submit(circuit, 300, kSeed).get().result.histogram("m"),
+  const Circuit circuit = with_terminal_measurement(ghz_circuit(n), n, "m");
+  Session session;
+  const Counts sync =
+      session.run(sv_request(circuit, 300, 1)).measurements.histogram("m");
+  EXPECT_EQ(session.run_async(sv_request(circuit, 300, 1))
+                .get()
+                .measurements.histogram("m"),
             sync);
 }
 
 TEST(BatchEngineAsync, JobOutlivesTheEngineThatSubmittedIt) {
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
+  const Circuit circuit = trajectory_workload(3);
   Counts sync;
-  std::future<Result> future;
+  std::future<RunResult> future;
   {
-    BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
-    sync = engine.run(circuit, 150, kSeed).histogram("m");
-    future = engine.run_async(circuit, 150, kSeed);
-    // The engine dies here; the job holds the context (pool) alive.
+    Session session;
+    sync = session.run(sv_request(circuit, 150, 2)).measurements.histogram("m");
+    future = session.run_async(sv_request(circuit, 150, 2));
+    // The session dies here; the job holds its backend and the pool.
   }
-  EXPECT_EQ(future.get().histogram("m"), sync);
-}
-
-// A simulator whose apply hook always throws: every shard fails.
-Simulator<StateVectorState> throwing_simulator(int n, int num_threads) {
-  SimulatorOptions options;
-  options.num_threads = num_threads;
-  options.num_rng_streams = 4;
-  return Simulator<StateVectorState>{
-      StateVectorState(n),
-      [](const Operation&, StateVectorState&, Rng&) {
-        throw std::runtime_error("shard exploded");
-      },
-      [](const StateVectorState& state, Bitstring b) {
-        return compute_probability(state, b);
-      },
-      options};
+  EXPECT_EQ(future.get().measurements.histogram("m"), sync);
 }
 
 TEST(BatchEngineAsync, TrajectoryShardExceptionPropagatesThroughFuture) {
   // Mid-circuit measurement + feed-forward forces the per-trajectory
   // path, so the throw happens inside pool shards.
-  Circuit circuit;
-  circuit.append(h(0));
-  circuit.append(measure({0}, "mid"));
-  circuit.append(x(1).controlled_by_measurement("mid"));
-  circuit.append(measure({1}, "out"));
-
-  BatchEngine<StateVectorState> engine{throwing_simulator(2, 2)};
-  auto future = engine.submit(circuit, 50, kSeed);
+  const Circuit circuit = feed_forward_workload();
+  ThrowingSession throwing;
+  Session& session = *throwing.session;
+  auto future = session.run_async(
+      sv_request(circuit, 50, 2).with_backend("throwing-apply"));
   EXPECT_THROW(future.get(), std::runtime_error);
-  // The engine (and its pool) stay usable after a failed job.
-  Rng rng(kSeed);
-  EXPECT_THROW(engine.run(circuit, 50, rng), std::runtime_error);
-  BatchEngine<StateVectorState> healthy{make_simulator(2, 2)};
-  EXPECT_EQ(healthy.run(circuit, 50, kSeed).repetitions(), 50u);
+  // The pool stays usable after a failed job.
+  EXPECT_THROW(
+      (void)session.run(sv_request(circuit, 50, 2).with_backend(
+          "throwing-apply")),
+      std::runtime_error);
+  EXPECT_EQ(session.run(sv_request(circuit, 50, 2))
+                .measurements.repetitions(),
+            50u);
 }
 
 TEST(BatchEngineAsync, BatchedEvolutionExceptionPropagatesThroughFuture) {
-  // A unitary terminal-measurement circuit with custom (non-native)
-  // hooks takes the per-shard batched fallback; the evolution throw
-  // inside a shard must surface from the future.
-  const Circuit circuit =
-      with_terminal_measurement(ghz_circuit(2), 2, "m");
-  BatchEngine<StateVectorState> engine{throwing_simulator(2, 2)};
-  auto future = engine.submit(circuit, 100, kSeed);
+  // A unitary terminal-measurement circuit takes the dictionary path;
+  // the evolution throw must surface from the future.
+  const Circuit circuit = with_terminal_measurement(ghz_circuit(2), 2, "m");
+  ThrowingSession throwing;
+  auto future = throwing.session->run_async(
+      sv_request(circuit, 100, 2).with_backend("throwing-apply"));
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
 TEST(BatchEngineAsync, SnapshotPathExceptionPropagatesThroughFuture) {
-  // Native hooks route a unitary terminal-measurement circuit through
-  // the snapshot-sharing path inside the async job; the job's
-  // validation throw (no measurements to sample) must surface from the
-  // future, and zero-repetition jobs must validate too — shards that
-  // never run cannot swallow the error.
-  BatchEngine<StateVectorState> engine{make_simulator(2, 2)};
-  EXPECT_THROW(engine.submit(ghz_circuit(2), 100, kSeed).get(), ValueError);
-  EXPECT_THROW(engine.submit(ghz_circuit(2), 0, kSeed).get(), ValueError);
-  Rng rng(kSeed);
-  EXPECT_THROW(engine.run(ghz_circuit(2), 0, rng), ValueError);
-  // The engine stays usable afterwards.
-  const Circuit good = with_terminal_measurement(ghz_circuit(2), 2, "m");
-  EXPECT_EQ(engine.run(good, 50, kSeed).repetitions(), 50u);
+  // A throw from the dictionary path's resampling shards (the
+  // probability hook) must surface from the future, and a run without
+  // measurements must fail at submission.
+  const Circuit circuit = batched_workload(4);
+  ThrowingSession throwing;
+  Session& session = *throwing.session;
+  auto future = session.run_async(
+      sv_request(circuit, 5000, 2).with_backend("throwing-probability"));
+  EXPECT_THROW(future.get(), std::runtime_error);
+  EXPECT_THROW((void)session.run_async(sv_request(ghz_circuit(2), 100, 2)),
+               ValueError);
+  EXPECT_THROW((void)session.run_async(sv_request(ghz_circuit(2), 0, 2)),
+               ValueError);
+  // The session stays usable afterwards.
+  EXPECT_EQ(session.run(sv_request(circuit, 50, 2)).measurements.repetitions(),
+            50u);
 }
 
 TEST(EngineContext, SharedCacheReturnsOnePoolPerThreadCount) {
@@ -280,25 +314,6 @@ TEST(EngineContext, SimulatorCachesAndSharesItsContext) {
   // Copies share the context — the copy/move story for the cached pool.
   Simulator<StateVectorState> copy = sim;
   EXPECT_EQ(copy.engine_context(), context);
-}
-
-TEST(EngineContext, ReuseOptOutBuildsPrivatePools) {
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
-  SimulatorOptions options;
-  options.num_threads = 2;
-  options.num_rng_streams = 4;
-  options.reuse_thread_pool = false;
-  Simulator<StateVectorState> sim{StateVectorState(n), options};
-  Rng rng(kSeed);
-  const Counts fresh = sim.run(circuit, 80, rng).histogram("m");
-  // No context is cached on the simulator in opt-out mode.
-  EXPECT_EQ(sim.engine_context(), nullptr);
-
-  // Opting out never changes the sampled values.
-  Simulator<StateVectorState> reusing = make_simulator(n, 2, 4);
-  Rng rng2(kSeed);
-  EXPECT_EQ(reusing.run(circuit, 80, rng2).histogram("m"), fresh);
 }
 
 }  // namespace

@@ -1,23 +1,27 @@
-// Determinism regression suite for the batch engine: for a fixed seed,
-// the merged histogram must be bit-identical across every execution
-// configuration — thread count, sync vs async submission, pool reuse on
-// or off, and one-level vs two-level run_batch sharding. This pins the
-// engine's core invariant (threads only decide *where* a shard runs,
-// never *what* it computes) on every code path the v2 engine added.
+// Determinism regression suite for the sampler: for a fixed seed, the
+// merged histogram must be bit-identical across every execution
+// configuration — thread count (1, 2 and 8, no exceptions), sync vs
+// async submission, seed vs Rng entry points, native vs custom hooks,
+// and run_batch. This pins the core invariant (every draw is
+// keyed to its repetition or dictionary entry; threads only decide
+// *where* a shard runs, never *what* it computes).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "api/session.h"
 #include "circuit/circuit.h"
 #include "circuit/noise.h"
 #include "circuit/random.h"
 #include "core/simulator.h"
-#include "engine/engine.h"
 #include "engine_test_helpers.h"
 #include "statevector/state.h"
+#include "test_helpers.h"
+#include "util/stats.h"
 
 namespace bgls {
 namespace {
@@ -45,10 +49,8 @@ Circuit feed_forward_workload() {
   return circuit;
 }
 
-Simulator<StateVectorState> make_simulator(int n, int num_threads,
-                                           bool reuse_pool = true) {
-  return testing::make_sv_simulator(n, num_threads, /*num_streams=*/8,
-                                    reuse_pool);
+Simulator<StateVectorState> make_simulator(int n, int num_threads) {
+  return testing::make_sv_simulator(n, num_threads);
 }
 
 struct Workload {
@@ -59,28 +61,50 @@ struct Workload {
   std::string key;
 };
 
+/// Wide enough that the dictionary passes 1024 entries (a Hadamard
+/// layer spreads it over 2^11 bitstrings), far more entries than a
+/// trajectory run has shards.
+Workload wide_batched() {
+  const int n = 11;
+  Circuit circuit;
+  for (int q = 0; q < n; ++q) circuit.append(h(q));
+  circuit.append(batched_workload(n));
+  return {"wide batched", std::move(circuit), n, 20000, "m"};
+}
+
 std::vector<Workload> workloads() {
   std::vector<Workload> all;
   all.push_back({"batched", batched_workload(4), 4, 4000, "m"});
+  all.push_back(wide_batched());
   all.push_back({"trajectory", trajectory_workload(3), 3, 500, "m"});
   all.push_back({"feed-forward", feed_forward_workload(), 2, 400, "out"});
   return all;
 }
 
 TEST(EngineDeterminism, HashIdenticalAcrossThreadCountsSyncAndAsync) {
+  Session session;
   for (const Workload& workload : workloads()) {
     std::uint64_t reference = 0;
     bool first = true;
     for (const int threads : {1, 2, 8}) {
-      BatchEngine<StateVectorState> engine{
-          make_simulator(workload.qubits, threads)};
+      Simulator<StateVectorState> sim =
+          make_simulator(workload.qubits, threads);
       const std::uint64_t sync_hash = histogram_hash(
-          engine.run(workload.circuit, workload.repetitions, kSeed)
+          sim.run(workload.circuit, workload.repetitions, kSeed)
               .histogram(workload.key));
+      if (workload.qubits == wide_batched().qubits) {
+        ASSERT_GE(sim.last_run_stats().max_dictionary_size, 1024u);
+      }
       const std::uint64_t async_hash = histogram_hash(
-          engine.submit(workload.circuit, workload.repetitions, kSeed)
+          session
+              .run_async(RunRequest()
+                             .with_circuit(workload.circuit)
+                             .with_repetitions(workload.repetitions)
+                             .with_seed(kSeed)
+                             .with_backend(BackendId::kStateVector)
+                             .with_threads(threads))
               .get()
-              .result.histogram(workload.key));
+              .measurements.histogram(workload.key));
       EXPECT_EQ(async_hash, sync_hash)
           << workload.name << ": async diverged from sync at " << threads
           << " threads";
@@ -96,61 +120,38 @@ TEST(EngineDeterminism, HashIdenticalAcrossThreadCountsSyncAndAsync) {
   }
 }
 
-TEST(EngineDeterminism, HashIdenticalWithAndWithoutPoolReuse) {
+TEST(EngineDeterminism, SimulatorDelegationMatchesDirectEngineUse) {
   for (const Workload& workload : workloads()) {
-    for (const int threads : {2, 8}) {
-      BatchEngine<StateVectorState> reusing{
-          make_simulator(workload.qubits, threads, /*reuse_pool=*/true)};
-      BatchEngine<StateVectorState> fresh{
-          make_simulator(workload.qubits, threads, /*reuse_pool=*/false)};
-      EXPECT_EQ(
-          histogram_hash(
-              reusing.run(workload.circuit, workload.repetitions, kSeed)
-                  .histogram(workload.key)),
-          histogram_hash(
-              fresh.run(workload.circuit, workload.repetitions, kSeed)
-                  .histogram(workload.key)))
-          << workload.name << ": pool reuse changed the histogram at "
-          << threads << " threads";
+    for (const int threads : {1, 2, 8}) {
+      Simulator<StateVectorState> seeded =
+          make_simulator(workload.qubits, threads);
+      const std::uint64_t direct = histogram_hash(
+          seeded.run(workload.circuit, workload.repetitions, kSeed)
+              .histogram(workload.key));
+      Simulator<StateVectorState> sim = make_simulator(workload.qubits, 1);
+      Rng rng(kSeed);
+      const std::uint64_t delegated = histogram_hash(
+          sim.run(workload.circuit, workload.repetitions, rng)
+              .histogram(workload.key));
+      EXPECT_EQ(delegated, direct) << workload.name << " at " << threads;
     }
   }
 }
 
-TEST(EngineDeterminism, SimulatorDelegationMatchesDirectEngineUse) {
-  for (const Workload& workload : workloads()) {
-    BatchEngine<StateVectorState> engine{make_simulator(workload.qubits, 2)};
-    const std::uint64_t direct = histogram_hash(
-        engine.run(workload.circuit, workload.repetitions, kSeed)
-            .histogram(workload.key));
-    Simulator<StateVectorState> sim = make_simulator(workload.qubits, 2);
-    Rng rng(kSeed);
-    const std::uint64_t delegated = histogram_hash(
-        sim.run(workload.circuit, workload.repetitions, rng)
-            .histogram(workload.key));
-    const std::uint64_t async = histogram_hash(
-        sim.run_async(workload.circuit, workload.repetitions, kSeed)
-            .get()
-            .histogram(workload.key));
-    EXPECT_EQ(delegated, direct) << workload.name;
-    EXPECT_EQ(async, direct) << workload.name;
-  }
-}
-
 TEST(EngineDeterminism, CustomHooksMatchNativeHooksThroughEngine) {
-  // User-provided hooks never share a snapshot (no thread-safety
-  // guarantee against one state probed from many shards): the engine
-  // falls back to v1 per-shard private evolution for them. The shard
-  // decomposition and streams match the shared path, so hooks that
-  // compute the same values as the native ones must produce
-  // bit-identical histograms — this pins the shared-snapshot path to
-  // the v1 per-shard path bit for bit. (Channel circuits are excluded:
-  // native and custom hooks legitimately route channels differently.)
-  const Workload workload{"batched", batched_workload(4), 4, 4000, "m"};
-  {
-    for (const int threads : {2, 8}) {
+  // Draws are keyed, so hooks that compute the same values as the
+  // native ones must produce bit-identical histograms at every thread
+  // count.
+  // (Channel circuits are excluded: native and custom hooks
+  // legitimately route channels differently.)
+  std::vector<Workload> cases;
+  cases.push_back({"batched", batched_workload(4), 4, 4000, "m"});
+  cases.push_back(wide_batched());
+  cases.push_back({"feed-forward", feed_forward_workload(), 2, 400, "out"});
+  for (const Workload& workload : cases) {
+    for (const int threads : {1, 2, 8}) {
       SimulatorOptions options;
       options.num_threads = threads;
-      options.num_rng_streams = 8;
       Simulator<StateVectorState> native{StateVectorState(workload.qubits),
                                          options};
       Simulator<StateVectorState> custom{
@@ -164,14 +165,12 @@ TEST(EngineDeterminism, CustomHooksMatchNativeHooksThroughEngine) {
           options};
       ASSERT_TRUE(native.hooks_are_native());
       ASSERT_FALSE(custom.hooks_are_native());
-      BatchEngine<StateVectorState> native_engine{std::move(native)};
-      BatchEngine<StateVectorState> custom_engine{std::move(custom)};
       EXPECT_EQ(
           histogram_hash(
-              custom_engine.run(workload.circuit, workload.repetitions, kSeed)
+              custom.run(workload.circuit, workload.repetitions, kSeed)
                   .histogram(workload.key)),
           histogram_hash(
-              native_engine.run(workload.circuit, workload.repetitions, kSeed)
+              native.run(workload.circuit, workload.repetitions, kSeed)
                   .histogram(workload.key)))
           << workload.name << ": custom hooks changed the histogram at "
           << threads << " threads";
@@ -189,54 +188,49 @@ TEST(EngineDeterminism, RunBatchIdenticalAcrossShardingLevelsAndThreads) {
   std::vector<std::uint64_t> reference;
   bool first = true;
   for (const int threads : {1, 2, 8}) {
-    for (const bool two_level : {true, false}) {
-      SimulatorOptions options;
-      options.num_threads = threads;
-      options.num_rng_streams = 8;
-      options.two_level_batch_sharding = two_level;
-      BatchEngine<StateVectorState> engine{
-          Simulator<StateVectorState>{StateVectorState(3), options}};
-      Rng rng(kSeed);
-      const std::vector<Result> results =
-          engine.run_batch(circuits, 400, rng);
-      ASSERT_EQ(results.size(), circuits.size());
-      std::vector<std::uint64_t> hashes;
-      for (const Result& result : results) {
-        EXPECT_EQ(result.repetitions(), 400u);
-        hashes.push_back(histogram_hash(result.histogram("m")));
-      }
-      if (first) {
-        reference = hashes;
-        first = false;
-      } else {
-        EXPECT_EQ(hashes, reference)
-            << "threads=" << threads << " two_level=" << two_level
-            << " changed a run_batch histogram";
-      }
+    SimulatorOptions options;
+    options.num_threads = threads;
+    Simulator<StateVectorState> sim{StateVectorState(3), options};
+    Rng rng(kSeed);
+    const std::vector<Result> results = sim.run_batch(circuits, 400, rng);
+    ASSERT_EQ(results.size(), circuits.size());
+    std::vector<std::uint64_t> hashes;
+    for (const Result& result : results) {
+      EXPECT_EQ(result.repetitions(), 400u);
+      hashes.push_back(histogram_hash(result.histogram("m")));
+    }
+    if (first) {
+      reference = hashes;
+      first = false;
+    } else {
+      EXPECT_EQ(hashes, reference)
+          << "threads=" << threads << " changed a run_batch histogram";
     }
   }
 }
 
-TEST(EngineDeterminism, SnapshotPathMatchesPerShardStatistics) {
-  // The snapshot-sharing batched path must sample the same distribution
-  // as the serial dictionary path (different stream layout, same
-  // statistics): compare the merged engine histogram against a serial
-  // run at matched repetitions.
-  const int n = 3;
-  const Circuit circuit =
-      with_terminal_measurement(ghz_circuit(n), n, "m");
+TEST(EngineDeterminism, KeyedDictionaryMatchesExactDistribution) {
+  // The keyed dictionary path against the exact statevector
+  // distribution. For N samples over k outcomes, Weissman et al. (2003)
+  // bound P(||p_hat - p||_1 >= eps) <= (2^k - 2) exp(-N eps^2 / 2); eps
+  // is set so that bound is 1e-6, so a correct sampler fails this test
+  // with probability at most 1e-6 per seed.
+  const int n = 4;
+  const Circuit circuit = batched_workload(n);
   const std::uint64_t reps = 40000;
+  const double outcomes = 16.0;
+  const double false_failure_rate = 1e-6;
+  const double epsilon =
+      std::sqrt(2.0 / static_cast<double>(reps) *
+                std::log((std::pow(2.0, outcomes) - 2.0) / false_failure_rate));
 
-  Simulator<StateVectorState> serial{StateVectorState(n)};
-  Rng serial_rng(kSeed);
-  const Distribution serial_dist =
-      serial.run(circuit, reps, serial_rng).distribution("m");
-
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
-  const Distribution engine_dist =
-      engine.run(circuit, reps, kSeed + 1).distribution("m");
-
-  EXPECT_LT(total_variation_distance(serial_dist, engine_dist), 0.02);
+  Simulator<StateVectorState> sim = make_simulator(n, 2);
+  const Result result = sim.run(circuit, reps, kSeed);
+  ASSERT_TRUE(sim.last_run_stats().used_sample_parallelization);
+  const Distribution exact = testing::ideal_marginal_distribution(
+      circuit, n, result.measured_qubits("m"));
+  EXPECT_LT(total_variation_distance(result.distribution("m"), exact),
+            epsilon / 2.0);
 }
 
 }  // namespace

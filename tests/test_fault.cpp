@@ -101,8 +101,7 @@ TEST_F(FaultTest, ShardRunAbortThenCheckpointResumeIsBitIdentical) {
         .with_circuit(trajectory_workload(3, 0.05))
         .with_repetitions(300)
         .with_seed(17)
-        .with_threads(2)
-        .with_rng_streams(8);
+        .with_threads(2);
   };
   Session session;
   const RunResult baseline = session.run(request());

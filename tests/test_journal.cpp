@@ -1,8 +1,9 @@
 /// \file test_journal.cpp
 /// The write-ahead scheduler journal (service/journal.h): CRC framing,
 /// append/replay round trips, torn-record tolerance (the kill -9
-/// case), compaction, and the "journal_write" fault-injection path
-/// that tears an append on purpose.
+/// case), compaction, the "journal_write" fault-injection path that
+/// tears an append on purpose, and daemon replay of a journal holding
+/// a version-1 checkpoint (warn, then rerun from scratch).
 
 #include <gtest/gtest.h>
 
@@ -11,11 +12,19 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/session.h"
+#include "obs/log.h"
+#include "service/client.h"
+#include "service/daemon.h"
 #include "service/journal.h"
+#include "service/protocol.h"
+#include "service/report.h"
 #include "util/fault.h"
+#include "util/json_writer.h"
 
 namespace bgls {
 namespace {
@@ -185,6 +194,65 @@ TEST_F(JournalTest, ReopenAppendsAfterExistingRecords) {
   const std::vector<JsonValue> records = Journal::replay_file(path_);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[1].u64_or("job", 0), 2u);
+}
+
+TEST_F(JournalTest, ReplayRerunsVersionOneCheckpointFromScratch) {
+  // A journal left by a build whose checkpoints were version 1 (per-
+  // stream RNG state): one submitted job plus a mid-run snapshot. Keyed
+  // draws cannot continue that snapshot, so replay logs a warning and
+  // reruns the job from the start, to the bytes a fresh run produces.
+  service::SubmitArgs args;
+  args.qasm =
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n"
+      "h q[0];\ncx q[0],q[1];\nmeasure q -> c;\n";
+  args.repetitions = 300;
+  args.seed = 23;
+  args.no_batch = true;
+  std::string line = service::submit_request_line(args);
+  line.pop_back();  // the trailing newline
+  {
+    std::ostringstream submit;
+    JsonWriter json(submit, JsonWriter::Style::kCompact);
+    json.begin_object();
+    json.key("type").value("submit");
+    json.key("job").value(std::uint64_t{1});
+    json.key("line").value(line);
+    json.end_object();
+    Journal journal;
+    journal.open(path_);
+    journal.append(submit.str());
+    journal.append(
+        R"({"type":"checkpoint","job":1,"data":{"version":1,"mode":"engine",)"
+        R"("total":300,"stats":{},"shards":[{"total":300,"completed":100,)"
+        R"("rng":[1,2,3,4],"histograms":{"c":{"0":50,"3":50}}}]}})");
+  }
+
+  obs::Logger::global().reset_for_testing();
+  service::DaemonOptions options;
+  options.endpoint = service::Endpoint::unix_socket(path_ + ".sock");
+  options.journal_path = path_;
+  service::ServiceDaemon daemon(options);
+  daemon.start();
+  service::ServiceClient client(daemon.endpoint());
+  const std::string report = client.wait_report(1);
+  daemon.stop();
+  std::remove((path_ + ".sock").c_str());
+
+  const RunRequest request = service::parse_submit(JsonValue::parse(line));
+  Session session;
+  EXPECT_EQ(report, service::run_report_string(
+                        service::report_context(request,
+                                                request.circuit.num_qubits()),
+                        session.run(request)));
+  if constexpr (obs::kTelemetryCompiled) {
+    bool warned = false;
+    for (const obs::LogRecord& record :
+         obs::Logger::global().tail(100, obs::LogLevel::kWarn)) {
+      warned |= record.component == "daemon" &&
+                record.message.find("old format") != std::string::npos;
+    }
+    EXPECT_TRUE(warned);
+  }
 }
 
 TEST_F(JournalTest, AppendOnClosedJournalThrows) {

@@ -177,8 +177,8 @@ TEST(ParseCallSites, JournalSkipsCorruptCrcDigits) {
 
 TEST(ParseCallSites, CheckpointRejectsMalformedHistogramKeys) {
   const std::string frame =
-      "{\"version\":1,\"mode\":\"engine\",\"total\":2,\"shards\":[{"
-      "\"total\":2,\"completed\":1,\"rng\":[1,2,3,4],"
+      "{\"version\":2,\"mode\":\"trajectory\",\"run_key\":7,\"total\":2,"
+      "\"shards\":[{\"total\":2,\"completed\":1,"
       "\"histograms\":{\"m\":{\"%s\":1}}}]}";
   const auto with_key = [&](const std::string& key) {
     std::string json = frame;

@@ -46,8 +46,6 @@ TEST(ResultCache, KeyIgnoresSchedulingOnlyKnobs) {
   // Result-determining fields key apart.
   EXPECT_NE(ResultCache::key_for(cacheable_job(6)), *base);
   EXPECT_NE(ResultCache::key_for(cacheable_job(5, 401)), *base);
-  EXPECT_NE(ResultCache::key_for(cacheable_job().with_rng_streams(8)),
-            *base);
   EXPECT_NE(ResultCache::key_for(cacheable_job().with_optimization()), *base);
   EXPECT_NE(ResultCache::key_for(
                 RunRequest()

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cmath>
+#include <set>
 #include <vector>
 
 #include "util/error.h"
@@ -265,8 +266,7 @@ TEST(Rng, DistinctSplitIndicesGiveDistinctStreams) {
 }
 
 TEST(Rng, JumpStreamsAreStatisticallyIndependent) {
-  // Sanity check for the engine's per-shard streams: uniforms drawn from
-  // jump-separated streams should be uncorrelated.
+  // Uniforms drawn from jump-separated streams should be uncorrelated.
   Rng parent(2024);
   Rng a = parent.split(0);
   Rng b = parent.split(1);
@@ -287,6 +287,23 @@ TEST(Rng, JumpStreamsAreStatisticallyIndependent) {
   const double corr = cov / std::sqrt(var_a * var_b);
   // Null-hypothesis standard error is 1/sqrt(n) ≈ 0.007.
   EXPECT_LT(std::abs(corr), 0.035);
+}
+
+TEST(Rng, MixKeySeedsDistinctPositions) {
+  // Keyed draws (core/simulator.h) need one seed per position: for a
+  // fixed key mix_key is a bijection in the value, and the same inputs
+  // always give the same seed.
+  std::set<std::uint64_t> seeds;
+  for (std::uint64_t r = 0; r < 10000; ++r) seeds.insert(mix_key(7, r));
+  EXPECT_EQ(seeds.size(), 10000u);
+  EXPECT_EQ(mix_key(7, 3), mix_key(7, 3));
+  EXPECT_NE(mix_key(7, 3), mix_key(8, 3));
+  // Neighbouring positions seed unrelated streams.
+  Rng a(mix_key(7, 0));
+  Rng b(mix_key(7, 1));
+  int equal = 0;
+  for (int i = 0; i < 1000; ++i) equal += (a() == b());
+  EXPECT_LT(equal, 5);
 }
 
 }  // namespace

@@ -55,7 +55,6 @@ std::string direct_report(const SubmitArgs& args) {
                            .with_repetitions(args.repetitions)
                            .with_seed(args.seed)
                            .with_threads(args.threads)
-                           .with_rng_streams(args.streams)
                            .with_optimization(args.optimize)
                            .with_sample_parallelization(!args.no_batch);
   if (args.backend != "auto") request.with_backend(args.backend);

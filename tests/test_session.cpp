@@ -1,7 +1,7 @@
 // The runtime API (src/api/): BackendSelector heuristics, registry
 // lookup and custom registration, the type-erased Backend triple, and —
 // the central contract — Session runs being bit-identical to the
-// corresponding direct templated Simulator/BatchEngine runs for a
+// corresponding direct templated Simulator runs for a
 // fixed seed across all four backends.
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "core/optimize.h"
 #include "core/simulator.h"
 #include "densitymatrix/state.h"
-#include "engine/engine.h"
 #include "mps/state.h"
 #include "stabilizer/ch_form.h"
 #include "statevector/state.h"
@@ -210,19 +209,17 @@ TEST(SessionDifferential, AutoMpsMatchesDirectRunBitForBit) {
 }
 
 TEST(SessionDifferential, EnginePathMatchesDirectEngineRuns) {
-  // Multi-threaded requests route through the BatchEngine on both
-  // sides; histograms must still match bit for bit.
+  // Multi-threaded requests fan their shards out on both sides;
+  // histograms must still match bit for bit.
   SimulatorOptions options;
   options.num_threads = 4;
-  options.num_rng_streams = 8;
   Session session;
   const auto request_for = [](const Circuit& circuit) {
     return RunRequest()
         .with_circuit(circuit)
         .with_repetitions(20000)
         .with_seed(77)
-        .with_threads(4)
-        .with_rng_streams(8);
+        .with_threads(4);
   };
 
   const Circuit dense = dense_workload();
@@ -493,8 +490,7 @@ TEST(Session, RunAsyncMatchesSynchronousRun) {
                            .with_circuit(circuit)
                            .with_repetitions(10000)
                            .with_seed(31)
-                           .with_threads(2)
-                           .with_rng_streams(8);
+                           .with_threads(2);
   std::future<RunResult> future = session.run_async(request);
   const RunResult sync = session.run(request);
   const RunResult async = future.get();
@@ -533,9 +529,8 @@ TEST(Session, RunBatchRoutesPerCircuitAndPreservesOrder) {
 
   // Direct comparison: the stabilizer group ran {a, c} through one
   // engine batch, the statevector group ran {b}.
-  SimulatorOptions options;  // request defaults: 1 thread, 16 streams
-  options.num_rng_streams = 16;
-  BatchEngine<CHState> ch_engine{Simulator<CHState>{CHState(4), options}};
+  SimulatorOptions options;  // request defaults: 1 thread
+  Simulator<CHState> ch_engine{CHState(4), options};
   Rng ch_rng(71);
   const std::vector<Circuit> ch_group{clifford_a, clifford_c};
   const std::vector<Result> ch_direct =
@@ -545,8 +540,7 @@ TEST(Session, RunBatchRoutesPerCircuitAndPreservesOrder) {
   EXPECT_EQ(results[2].measurements.histogram("m"),
             ch_direct[1].histogram("m"));
 
-  BatchEngine<StateVectorState> sv_engine{
-      Simulator<StateVectorState>{StateVectorState(4), options}};
+  Simulator<StateVectorState> sv_engine{StateVectorState(4), options};
   Rng sv_rng(71);
   const std::vector<Circuit> sv_group{dense_b};
   const std::vector<Result> sv_direct =

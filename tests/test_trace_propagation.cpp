@@ -81,7 +81,6 @@ TEST(TracePropagation, SchedulerAdoptsPropagatedContext) {
           .with_repetitions(500)
           .with_seed(5)
           .with_threads(2)
-          .with_rng_streams(4)
           .with_trace_context(kTraceId, /*parent=*/777));
   ASSERT_EQ(scheduler.wait(id).state, JobState::kDone);
   const JobInfo info = scheduler.info(id);
@@ -115,14 +114,14 @@ TEST(TracePropagation, TraceIdDefaultsToJobIdWithoutContext) {
 
 TEST(TracePropagation, EngineSpanTreeByteStableOneVsEightThreads) {
   // The acceptance contract at the layer that actually moves work
-  // between threads: the engine with 1 worker runs every shard inline
-  // on the caller's thread (inside whatever span the caller has open),
-  // with 8 workers the shards land on pool threads — and the recorded
-  // tree must be byte-identical either way. Shard decomposition depends
-  // only on (repetitions, streams), span IDs only on (trace, name,
-  // index), and Nest::kRoot pins shard parentage to the trace root
-  // regardless of which thread executed the shard. Only durations may
-  // differ, and those are zeroed.
+  // between threads: with 1 worker every shard runs inline on the
+  // caller's thread (inside whatever span the caller has open), with 8
+  // workers the shards land on pool threads — and the recorded tree
+  // must be byte-identical either way. The shard split depends only on
+  // the repetition count, span IDs only on (trace, name, index), and
+  // Nest::kRoot pins shard parentage to the trace root regardless of
+  // which thread executed the shard. Only durations may differ, and
+  // those are zeroed.
   const Circuit circuit = trajectory_workload(3, 0.05);
   std::vector<std::string> rendered;
   std::vector<std::string> chrome;
@@ -133,10 +132,8 @@ TEST(TracePropagation, EngineSpanTreeByteStableOneVsEightThreads) {
     trace.set_root(Trace::span_id(kTraceId, "run", 0));
     SimulatorOptions options;
     options.num_threads = threads;
-    options.num_rng_streams = 4;
     options.trace = &trace;
-    BatchEngine<StateVectorState> engine{
-        Simulator<StateVectorState>{StateVectorState(3), options}};
+    Simulator<StateVectorState> sim{StateVectorState(3), options};
     Rng rng(5);
     Result result;
     {
@@ -144,7 +141,7 @@ TEST(TracePropagation, EngineSpanTreeByteStableOneVsEightThreads) {
       // shards would nest under it with kEnclosing semantics, pool
       // shards would not.
       obs::TraceSpan sample(&trace, "sample");
-      result = engine.run(circuit, 2000, rng);
+      result = sim.run(circuit, 2000, rng);
     }
     histograms.push_back(result.histogram("m"));
     const std::vector<SpanRecord> spans = zero_durations(trace.spans());
@@ -160,13 +157,10 @@ TEST(TracePropagation, EngineSpanTreeByteStableOneVsEightThreads) {
 
 TEST(TracePropagation, SchedulerSpanTreeByteStableAcrossThreadCounts) {
   // Same property through the full serving path (scheduler → session →
-  // engine), across engine thread counts. threads == 1 requests take
-  // the documented classic serial path — a different, stream-free
-  // decomposition whose histograms legitimately differ — so the
-  // service-level comparison varies the *engine* pool width.
+  // sampler), across thread counts, one thread included.
   std::vector<std::string> rendered;
   std::vector<std::string> chrome;
-  for (const int threads : {2, 8}) {
+  for (const int threads : {1, 2, 8}) {
     JobScheduler scheduler;
     const std::uint64_t id = scheduler.submit(
         RunRequest()
@@ -174,7 +168,6 @@ TEST(TracePropagation, SchedulerSpanTreeByteStableAcrossThreadCounts) {
             .with_repetitions(2000)
             .with_seed(5)
             .with_threads(threads)
-            .with_rng_streams(4)
             .with_trace_context(kTraceId));
     ASSERT_EQ(scheduler.wait(id).state, JobState::kDone);
     const std::vector<SpanRecord> spans =
@@ -182,8 +175,10 @@ TEST(TracePropagation, SchedulerSpanTreeByteStableAcrossThreadCounts) {
     rendered.push_back(obs::render_span_tree(kTraceId, spans));
     chrome.push_back(obs::to_chrome_trace(kTraceId, spans));
   }
-  EXPECT_EQ(rendered[0], rendered[1]);
-  EXPECT_EQ(chrome[0], chrome[1]);
+  for (std::size_t i = 1; i < rendered.size(); ++i) {
+    EXPECT_EQ(rendered[0], rendered[i]);
+    EXPECT_EQ(chrome[0], chrome[i]);
+  }
   // One tree, not a forest: every shard span nests under "run".
   EXPECT_NE(rendered[0].find("- run"), std::string::npos);
   EXPECT_NE(rendered[0].find("  - shard"), std::string::npos);
@@ -363,7 +358,6 @@ TEST(TraceDeterminism, HistogramsIdenticalWithTracingOnAndOff) {
             .with_circuit(trajectory_workload(3, 0.05))
             .with_repetitions(3000)
             .with_seed(11)
-            .with_rng_streams(4)
             .with_trace_context(kTraceId));
     const JobInfo info = scheduler.wait(id);
     return info.result->measurements.histogram("m");

@@ -89,8 +89,8 @@ void print_usage(std::ostream& os) {
         "  shutdown         ask the daemon to exit\n"
         "\n"
         "submit flags (run/submit): --reps N --seed N --backend NAME\n"
-        "  --threads N --streams N --optimize --no-batch --priority N\n"
-        "  --tenant NAME --deadline-ms N --progress-every N\n"
+        "  --threads N (never changes the report) --optimize --no-batch\n"
+        "  --priority N --tenant NAME --deadline-ms N --progress-every N\n"
         "  --trace-id N (propagate an existing trace context; default:\n"
         "  the client mints a fresh nonzero id and prints it to stderr)\n"
         "wait flags (run/wait): --timeout-ms N\n"
@@ -124,8 +124,6 @@ bool parse_args(int argc, char** argv, ClientOptions& options) {
       options.submit.backend = need_value(i, arg);
     } else if (arg == "--threads") {
       options.submit.threads = parse_int_flag(arg, need_value(i, arg));
-    } else if (arg == "--streams") {
-      options.submit.streams = parse_u64_flag(arg, need_value(i, arg));
     } else if (arg == "--optimize") {
       options.submit.optimize = true;
     } else if (arg == "--no-batch") {

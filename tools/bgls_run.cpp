@@ -9,14 +9,12 @@
 ///   $ bgls_run --backend mps --threads 8 --out result.json circuit.qasm
 ///   $ cat circuit.qasm | bgls_run --reps 100 -
 ///
-/// The JSON contains only result-determining fields (seed, streams,
-/// repetitions, backend, histograms, scheduling-independent counters),
-/// so for a fixed seed the output is byte-identical across runs and —
-/// on the engine path (--threads != 1) — across thread counts, whose
-/// draws are fixed by --streams alone. --threads 1 is the classic
-/// serial path, which samples from a different (single) RNG stream.
-/// CI pins both with a checked-in expected file and a 2-vs-4-thread
-/// diff.
+/// The JSON contains only result-determining fields (seed, repetitions,
+/// backend, histograms, scheduling-independent counters), so for a
+/// fixed seed the output is byte-identical across runs and across
+/// thread counts: every draw is keyed to its repetition or dictionary
+/// entry, never to a thread. CI pins this with a checked-in expected
+/// file and a 1-vs-2-vs-4-thread comparison.
 
 #include <cstdint>
 #include <fstream>
@@ -46,7 +44,6 @@ struct CliOptions {
   std::uint64_t repetitions = 1024;
   std::uint64_t seed = 0;
   int threads = 1;
-  std::uint64_t streams = 16;
   bool optimize = false;
   bool no_batch = false;
   std::uint64_t timeout_ms = 0;
@@ -66,14 +63,9 @@ void print_usage(std::ostream& os) {
         "                   name registered in the backend registry\n"
         "  --reps N         repetitions to sample (default 1024)\n"
         "  --seed N         RNG seed (default 0)\n"
-        "  --threads N      worker threads; 0 = hardware concurrency.\n"
-        "                   Default 1 = the classic serial path; any other\n"
-        "                   value routes through the batch engine, whose\n"
-        "                   output is identical for every thread count at\n"
-        "                   fixed --streams (1 draws differently)\n"
-        "  --streams N      deterministic RNG streams (default 16; on the\n"
-        "                   engine path this, not --threads, fixes the\n"
-        "                   sampled values)\n"
+        "  --threads N      worker threads (default 1; 0 = hardware\n"
+        "                   concurrency). The report is identical for\n"
+        "                   every thread count\n"
         "  --optimize       run optimize_for_bgls before sampling\n"
         "  --no-batch       disable dictionary batching (per-trajectory\n"
         "                   sampling; draws differ from the batched path)\n"
@@ -113,8 +105,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       options.seed = parse_u64_flag(arg, need_value(i, arg));
     } else if (arg == "--threads") {
       options.threads = parse_int_flag(arg, need_value(i, arg));
-    } else if (arg == "--streams") {
-      options.streams = parse_u64_flag(arg, need_value(i, arg));
     } else if (arg == "--optimize") {
       options.optimize = true;
     } else if (arg == "--no-batch") {
@@ -162,7 +152,6 @@ int run_cli(const CliOptions& options) {
                            .with_repetitions(options.repetitions)
                            .with_seed(options.seed)
                            .with_threads(options.threads)
-                           .with_rng_streams(options.streams)
                            .with_optimization(options.optimize)
                            .with_sample_parallelization(!options.no_batch)
                            .with_deadline_ms(options.timeout_ms);

@@ -87,7 +87,6 @@ NONDET_ALLOWED_PREFIXES = (
     "src/service/daemon.",      # journal-replay + uptime accounting
     "src/service/fleet.",       # placement/proxy span + health timing
     "src/api/session.",         # per-run elapsed-seconds reporting
-    "src/engine/engine.h",      # shard timer (progress heartbeats)
     "src/statevector/kernels.cpp",  # kernel progress heartbeat
     "tests/",                   # timing assertions, stress loops
     "bench/",                   # benchmarks measure time by definition

@@ -1,9 +1,10 @@
 # CTest script driving the bgls_run CLI end to end:
 #  1. sample the checked-in QASM circuit (automatic backend selection)
 #     and require byte-identical output against the recorded expectation;
-#  2. sample it again through the statevector backend at two different
-#     thread counts and require the two reports to be byte-identical
-#     (the engine's determinism guarantee, visible at the CLI surface).
+#  2. sample it again through the statevector backend at 1, 2 and 4
+#     threads, on the dictionary path and with --no-batch on the
+#     trajectory path, and require the reports to be byte-identical (the
+#     sampler's determinism guarantee, visible at the CLI surface).
 #
 # Variables: BGLS_RUN, QASM, EXPECTED, WORK_DIR.
 
@@ -50,17 +51,28 @@ if(bits_pos EQUAL -1)
     "${x0_report}")
 endif()
 
-# 3. Thread-count invariance through the statevector engine path.
-run_bgls_run(${WORK_DIR}/cli_sv_t2.json
-             --backend sv --threads 2 --streams 8 --reps 4096 --seed 11)
-run_bgls_run(${WORK_DIR}/cli_sv_t4.json
-             --backend sv --threads 4 --streams 8 --reps 4096 --seed 11)
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/cli_sv_t2.json ${WORK_DIR}/cli_sv_t4.json
-  RESULT_VARIABLE diff_threads)
-if(NOT diff_threads EQUAL 0)
-  message(FATAL_ERROR
-    "bgls_run statevector output changed with the thread count "
-    "(2 vs 4 workers) — the determinism contract is broken")
-endif()
+# 3. Thread-count invariance on both sampling paths.
+foreach(path IN ITEMS dictionary trajectory)
+  set(extra)
+  if(path STREQUAL "trajectory")
+    set(extra --no-batch)
+  endif()
+  foreach(threads IN ITEMS 1 2 4)
+    run_bgls_run(${WORK_DIR}/cli_sv_${path}_t${threads}.json
+                 --backend sv --threads ${threads} --reps 4096 --seed 11
+                 ${extra})
+  endforeach()
+  foreach(threads IN ITEMS 2 4)
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E compare_files
+              ${WORK_DIR}/cli_sv_${path}_t1.json
+              ${WORK_DIR}/cli_sv_${path}_t${threads}.json
+      RESULT_VARIABLE diff_threads)
+    if(NOT diff_threads EQUAL 0)
+      message(FATAL_ERROR
+        "bgls_run statevector output (${path} path) changed with the "
+        "thread count (1 vs ${threads}) — the determinism contract is "
+        "broken")
+    endif()
+  endforeach()
+endforeach()

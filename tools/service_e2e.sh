@@ -494,11 +494,12 @@ if [ -n "$FLEET" ]; then
       || fail "fleet metrics missing the front's own series"
 
     TRACE_ID=424242
-    # --threads 2 forces the batch-engine path so the tree reaches the
-    # shard spans; reps sized so the job takes real wall time and the
-    # blocking wait — on the worker and on the fleet proxying it —
-    # crosses the --slow-ms 1 threshold (batched sampling clears
-    # ~200k reps in under a millisecond).
+    # A dictionary-path job, so its run records one shard span and an
+    # evolve span (the span tree is the same at any thread count); reps
+    # sized so the job takes real wall time and the blocking wait — on
+    # the worker and on the fleet proxying it — crosses the --slow-ms 1
+    # threshold (batched sampling clears ~200k reps in under a
+    # millisecond).
     TJOB=$("$CLIENT" --connect "$FCONNECT" submit --reps 20000000 --seed 7 \
       --threads 2 --trace-id "$TRACE_ID" "$DATA/ghz.qasm") \
       || fail "traced submit failed"
@@ -511,7 +512,7 @@ if [ -n "$FLEET" ]; then
       --chrome-trace "$WORK/trace_chrome.json" > "$WORK/trace_tree.txt" \
       || fail "trace op failed"
     for span in 'fleet.place (' 'fleet.proxy (' 'queue (' 'run (' \
-                'sample (' 'shard\['; do
+                'sample (' 'shard (' 'evolve ('; do
       grep -q -- "- $span" "$WORK/trace_tree.txt" \
         || fail "trace tree missing span '$span': $(cat "$WORK/trace_tree.txt")"
     done
