@@ -17,19 +17,6 @@
 
 namespace bgls::service {
 
-/// Thrown when the server answered with ok=false; carries the protocol
-/// error code ("cancelled", "timeout", "queue_full", ...).
-class ServiceError : public Error {
- public:
-  ServiceError(std::string code, const std::string& message)
-      : Error(message), code_(std::move(code)) {}
-
-  [[nodiscard]] const std::string& code() const { return code_; }
-
- private:
-  std::string code_;
-};
-
 /// Synchronous protocol client (see file comment).
 class ServiceClient {
  public:

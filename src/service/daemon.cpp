@@ -10,76 +10,12 @@
 #include "service/protocol.h"
 #include "util/error.h"
 #include "util/json_writer.h"
+#include "util/timing.h"
 
 namespace bgls::service {
 namespace {
 
 using namespace std::chrono_literals;
-
-/// Daemon series. Per-op counters are pre-registered (the map is
-/// read-only after construction), so the request path only touches
-/// relaxed atomics.
-struct DaemonMetrics {
-  std::map<std::string, obs::Counter, std::less<>> requests;
-  obs::Counter unknown_requests;
-  obs::Histogram request_seconds;
-  obs::Counter connections;
-  obs::Gauge open_connections;
-
-  DaemonMetrics() {
-    auto& registry = obs::MetricsRegistry::global();
-    const char* help = "Requests handled, by op";
-    for (const char* op : {"submit", "status", "cancel", "result", "wait",
-                           "stream", "stats", "metrics", "trace", "logs",
-                           "shutdown"}) {
-      requests.emplace(
-          op, registry.counter("bgls_daemon_requests_total{op=\"" +
-                                   std::string(op) + "\"}",
-                               help));
-    }
-    unknown_requests =
-        registry.counter("bgls_daemon_requests_total{op=\"other\"}", help);
-    request_seconds = registry.histogram(
-        "bgls_daemon_request_seconds",
-        "Wall time handling one request line (stream/wait ops include "
-        "the time spent following the job)");
-    connections = registry.counter("bgls_daemon_connections_total",
-                                   "Client connections accepted");
-    open_connections = registry.gauge("bgls_daemon_open_connections",
-                                      "Client connections currently open");
-  }
-
-  void count(std::string_view op) {
-    const auto it = requests.find(op);
-    (it != requests.end() ? it->second : unknown_requests).add();
-  }
-
-  static DaemonMetrics& instance() {
-    static DaemonMetrics metrics;
-    return metrics;
-  }
-};
-
-/// Builds one compact response line ({"ok":...,...}\n) via a filler
-/// callback receiving the open JsonWriter object scope.
-template <typename Fill>
-std::string response_line(bool ok, Fill fill) {
-  std::ostringstream os;
-  JsonWriter json(os, JsonWriter::Style::kCompact);
-  json.begin_object();
-  json.key("ok").value(ok);
-  fill(json);
-  json.end_object();
-  os << "\n";
-  return os.str();
-}
-
-std::string error_line(const std::string& code, const std::string& message) {
-  return response_line(false, [&](JsonWriter& json) {
-    json.key("code").value(code);
-    json.key("error").value(message);
-  });
-}
 
 /// Maps a terminal non-done job state onto its wire error code.
 std::string state_error_code(JobState state) {
@@ -124,7 +60,27 @@ std::string evict_record(std::uint64_t job) {
 }  // namespace
 
 ServiceDaemon::ServiceDaemon(DaemonOptions options)
-    : options_(std::move(options)), scheduler_(hooked_scheduler_options()) {}
+    : options_(std::move(options)),
+      scheduler_(hooked_scheduler_options()),
+      server_({.name = "daemon",
+               .max_connections = kWorkerMaxConnections,
+               .slow_request_ms = options_.slow_request_ms,
+               .trace_of = [this](std::uint64_t job) { return trace_of(job); }},
+              handlers()) {}
+
+LineServer::Handlers ServiceDaemon::handlers() {
+  return {
+      {"submit", [this](const Request& r) { handle_submit(r); }},
+      {"status", [this](const Request& r) { handle_status(r); }},
+      {"cancel", [this](const Request& r) { handle_cancel(r); }},
+      {"result", [this](const Request& r) { handle_result_or_wait(r, false); }},
+      {"wait", [this](const Request& r) { handle_result_or_wait(r, true); }},
+      {"stream", [this](const Request& r) { handle_stream(r); }},
+      {"stats", [this](const Request& r) { handle_stats(r); }},
+      {"metrics", [this](const Request& r) { handle_metrics(r); }},
+      {"trace", [this](const Request& r) { handle_trace(r); }},
+  };
+}
 
 SchedulerOptions& ServiceDaemon::hooked_scheduler_options() {
   SchedulerOptions& scheduler = options_.scheduler;
@@ -177,17 +133,14 @@ void ServiceDaemon::journal_terminal(const JobInfo& info) {
 ServiceDaemon::~ServiceDaemon() { stop(); }
 
 void ServiceDaemon::start() {
-  BGLS_REQUIRE(!started_, "daemon already started");
   if (!options_.journal_path.empty() && !journal_.is_open()) {
     replay_journal();
   }
-  server_.listen_on(options_.endpoint);
-  started_ = true;
-  acceptor_ = std::thread([this] { accept_loop(); });
+  server_.start(options_.endpoint);
 }
 
 void ServiceDaemon::replay_journal() {
-  const auto replay_start = std::chrono::steady_clock::now();
+  const Stopwatch replay_watch;
   std::size_t skipped = 0;
   const std::vector<JsonValue> records =
       Journal::replay_file(options_.journal_path, &skipped);
@@ -316,10 +269,7 @@ void ServiceDaemon::replay_journal() {
       ++dropped;
     }
   }
-  const double replay_seconds = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() -
-                                    replay_start)
-                                    .count();
+  const double replay_seconds = replay_watch.seconds();
   record_journal_replay_seconds(replay_seconds);
   obs::log(obs::LogLevel::kInfo, "daemon", "journal replayed",
            {{"terminal_jobs", terminal_jobs},
@@ -329,186 +279,28 @@ void ServiceDaemon::replay_journal() {
 }
 
 void ServiceDaemon::stop() {
-  if (!started_) return;
-  stopping_.store(true, std::memory_order_release);
-  server_.close();
-  if (acceptor_.joinable()) acceptor_.join();
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    // Unblock handler threads stuck in read_line; fds are released when
-    // the Connection objects die below, after the joins.
-    for (auto& connection : connections_) connection->socket.shutdown_both();
-  }
-  std::vector<std::unique_ptr<Connection>> connections;
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections.swap(connections_);
-  }
-  for (auto& connection : connections) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
+  server_.stop();
   // Durability barrier: every acknowledged record is on disk before we
   // report stopped. The journal stays open — scheduler runners may
   // still finish (and journal) jobs until ~JobScheduler joins them.
   if (journal_.is_open()) journal_.flush();
-  started_ = false;
-  {
-    const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    shutdown_requested_ = true;
-  }
-  shutdown_cv_.notify_all();
 }
 
-void ServiceDaemon::wait_for_shutdown() {
-  std::unique_lock<std::mutex> lock(shutdown_mutex_);
-  shutdown_cv_.wait(lock, [&] { return shutdown_requested_; });
-}
+void ServiceDaemon::wait_for_shutdown() { server_.wait_for_shutdown(); }
 
-void ServiceDaemon::request_shutdown() {
-  {
-    const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    shutdown_requested_ = true;
-  }
-  shutdown_cv_.notify_all();
-}
+void ServiceDaemon::request_shutdown() { server_.request_shutdown(); }
 
-void ServiceDaemon::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    Socket socket = server_.accept();
-    if (!socket.valid()) break;  // close()d
-    reap_connections();
-    auto connection = std::make_unique<Connection>();
-    connection->socket = std::move(socket);
-    Connection* raw = connection.get();
-    connection->thread = std::thread([this, raw] { handle_connection(*raw); });
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.push_back(std::move(connection));
-  }
-}
-
-void ServiceDaemon::reap_connections() {
-  const std::lock_guard<std::mutex> lock(connections_mutex_);
-  auto it = connections_.begin();
-  while (it != connections_.end()) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ServiceDaemon::handle_connection(Connection& connection) {
-  DaemonMetrics& metrics = DaemonMetrics::instance();
-  metrics.connections.add();
-  metrics.open_connections.add(1);
-  std::string line;
+std::uint64_t ServiceDaemon::trace_of(std::uint64_t job) const {
   try {
-    while (connection.socket.read_line(line)) {
-      if (line.empty()) continue;
-      handle_line(line, connection.socket);
-    }
-  } catch (const IoError&) {
-    // Peer vanished mid-request/response — normal client churn.
-  }
-  metrics.open_connections.sub(1);
-  connection.done.store(true, std::memory_order_release);
-}
-
-void ServiceDaemon::handle_line(const std::string& line, Socket& socket) {
-  JsonValue message;
-  try {
-    message = JsonValue::parse(line);
-  } catch (const ParseError& e) {
-    socket.write_all(error_line("parse_error", e.what()));
-    return;
-  }
-  std::string op;
-  const auto request_start = std::chrono::steady_clock::now();
-  try {
-    op = message.string_or("op", "");
-    DaemonMetrics::instance().count(op);
-    if (op == "submit") {
-      handle_submit(message, line, socket);
-    } else if (op == "status") {
-      handle_status(message, socket);
-    } else if (op == "cancel") {
-      handle_cancel(message, socket);
-    } else if (op == "result") {
-      handle_result_or_wait(message, socket, /*wait=*/false);
-    } else if (op == "wait") {
-      handle_result_or_wait(message, socket, /*wait=*/true);
-    } else if (op == "stream") {
-      handle_stream(message, socket);
-    } else if (op == "stats") {
-      handle_stats(socket);
-    } else if (op == "metrics") {
-      handle_metrics(socket);
-    } else if (op == "trace") {
-      handle_trace(message, socket);
-    } else if (op == "logs") {
-      handle_logs(message, socket);
-    } else if (op == "shutdown") {
-      socket.write_all(response_line(true, [](JsonWriter&) {}));
-      {
-        const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-        shutdown_requested_ = true;
-      }
-      shutdown_cv_.notify_all();
-    } else {
-      socket.write_all(
-          error_line("unknown_op", "unknown op '" + op + "'"));
-    }
-  } catch (const IoError&) {
-    throw;  // connection-level: let the handler loop exit
-  } catch (const QueueFullError& e) {
-    socket.write_all(error_line("queue_full", e.what()));
-  } catch (const TenantQuotaError& e) {
-    // Retryable like queue_full: the tenant's backlog drains.
-    socket.write_all(error_line("tenant_quota", e.what()));
-  } catch (const CostBudgetError& e) {
-    // Retryable only for the backlog budget; a per-job over-budget
-    // rejection re-fails identically, but the slug lets clients decide.
-    socket.write_all(error_line("over_budget", e.what()));
-  } catch (const JournalError& e) {
-    // Transient durability failure: the client should back off and
-    // retry (bgls_client --retries does).
-    socket.write_all(error_line("journal_error", e.what()));
-  } catch (const ParseError& e) {
-    socket.write_all(error_line("parse_error", e.what()));
-  } catch (const std::exception& e) {
-    // Unknown job ids, malformed fields, capability errors, ...
-    socket.write_all(error_line("bad_request", e.what()));
-  }
-  const double request_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    request_start)
-          .count();
-  DaemonMetrics::instance().request_seconds.observe(request_seconds);
-  if (options_.slow_request_ms > 0 &&
-      request_seconds * 1000.0 >=
-          static_cast<double>(options_.slow_request_ms)) {
-    // Resolve the request's trace id for correlation: submits carry it
-    // inline; job ops go through the job's trace.
-    const std::uint64_t job_id = message.u64_or("job", 0);
-    std::uint64_t trace_id = message.u64_or("trace_id", 0);
-    if (trace_id == 0 && job_id != 0) {
-      try {
-        const JobInfo info = scheduler_.info(job_id);
-        if (info.trace != nullptr) trace_id = info.trace->id();
-      } catch (const std::exception&) {
-        // Unknown/evicted job — log without correlation.
-      }
-    }
-    obs::log(obs::LogLevel::kWarn, "daemon", "slow request",
-             {{"op", op}, {"ms", request_seconds * 1000.0}}, trace_id, job_id);
+    const JobInfo info = scheduler_.info(job);
+    return info.trace != nullptr ? info.trace->id() : 0;
+  } catch (const std::exception&) {
+    return 0;  // unknown/evicted job — log without correlation
   }
 }
 
-void ServiceDaemon::handle_submit(const JsonValue& message,
-                                  const std::string& line, Socket& socket) {
-  RunRequest request = parse_submit(message);
+void ServiceDaemon::handle_submit(const Request& r) {
+  RunRequest request = parse_submit(r.message);
   // Same width the CLI reports (no clamping) — the report must match
   // bgls_run byte for byte.
   const RunReportContext context =
@@ -528,7 +320,7 @@ void ServiceDaemon::handle_submit(const JsonValue& message,
   // restart daemon still knows the job. On a journal failure the job
   // keeps running but the client gets journal_error and must retry —
   // the orphan's terminal record is dropped at the next replay.
-  if (journal_.is_open()) journal_.append(submit_record(id, line));
+  if (journal_.is_open()) journal_.append(submit_record(id, r.line));
   // Cache hits are born terminal — report the real state so clients
   // can skip straight to `result` without polling.
   JobState state = JobState::kQueued;
@@ -540,17 +332,11 @@ void ServiceDaemon::handle_submit(const JsonValue& message,
   } catch (const ValueError&) {
     // Evicted already (pathologically small retention) — keep kQueued.
   }
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  r.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("job").value(id);
     json.key("state").value(job_state_name(state));
     if (from_cache) json.key("from_cache").value(true);
   }));
-}
-
-std::uint64_t ServiceDaemon::job_field(const JsonValue& message) const {
-  const JsonValue* job = message.find("job");
-  BGLS_REQUIRE(job != nullptr, "request needs a 'job' field");
-  return job->as_u64();
 }
 
 bool ServiceDaemon::find_replayed(std::uint64_t id,
@@ -588,15 +374,15 @@ bool ServiceDaemon::send_replayed(std::uint64_t id, Socket& socket,
   return true;
 }
 
-void ServiceDaemon::handle_status(const JsonValue& message, Socket& socket) {
-  const std::uint64_t id = job_field(message);
+void ServiceDaemon::handle_status(const Request& r) {
+  const std::uint64_t id = job_field(r.message);
   JobInfo info;
   try {
     info = scheduler_.info(id);
   } catch (const ValueError&) {
     ReplayedResult replayed;
     if (!find_replayed(id, replayed)) throw;
-    socket.write_all(response_line(true, [&](JsonWriter& json) {
+    r.socket.write_all(response_line(true, [&](JsonWriter& json) {
       json.key("job").value(id);
       json.key("state").value(job_state_name(replayed.state));
       if (!replayed.error.empty()) json.key("error").value(replayed.error);
@@ -607,7 +393,7 @@ void ServiceDaemon::handle_status(const JsonValue& message, Socket& socket) {
     }));
     return;
   }
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  r.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("job").value(info.id);
     json.key("state").value(job_state_name(info.state));
     json.key("priority").value(info.priority);
@@ -633,10 +419,10 @@ void ServiceDaemon::handle_status(const JsonValue& message, Socket& socket) {
   }));
 }
 
-void ServiceDaemon::handle_cancel(const JsonValue& message, Socket& socket) {
-  const std::uint64_t id = job_field(message);
+void ServiceDaemon::handle_cancel(const Request& r) {
+  const std::uint64_t id = job_field(r.message);
   const bool cancelled = scheduler_.cancel(id);
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  r.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("job").value(id);
     json.key("cancelled").value(cancelled);
   }));
@@ -684,35 +470,32 @@ void ServiceDaemon::send_result(const JobInfo& info, Socket& socket,
   }));
 }
 
-void ServiceDaemon::handle_result_or_wait(const JsonValue& message,
-                                          Socket& socket, bool wait) {
-  const std::uint64_t id = job_field(message);
+void ServiceDaemon::handle_result_or_wait(const Request& r, bool wait) {
+  const std::uint64_t id = job_field(r.message);
   JobInfo info;
   try {
     info = scheduler_.info(id);
   } catch (const ValueError&) {
-    if (send_replayed(id, socket, "")) return;
+    if (send_replayed(id, r.socket, "")) return;
     throw;
   }
   if (wait) {
     // Bounded waits keep stop() responsive: poll the scheduler in
     // slices instead of blocking unboundedly on the condition variable.
-    const std::uint64_t timeout_ms = message.u64_or("timeout_ms", 0);
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (!is_terminal(info.state) &&
-           !stopping_.load(std::memory_order_acquire)) {
-      if (timeout_ms > 0 && std::chrono::steady_clock::now() >= deadline) {
-        break;
-      }
+    const double timeout_ms =
+        static_cast<double>(r.message.u64_or("timeout_ms", 0));
+    const Stopwatch waited;
+    while (!is_terminal(info.state) && !server_.stopping()) {
+      if (timeout_ms > 0 && waited.seconds() * 1000.0 >= timeout_ms) break;
       info = scheduler_.wait(id, 200ms);
     }
   }
-  send_result(info, socket, "");
+  send_result(info, r.socket, "");
 }
 
-void ServiceDaemon::handle_stream(const JsonValue& message, Socket& socket) {
-  const std::uint64_t id = job_field(message);
+void ServiceDaemon::handle_stream(const Request& r) {
+  const std::uint64_t id = job_field(r.message);
+  Socket& socket = r.socket;
   if (send_replayed(id, socket, "result")) return;
   std::size_t cursor = 0;
   while (true) {
@@ -734,7 +517,7 @@ void ServiceDaemon::handle_stream(const JsonValue& message, Socket& socket) {
       send_result(info, socket, "result");
       return;
     }
-    if (stopping_.load(std::memory_order_acquire)) {
+    if (server_.stopping()) {
       send_result(info, socket, "result");
       return;
     }
@@ -742,9 +525,9 @@ void ServiceDaemon::handle_stream(const JsonValue& message, Socket& socket) {
   }
 }
 
-void ServiceDaemon::handle_stats(Socket& socket) {
+void ServiceDaemon::handle_stats(const Request& r) {
   const SchedulerStats stats = scheduler_.stats();
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  r.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("submitted").value(stats.submitted);
     json.key("rejected").value(stats.rejected);
     json.key("completed").value(stats.completed);
@@ -772,18 +555,18 @@ void ServiceDaemon::handle_stats(Socket& socket) {
   }));
 }
 
-void ServiceDaemon::handle_metrics(Socket& socket) {
+void ServiceDaemon::handle_metrics(const Request& r) {
   // The whole process-wide registry, not just daemon series: a scrape
   // sees kernel/engine/pool/scheduler series from the same snapshot.
   const std::string text =
       obs::to_prometheus(obs::MetricsRegistry::global().snapshot());
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  r.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("metrics").value(text);
   }));
 }
 
-void ServiceDaemon::handle_trace(const JsonValue& message, Socket& socket) {
-  const std::uint64_t id = job_field(message);
+void ServiceDaemon::handle_trace(const Request& r) {
+  const std::uint64_t id = job_field(r.message);
   const JobInfo info = scheduler_.info(id);  // throws on unknown id
   std::uint64_t trace_id = 0;
   std::vector<obs::SpanRecord> spans;
@@ -791,31 +574,11 @@ void ServiceDaemon::handle_trace(const JsonValue& message, Socket& socket) {
     trace_id = info.trace->id();
     spans = info.trace->spans();  // sorted (name, index, id)
   }
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  r.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("job").value(id);
     json.key("trace_id").value(trace_id);
     json.key("spans");
     write_spans(json, spans);
-  }));
-}
-
-void ServiceDaemon::handle_logs(const JsonValue& message, Socket& socket) {
-  const std::string level_name = message.string_or("level", "debug");
-  obs::LogLevel min_level = obs::LogLevel::kDebug;
-  BGLS_REQUIRE(obs::parse_log_level(level_name, &min_level),
-               "unknown log level '", level_name,
-               "' (expected debug/info/warn/error)");
-  const std::uint64_t trace_id = message.u64_or("trace_id", 0);
-  const std::uint64_t limit = message.u64_or("limit", 100);
-  const std::vector<obs::LogRecord> records = obs::Logger::global().tail(
-      static_cast<std::size_t>(limit), min_level, trace_id);
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
-    json.key("count").value(static_cast<std::uint64_t>(records.size()));
-    json.key("lines").begin_array();
-    for (const obs::LogRecord& record : records) {
-      json.value(obs::format_log_line(record));
-    }
-    json.end_array();
   }));
 }
 

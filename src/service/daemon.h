@@ -3,27 +3,23 @@
 /// `bgls_serve` (tools/): a JobScheduler fronted by an ndjson socket
 /// protocol (service/protocol.h) over a Unix-domain or TCP endpoint.
 ///
-/// One thread accepts connections; each connection gets a handler
-/// thread processing request lines until the peer disconnects (clients
-/// may pipeline many requests over one connection — submit, poll other
-/// jobs, stream, cancel). The daemon is embeddable: tests and
-/// examples/service_client.cpp start one in-process with start()/stop()
-/// and drive it through ServiceClient over a real socket, which is
-/// exactly the code path the standalone binary runs.
+/// The daemon is a handler table plus its state (scheduler, journal,
+/// report contexts); LineServer (service/line_server.h) owns the socket
+/// and the threads: one acceptor, one handler thread per connection.
+/// The daemon is embeddable: tests and examples/service_client.cpp
+/// start one in-process with start()/stop() and drive it through
+/// ServiceClient over a real socket, which is exactly the code path the
+/// standalone binary runs.
 
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "service/journal.h"
+#include "service/line_server.h"
 #include "service/report.h"
 #include "service/scheduler.h"
 #include "service/socket.h"
@@ -51,7 +47,7 @@ struct DaemonOptions {
   std::uint64_t slow_request_ms = 0;
 };
 
-/// The service process: scheduler + acceptor + per-connection handlers.
+/// The service process: scheduler + journal behind a LineServer.
 class ServiceDaemon {
  public:
   explicit ServiceDaemon(DaemonOptions options);
@@ -87,34 +83,22 @@ class ServiceDaemon {
   [[nodiscard]] JobScheduler& scheduler() { return scheduler_; }
 
  private:
-  struct Connection {
-    Socket socket;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
+  using Request = LineServer::Request;
 
-  void accept_loop();
-  void handle_connection(Connection& connection);
-  /// Dispatches one request line. Responses (and stream progress
-  /// lines) are written to the connection socket directly.
-  void handle_line(const std::string& line, Socket& socket);
+  [[nodiscard]] LineServer::Handlers handlers();
 
-  void handle_submit(const JsonValue& message, const std::string& line,
-                     Socket& socket);
-  void handle_status(const JsonValue& message, Socket& socket);
-  void handle_cancel(const JsonValue& message, Socket& socket);
-  void handle_result_or_wait(const JsonValue& message, Socket& socket,
-                             bool wait);
-  void handle_stream(const JsonValue& message, Socket& socket);
-  void handle_stats(Socket& socket);
+  void handle_submit(const Request& request);
+  void handle_status(const Request& request);
+  void handle_cancel(const Request& request);
+  void handle_result_or_wait(const Request& request, bool wait);
+  void handle_stream(const Request& request);
+  void handle_stats(const Request& request);
   /// Prometheus text exposition of the process-wide telemetry registry,
   /// embedded as the "metrics" string field of the response line.
-  void handle_metrics(Socket& socket);
+  void handle_metrics(const Request& request);
   /// The job's span tree ({"trace_id":...,"spans":[...]}); a fleet
   /// front stitches these worker spans with its own placement spans.
-  void handle_trace(const JsonValue& message, Socket& socket);
-  /// Tails the structured-log ring with level/trace filters.
-  void handle_logs(const JsonValue& message, Socket& socket);
+  void handle_trace(const Request& request);
 
   /// Sends the terminal-state response for a job ("result" shape: the
   /// canonical report on kDone, an error code otherwise). `type` tags
@@ -122,10 +106,8 @@ class ServiceDaemon {
   void send_result(const JobInfo& info, Socket& socket,
                    const std::string& type);
 
-  /// Joins and drops finished connections (called from the acceptor).
-  void reap_connections();
-
-  [[nodiscard]] std::uint64_t job_field(const JsonValue& message) const;
+  /// The job's trace id for slow-request logs (0 when unknown).
+  [[nodiscard]] std::uint64_t trace_of(std::uint64_t job) const;
 
   /// Terminal job restored from the journal at start() — answers
   /// status/result/wait/stream for its id without re-running.
@@ -155,13 +137,6 @@ class ServiceDaemon {
   /// threads append through the hooks until ~JobScheduler joins them.
   Journal journal_;
   JobScheduler scheduler_;
-  ServerSocket server_;
-  std::thread acceptor_;
-  bool started_ = false;
-  std::atomic<bool> stopping_{false};
-
-  std::mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_;
 
   /// Report contexts per job (the submit knobs echoed into the
   /// canonical report), kept daemon-side so `result` can rebuild the
@@ -173,9 +148,9 @@ class ServiceDaemon {
   mutable std::mutex replayed_mutex_;
   std::map<std::uint64_t, ReplayedResult> replayed_;
 
-  std::mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
-  bool shutdown_requested_ = false;
+  /// Declared last: its handler threads use every member above, and
+  /// stop() joins them before any of those is destroyed.
+  LineServer server_;
 };
 
 }  // namespace bgls::service

@@ -1,7 +1,6 @@
 #include "service/fleet.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -13,6 +12,7 @@
 #include "obs/metrics.h"
 #include "service/protocol.h"
 #include "util/json_writer.h"
+#include "util/timing.h"
 
 namespace bgls::service {
 namespace {
@@ -43,25 +43,6 @@ struct FleetMetrics {
     return metrics;
   }
 };
-
-template <typename Fill>
-std::string response_line(bool ok, Fill fill) {
-  std::ostringstream os;
-  JsonWriter json(os, JsonWriter::Style::kCompact);
-  json.begin_object();
-  json.key("ok").value(ok);
-  fill(json);
-  json.end_object();
-  os << "\n";
-  return os.str();
-}
-
-std::string error_line(const std::string& code, const std::string& message) {
-  return response_line(false, [&](JsonWriter& json) {
-    json.key("code").value(code);
-    json.key("error").value(message);
-  });
-}
 
 /// Re-emits a parsed JSON value (the proxy rewrites ids inside
 /// otherwise-opaque worker messages).
@@ -137,12 +118,6 @@ std::string with_trace_context(const JsonValue& message,
   return os.str();
 }
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// Injects worker="N" into one Prometheus series line:
 ///   name{a="b"} v  →  name{worker="N",a="b"} v
 ///   name v         →  name{worker="N"} v
@@ -160,6 +135,14 @@ std::string with_worker_label(const std::string& line, std::size_t worker) {
   return line.substr(0, space) + "{" + label + "}" + line.substr(space);
 }
 
+/// True for a worker answer that refused the connection or the line: the
+/// worker closes the link after it, but is up.
+bool refuses_link(const std::string& answer) {
+  if (!answer.starts_with(R"({"ok":false)")) return false;
+  const std::string code = JsonValue::parse(answer).string_or("code", "");
+  return code == "too_many_connections" || code == "line_too_long";
+}
+
 /// True for final (non-progress) frames carrying a terminal job state.
 bool is_terminal_frame(const JsonValue& frame) {
   const std::string state = frame.string_or("state", "");
@@ -169,7 +152,14 @@ bool is_terminal_frame(const JsonValue& frame) {
 
 }  // namespace
 
-FleetDaemon::FleetDaemon(FleetOptions options) : options_(std::move(options)) {
+FleetDaemon::FleetDaemon(FleetOptions options)
+    : options_(std::move(options)),
+      server_({.name = "fleet",
+               .max_connections = kFleetMaxConnections,
+               .descriptors_per_connection = 1 + options_.workers.size(),
+               .slow_request_ms = options_.slow_request_ms,
+               .trace_of = [this](std::uint64_t job) { return trace_of(job); }},
+              handlers()) {
   BGLS_REQUIRE(!options_.workers.empty(),
                "a fleet needs at least one --worker endpoint");
   workers_.reserve(options_.workers.size());
@@ -180,55 +170,52 @@ FleetDaemon::FleetDaemon(FleetOptions options) : options_(std::move(options)) {
   }
 }
 
+LineServer::Handlers FleetDaemon::handlers() {
+  // Counts every worker_down answer, whichever handler raised it.
+  const auto counted = [this](void (FleetDaemon::*handle)(const Request&)) {
+    return [this, handle](const Request& request) {
+      try {
+        (this->*handle)(request);
+      } catch (const ServiceError& e) {
+        if (e.code() == "worker_down") FleetMetrics::instance().worker_down.add();
+        throw;
+      }
+    };
+  };
+  const auto job_op = counted(&FleetDaemon::handle_job_op);
+  return {
+      {"submit", counted(&FleetDaemon::handle_submit)},
+      {"status", job_op},
+      {"cancel", job_op},
+      {"result", job_op},
+      {"wait", job_op},
+      {"stream", job_op},
+      {"stats", counted(&FleetDaemon::handle_stats)},
+      {"metrics", counted(&FleetDaemon::handle_metrics)},
+      {"trace", counted(&FleetDaemon::handle_trace)},
+      {"fleet", counted(&FleetDaemon::handle_fleet)},
+      {"drain", counted(&FleetDaemon::handle_drain)},
+      {"undrain", counted(&FleetDaemon::handle_drain)},
+  };
+}
+
 FleetDaemon::~FleetDaemon() { stop(); }
 
 void FleetDaemon::start() {
-  server_.listen_on(options_.endpoint);
-  started_ = true;
+  server_.start(options_.endpoint);
   FleetMetrics::instance().live_workers.set(
       static_cast<std::int64_t>(workers_.size()));
-  acceptor_ = std::thread([this] { accept_loop(); });
   health_ = std::thread([this] { health_loop(); });
 }
 
 void FleetDaemon::stop() {
-  if (!started_) return;
-  stopping_.store(true, std::memory_order_release);
-  server_.close();
-  if (acceptor_.joinable()) acceptor_.join();
-  {
-    const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    shutdown_requested_ = true;
-  }
-  shutdown_cv_.notify_all();  // also wakes the health thread's sleep
+  server_.stop();  // also ends health_loop's wait
   if (health_.joinable()) health_.join();
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (auto& connection : connections_) connection->socket.shutdown_both();
-  }
-  std::vector<std::unique_ptr<Connection>> connections;
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections.swap(connections_);
-  }
-  for (auto& connection : connections) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-  started_ = false;
 }
 
-void FleetDaemon::wait_for_shutdown() {
-  std::unique_lock<std::mutex> lock(shutdown_mutex_);
-  shutdown_cv_.wait(lock, [&] { return shutdown_requested_; });
-}
+void FleetDaemon::wait_for_shutdown() { server_.wait_for_shutdown(); }
 
-void FleetDaemon::request_shutdown() {
-  {
-    const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    shutdown_requested_ = true;
-  }
-  shutdown_cv_.notify_all();
-}
+void FleetDaemon::request_shutdown() { server_.request_shutdown(); }
 
 std::vector<FleetDaemon::WorkerStatus> FleetDaemon::workers() const {
   std::vector<WorkerStatus> out;
@@ -245,62 +232,90 @@ std::vector<FleetDaemon::WorkerStatus> FleetDaemon::workers() const {
   return out;
 }
 
-void FleetDaemon::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    Socket socket = server_.accept();
-    if (!socket.valid()) break;  // close()d
-    reap_connections();
-    auto connection = std::make_unique<Connection>();
-    connection->socket = std::move(socket);
-    Connection* raw = connection.get();
-    connection->thread = std::thread([this, raw] { handle_connection(*raw); });
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.push_back(std::move(connection));
+std::string FleetDaemon::call(std::vector<Socket>& links, std::size_t worker,
+                              std::string_view line) {
+  // Re-emitting a request (trace fields, JsonWriter's \u00XX escapes)
+  // can grow it past the cap it passed here; refuse it before a worker
+  // does and drops the link.
+  if (line.size() > kMaxRequestLineBytes + 1) {
+    throw ServiceError("line_too_long",
+                       "request grows to " + std::to_string(line.size() - 1) +
+                           " bytes when forwarded, over the cap of " +
+                           std::to_string(kMaxRequestLineBytes));
   }
-}
-
-void FleetDaemon::reap_connections() {
-  const std::lock_guard<std::mutex> lock(connections_mutex_);
-  auto it = connections_.begin();
-  while (it != connections_.end()) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void FleetDaemon::handle_connection(Connection& connection) {
-  // One proxy socket per worker per client connection, opened on first
-  // use: blocking ops (wait/stream) held by one client never stall
-  // another client's traffic to the same worker.
-  std::vector<std::unique_ptr<Socket>> links(workers_.size());
-  std::string line;
+  links.resize(workers_.size());
+  Socket& link = links[worker];
+  std::string answer;
   try {
-    while (connection.socket.read_line(line)) {
-      if (line.empty()) continue;
-      handle_line(line, connection.socket, links);
+    if (!link.valid()) link = connect_to(workers_[worker]->endpoint);
+    std::string write_error;
+    try {
+      if (!line.empty()) link.write_all(line);
+    } catch (const IoError& e) {
+      write_error = e.what();  // a refusal may still be there to read
     }
-  } catch (const IoError&) {
-    // Peer vanished mid-request/response — normal client churn.
+    if (!link.read_line(answer)) {
+      detail::throw_error<IoError>("worker closed the connection");
+    }
+    if (refuses_link(answer)) {
+      link.close();
+      return answer;
+    }
+    if (!write_error.empty()) detail::throw_error<IoError>(write_error);
+  } catch (const DescriptorLimitError& e) {
+    // Out of descriptors here, not a fault of the worker.
+    throw ServiceError("too_many_connections", e.what());
+  } catch (const IoError& e) {
+    link.close();
+    workers_[worker]->alive.store(false, std::memory_order_release);
+    throw ServiceError("worker_down",
+                       "worker " + workers_[worker]->endpoint.to_string() +
+                           " failed mid-request (" + e.what() + ")");
   }
-  connection.done.store(true, std::memory_order_release);
+  return answer;
 }
 
-Socket& FleetDaemon::link(std::vector<std::unique_ptr<Socket>>& links,
-                          std::size_t worker) {
-  if (links[worker] == nullptr || !links[worker]->valid()) {
+std::vector<std::pair<std::size_t, JsonValue>> FleetDaemon::ask_live_workers(
+    std::vector<Socket>& links, const std::string& op) {
+  std::vector<std::pair<std::size_t, JsonValue>> answers;
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    if (!workers_[i]->alive.load(std::memory_order_acquire)) continue;
     try {
-      links[worker] =
-          std::make_unique<Socket>(connect_to(workers_[worker]->endpoint));
-    } catch (const IoError&) {
-      workers_[worker]->alive.store(false, std::memory_order_release);
-      throw;
+      JsonValue answer = JsonValue::parse(call(links, i, op_request_line(op)));
+      if (answer.bool_or("ok", false)) answers.emplace_back(i, std::move(answer));
+    } catch (const ServiceError&) {
+      // Down, or out of reach for now: its counts come back later.
     }
   }
-  return *links[worker];
+  return answers;
+}
+
+FleetDaemon::Route FleetDaemon::live_route(std::uint64_t global_id) const {
+  Route route;
+  {
+    const std::lock_guard<std::mutex> lock(routes_mutex_);
+    const auto it = routes_.find(global_id);
+    if (it == routes_.end()) {
+      throw ServiceError("unknown_job",
+                         "unknown fleet job id " + std::to_string(global_id));
+    }
+    route = it->second;
+  }
+  if (!workers_[route.worker]->alive.load(std::memory_order_acquire)) {
+    throw ServiceError("worker_down",
+                       "job " + std::to_string(global_id) + " lives on " +
+                           workers_[route.worker]->endpoint.to_string() +
+                           ", which is down");
+  }
+  return route;
+}
+
+std::uint64_t FleetDaemon::trace_of(std::uint64_t global_id) const {
+  const std::lock_guard<std::mutex> lock(routes_mutex_);
+  const auto it = routes_.find(global_id);
+  return it != routes_.end() && it->second.trace != nullptr
+             ? it->second.trace->id()
+             : 0;
 }
 
 std::size_t FleetDaemon::pick_worker_locked() const {
@@ -322,67 +337,8 @@ std::size_t FleetDaemon::pick_worker_locked() const {
   return best;
 }
 
-void FleetDaemon::handle_line(const std::string& line, Socket& socket,
-                              std::vector<std::unique_ptr<Socket>>& links) {
-  JsonValue message;
-  try {
-    message = JsonValue::parse(line);
-  } catch (const ParseError& e) {
-    socket.write_all(error_line("parse_error", e.what()));
-    return;
-  }
-  const std::string op = message.string_or("op", "");
-  const auto request_start = std::chrono::steady_clock::now();
-  try {
-    if (op == "submit") {
-      handle_submit(message, line, socket, links);
-    } else if (op == "status" || op == "cancel" || op == "result" ||
-               op == "wait" || op == "stream") {
-      handle_job_op(message, socket, links);
-    } else if (op == "stats") {
-      handle_stats(socket, links);
-    } else if (op == "metrics") {
-      handle_metrics(socket, links);
-    } else if (op == "trace") {
-      handle_trace(message, socket, links);
-    } else if (op == "logs") {
-      handle_logs(message, socket);
-    } else if (op == "fleet") {
-      handle_fleet(socket);
-    } else if (op == "drain" || op == "undrain") {
-      handle_drain(message, socket, op == "drain");
-    } else if (op == "shutdown") {
-      socket.write_all(response_line(true, [](JsonWriter&) {}));
-      request_shutdown();
-    } else {
-      socket.write_all(error_line("unknown_op", "unknown op '" + op + "'"));
-    }
-  } catch (const IoError&) {
-    throw;  // client-side transport failure: let the handler loop exit
-  } catch (const std::exception& e) {
-    socket.write_all(error_line("bad_request", e.what()));
-  }
-  const double request_seconds = seconds_since(request_start);
-  if (options_.slow_request_ms > 0 &&
-      request_seconds * 1000.0 >=
-          static_cast<double>(options_.slow_request_ms)) {
-    const std::uint64_t job_id = message.u64_or("job", 0);
-    std::uint64_t trace_id = message.u64_or("trace_id", 0);
-    if (trace_id == 0 && job_id != 0) {
-      const std::lock_guard<std::mutex> lock(routes_mutex_);
-      const auto it = routes_.find(job_id);
-      if (it != routes_.end() && it->second.trace != nullptr) {
-        trace_id = it->second.trace->id();
-      }
-    }
-    obs::log(obs::LogLevel::kWarn, "fleet", "slow request",
-             {{"op", op}, {"ms", request_seconds * 1000.0}}, trace_id, job_id);
-  }
-}
-
-void FleetDaemon::handle_submit(const JsonValue& message,
-                                const std::string& line, Socket& socket,
-                                std::vector<std::unique_ptr<Socket>>& links) {
+void FleetDaemon::handle_submit(const Request& request) {
+  const JsonValue& message = request.message;
   // Placement + id allocation under one lock so concurrent submits
   // spread out; the proxying itself runs unlocked. The global id is
   // allocated *before* the worker answers so it can double as the
@@ -398,10 +354,8 @@ void FleetDaemon::handle_submit(const JsonValue& message,
     }
   }
   if (target == std::numeric_limits<std::size_t>::max()) {
-    FleetMetrics::instance().worker_down.add();
-    socket.write_all(error_line(
-        "worker_down", "no live undrained worker to place the job on"));
-    return;
+    throw ServiceError("worker_down",
+                       "no live undrained worker to place the job on");
   }
 
   // The fleet's side of the distributed trace. The forwarded line gets
@@ -409,7 +363,7 @@ void FleetDaemon::handle_submit(const JsonValue& message,
   // parent_span_id; the worker's queue/run spans stitch under it. A
   // client-supplied parent_span_id becomes fleet.place's own parent.
   std::shared_ptr<obs::Trace> trace;
-  std::string forward = line + "\n";
+  std::string forward = request.line + "\n";
   if constexpr (obs::kTelemetryCompiled) {
     const std::uint64_t client_trace = message.u64_or("trace_id", 0);
     const std::uint64_t client_parent = message.u64_or("parent_span_id", 0);
@@ -420,36 +374,21 @@ void FleetDaemon::handle_submit(const JsonValue& message,
         message, trace_id, obs::Trace::span_id(trace_id, "fleet.place", 0));
   }
 
-  const auto place_start = std::chrono::steady_clock::now();
-  std::string response_text;
-  try {
-    Socket& worker = link(links, target);
-    worker.write_all(forward);
-    if (!worker.read_line(response_text)) {
-      detail::throw_error<IoError>("worker closed the connection");
-    }
-  } catch (const IoError& e) {
-    workers_[target]->alive.store(false, std::memory_order_release);
-    FleetMetrics::instance().worker_down.add();
-    socket.write_all(error_line(
-        "worker_down",
-        "worker " + workers_[target]->endpoint.to_string() +
-            " failed mid-submit (" + e.what() + "); retry"));
-    return;
-  }
+  const Stopwatch place_watch;
+  const std::string response_text = call(request.links, target, forward);
   FleetMetrics::instance().forwarded.add();
   const JsonValue response = JsonValue::parse(response_text);
   if (!response.bool_or("ok", false) || response.find("job") == nullptr) {
     // Worker-side rejection (queue_full, tenant_quota, over_budget...):
     // forwarded verbatim — the slugs are the protocol's.
-    socket.write_all(response_text + "\n");
+    request.socket.write_all(response_text + "\n");
     return;
   }
   const bool born_terminal = is_terminal_frame(response);
   if (trace != nullptr && obs::enabled()) {
     trace->record({obs::Trace::span_id(trace->id(), "fleet.place", 0),
                    trace->parent(), "fleet.place", 0,
-                   seconds_since(place_start)});
+                   place_watch.seconds()});
     if (born_terminal) {
       // The submit ack itself delivered the terminal state (cache hit,
       // or the job outran the ack) — there will be no later proxied
@@ -475,7 +414,7 @@ void FleetDaemon::handle_submit(const JsonValue& message,
     routes_[global_id] = std::move(route);
   }
   workers_[target]->placed.fetch_add(1, std::memory_order_acq_rel);
-  socket.write_all(with_job_id(response, global_id));
+  request.socket.write_all(with_job_id(response, global_id));
 }
 
 void FleetDaemon::note_finished(std::uint64_t global_id,
@@ -505,78 +444,32 @@ void FleetDaemon::note_finished(std::uint64_t global_id,
   }
 }
 
-void FleetDaemon::handle_job_op(const JsonValue& message, Socket& socket,
-                                std::vector<std::unique_ptr<Socket>>& links) {
-  const JsonValue* job = message.find("job");
-  BGLS_REQUIRE(job != nullptr, "request needs a 'job' field");
-  const std::uint64_t global_id = job->as_u64();
-  Route route;
-  {
-    const std::lock_guard<std::mutex> lock(routes_mutex_);
-    const auto it = routes_.find(global_id);
-    if (it == routes_.end()) {
-      socket.write_all(
-          error_line("unknown_job", "unknown fleet job id " +
-                                        std::to_string(global_id)));
-      return;
-    }
-    route = it->second;
-  }
-  if (!workers_[route.worker]->alive.load(std::memory_order_acquire)) {
-    FleetMetrics::instance().worker_down.add();
-    socket.write_all(error_line(
-        "worker_down", "job " + std::to_string(global_id) + " lives on " +
-                           workers_[route.worker]->endpoint.to_string() +
-                           ", which is down"));
-    return;
-  }
-  try {
-    const auto proxy_start = std::chrono::steady_clock::now();
-    Socket& worker = link(links, route.worker);
-    worker.write_all(with_job_id(message, route.remote_id));
-    // stream answers with any number of progress frames before the
-    // final response; every other op answers exactly one line. A
-    // non-progress frame ends both shapes.
-    std::string frame_text;
-    while (worker.read_line(frame_text)) {
-      const JsonValue frame = JsonValue::parse(frame_text);
-      note_finished(global_id, frame, seconds_since(proxy_start));
-      socket.write_all(with_job_id(frame, global_id));
-      if (frame.string_or("type", "") != "progress") return;
-    }
-    detail::throw_error<IoError>("worker closed the connection");
-  } catch (const IoError& e) {
-    workers_[route.worker]->alive.store(false, std::memory_order_release);
-    FleetMetrics::instance().worker_down.add();
-    socket.write_all(error_line(
-        "worker_down", "worker " +
-                           workers_[route.worker]->endpoint.to_string() +
-                           " failed mid-request (" + e.what() + ")"));
+void FleetDaemon::handle_job_op(const Request& request) {
+  const std::uint64_t global_id = job_field(request.message);
+  const Route route = live_route(global_id);
+  const Stopwatch proxy_watch;
+  // stream answers with any number of progress frames before the final
+  // response; every other op answers exactly one line. A non-progress
+  // frame ends both shapes.
+  std::string forward = with_job_id(request.message, route.remote_id);
+  while (true) {
+    const JsonValue frame =
+        JsonValue::parse(call(request.links, route.worker, forward));
+    note_finished(global_id, frame, proxy_watch.seconds());
+    request.socket.write_all(with_job_id(frame, global_id));
+    if (frame.string_or("type", "") != "progress") return;
+    forward.clear();
   }
 }
 
-void FleetDaemon::handle_stats(Socket& socket,
-                               std::vector<std::unique_ptr<Socket>>& links) {
+void FleetDaemon::handle_stats(const Request& request) {
   // Sum every live worker's counters; the per-backend / per-tenant
   // maps merge by key. Dead workers contribute nothing (their counts
   // come back when they do).
   std::map<std::string, std::uint64_t> totals;
   std::map<std::string, std::map<std::string, std::uint64_t>> maps;
-  std::size_t reachable = 0;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (!workers_[i]->alive.load(std::memory_order_acquire)) continue;
-    std::string response_text;
-    try {
-      Socket& worker = link(links, i);
-      worker.write_all(op_request_line("stats"));
-      if (!worker.read_line(response_text)) continue;
-    } catch (const IoError&) {
-      workers_[i]->alive.store(false, std::memory_order_release);
-      continue;
-    }
-    const JsonValue response = JsonValue::parse(response_text);
-    if (!response.bool_or("ok", false)) continue;
-    ++reachable;
+  const auto answers = ask_live_workers(request.links, "stats");
+  for (const auto& [worker, response] : answers) {
     for (const auto& [key, value] : response.members()) {
       if (key == "ok") continue;
       if (value.kind() == JsonValue::Kind::kNumber) {
@@ -588,10 +481,10 @@ void FleetDaemon::handle_stats(Socket& socket,
       }
     }
   }
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("workers").value(static_cast<std::uint64_t>(workers_.size()));
     json.key("workers_reachable").value(
-        static_cast<std::uint64_t>(reachable));
+        static_cast<std::uint64_t>(answers.size()));
     for (const auto& [key, value] : totals) json.key(key).value(value);
     for (const auto& [key, value] : maps) {
       json.key(key).begin_object();
@@ -601,30 +494,19 @@ void FleetDaemon::handle_stats(Socket& socket,
   }));
 }
 
-void FleetDaemon::handle_metrics(Socket& socket,
-                                 std::vector<std::unique_ptr<Socket>>& links) {
-  std::string text;
+void FleetDaemon::handle_metrics(const Request& request) {
+  std::string text =
+      obs::to_prometheus(obs::MetricsRegistry::global().snapshot());
   if constexpr (obs::kTelemetryCompiled) {
     // The fleet's own series first (no worker label — they describe
     // the front), then each live worker's scrape with worker="N"
     // injected into every series line. HELP/TYPE headers repeat per
     // family name; keep the first and drop duplicates so the merged
-    // exposition stays valid.
-    text = obs::to_prometheus(obs::MetricsRegistry::global().snapshot());
+    // exposition stays valid. (Compiled out, the text is the marker
+    // comment alone, matching the workers' own exposition.)
     std::set<std::string> seen_headers;
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      if (!workers_[i]->alive.load(std::memory_order_acquire)) continue;
-      std::string response_text;
-      try {
-        Socket& worker = link(links, i);
-        worker.write_all(op_request_line("metrics"));
-        if (!worker.read_line(response_text)) continue;
-      } catch (const IoError&) {
-        workers_[i]->alive.store(false, std::memory_order_release);
-        continue;
-      }
-      const JsonValue response = JsonValue::parse(response_text);
-      if (!response.bool_or("ok", false)) continue;
+    for (const auto& [worker, response] :
+         ask_live_workers(request.links, "metrics")) {
       const std::string scrape = response.string_or("metrics", "");
       std::size_t start = 0;
       while (start < scrape.size()) {
@@ -641,62 +523,22 @@ void FleetDaemon::handle_metrics(Socket& socket,
           if (seen_headers.insert(line).second) text += line + "\n";
           continue;
         }
-        text += with_worker_label(line, i) + "\n";
+        text += with_worker_label(line, worker) + "\n";
       }
     }
-  } else {
-    // Marker comment only, matching the workers' own compiled-out
-    // exposition.
-    text = obs::to_prometheus(obs::MetricsRegistry::global().snapshot());
   }
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("metrics").value(text);
   }));
 }
 
-void FleetDaemon::handle_trace(const JsonValue& message, Socket& socket,
-                               std::vector<std::unique_ptr<Socket>>& links) {
-  const JsonValue* job = message.find("job");
-  BGLS_REQUIRE(job != nullptr, "request needs a 'job' field");
-  const std::uint64_t global_id = job->as_u64();
-  Route route;
-  {
-    const std::lock_guard<std::mutex> lock(routes_mutex_);
-    const auto it = routes_.find(global_id);
-    if (it == routes_.end()) {
-      socket.write_all(error_line(
-          "unknown_job", "unknown fleet job id " + std::to_string(global_id)));
-      return;
-    }
-    route = it->second;
-  }
-  if (!workers_[route.worker]->alive.load(std::memory_order_acquire)) {
-    FleetMetrics::instance().worker_down.add();
-    socket.write_all(error_line(
-        "worker_down", "job " + std::to_string(global_id) + " lives on " +
-                           workers_[route.worker]->endpoint.to_string() +
-                           ", which is down"));
-    return;
-  }
-  std::string response_text;
-  try {
-    Socket& worker = link(links, route.worker);
-    worker.write_all(job_request_line("trace", route.remote_id));
-    if (!worker.read_line(response_text)) {
-      detail::throw_error<IoError>("worker closed the connection");
-    }
-  } catch (const IoError& e) {
-    workers_[route.worker]->alive.store(false, std::memory_order_release);
-    FleetMetrics::instance().worker_down.add();
-    socket.write_all(error_line(
-        "worker_down", "worker " +
-                           workers_[route.worker]->endpoint.to_string() +
-                           " failed mid-request (" + e.what() + ")"));
-    return;
-  }
-  const JsonValue response = JsonValue::parse(response_text);
+void FleetDaemon::handle_trace(const Request& request) {
+  const std::uint64_t global_id = job_field(request.message);
+  const Route route = live_route(global_id);
+  const JsonValue response = JsonValue::parse(call(
+      request.links, route.worker, job_request_line("trace", route.remote_id)));
   if (!response.bool_or("ok", false)) {
-    socket.write_all(with_job_id(response, global_id));
+    request.socket.write_all(with_job_id(response, global_id));
     return;
   }
   // Stitch: worker spans + the route's fleet spans, one tree under one
@@ -714,7 +556,7 @@ void FleetDaemon::handle_trace(const JsonValue& message, Socket& socket,
               return std::tie(a.name, a.index, a.id) <
                      std::tie(b.name, b.index, b.id);
             });
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("job").value(global_id);
     json.key("trace_id").value(trace_id);
     json.key("spans");
@@ -722,29 +564,9 @@ void FleetDaemon::handle_trace(const JsonValue& message, Socket& socket,
   }));
 }
 
-void FleetDaemon::handle_logs(const JsonValue& message, Socket& socket) {
-  const std::string level_name = message.string_or("level", "debug");
-  obs::LogLevel min_level = obs::LogLevel::kDebug;
-  BGLS_REQUIRE(obs::parse_log_level(level_name, &min_level),
-               "unknown log level '", level_name,
-               "' (expected debug/info/warn/error)");
-  const std::uint64_t trace_id = message.u64_or("trace_id", 0);
-  const std::uint64_t limit = message.u64_or("limit", 100);
-  const std::vector<obs::LogRecord> records = obs::Logger::global().tail(
-      static_cast<std::size_t>(limit), min_level, trace_id);
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
-    json.key("count").value(static_cast<std::uint64_t>(records.size()));
-    json.key("lines").begin_array();
-    for (const obs::LogRecord& record : records) {
-      json.value(obs::format_log_line(record));
-    }
-    json.end_array();
-  }));
-}
-
-void FleetDaemon::handle_fleet(Socket& socket) {
+void FleetDaemon::handle_fleet(const Request& request) {
   const std::vector<WorkerStatus> status = workers();
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("workers").begin_array();
     for (std::size_t i = 0; i < status.size(); ++i) {
       json.begin_object();
@@ -760,30 +582,23 @@ void FleetDaemon::handle_fleet(Socket& socket) {
   }));
 }
 
-void FleetDaemon::handle_drain(const JsonValue& message, Socket& socket,
-                               bool drain) {
-  const JsonValue* worker = message.find("worker");
+void FleetDaemon::handle_drain(const Request& request) {
+  const bool drain = request.message.string_or("op", "") == "drain";
+  const JsonValue* worker = request.message.find("worker");
   BGLS_REQUIRE(worker != nullptr, "drain/undrain needs a 'worker' index");
   const std::uint64_t index = worker->as_u64();
   BGLS_REQUIRE(index < workers_.size(), "worker index ", index,
                " out of range (", workers_.size(), " workers)");
   workers_[index]->draining.store(drain, std::memory_order_release);
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("worker").value(index);
     json.key("draining").value(drain);
   }));
 }
 
 void FleetDaemon::health_loop() {
-  while (true) {
-    {
-      // The interruptible sleep: shutdown wakes it immediately.
-      std::unique_lock<std::mutex> lock(shutdown_mutex_);
-      if (shutdown_cv_.wait_for(lock, options_.health_interval,
-                                [&] { return shutdown_requested_; })) {
-        return;
-      }
-    }
+  // The interruptible sleep: shutdown wakes it immediately.
+  while (!server_.wait_for_shutdown(options_.health_interval)) {
     std::int64_t live = 0;
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       Worker& worker = *workers_[i];
@@ -794,8 +609,13 @@ void FleetDaemon::health_loop() {
         Socket socket = connect_to(worker.endpoint);
         socket.write_all(op_request_line("stats"));
         std::string response;
+        // A worker at its connection cap refuses the ping, but is up.
         healthy = socket.read_line(response) &&
-                  JsonValue::parse(response).bool_or("ok", false);
+                  (JsonValue::parse(response).bool_or("ok", false) ||
+                   refuses_link(response));
+      } catch (const DescriptorLimitError&) {
+        // Out of descriptors here: no news about the worker.
+        healthy = worker.alive.load(std::memory_order_acquire);
       } catch (const std::exception&) {
         healthy = false;
       }

@@ -30,21 +30,29 @@
 ///
 /// `shutdown` stops the fleet front only — workers have their own
 /// lifecycles (that is what draining is for).
+///
+/// The front is a handler table plus its state (workers, routes, the
+/// health thread); LineServer (service/line_server.h) owns the socket
+/// and the threads, one per client connection. Each connection opens
+/// its own link to a worker on first use, so a blocking op (wait,
+/// stream) held by one client never stalls another's traffic.
 
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
+#include "service/line_server.h"
 #include "service/socket.h"
 #include "util/json_parser.h"
 
@@ -64,8 +72,8 @@ struct FleetOptions {
   std::uint64_t slow_request_ms = 0;
 };
 
-/// The fleet process: acceptor + per-connection proxy handlers + health
-/// checker (see file comment).
+/// The fleet process: proxy handlers behind a LineServer, plus the
+/// health checker (see file comment).
 class FleetDaemon {
  public:
   explicit FleetDaemon(FleetOptions options);
@@ -132,45 +140,42 @@ class FleetDaemon {
     std::shared_ptr<obs::Trace> trace;
   };
 
-  struct Connection {
-    Socket socket;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
+  using Request = LineServer::Request;
 
-  /// A connection handler's lazily opened sockets to workers (one
-  /// proxy connection per (client connection, worker)).
-  class WorkerLink;
+  [[nodiscard]] LineServer::Handlers handlers();
 
-  void accept_loop();
-  void handle_connection(Connection& connection);
-  void handle_line(const std::string& line, Socket& socket,
-                   std::vector<std::unique_ptr<Socket>>& links);
-  void handle_submit(const JsonValue& message, const std::string& line,
-                     Socket& socket,
-                     std::vector<std::unique_ptr<Socket>>& links);
-  void handle_job_op(const JsonValue& message, Socket& socket,
-                     std::vector<std::unique_ptr<Socket>>& links);
-  void handle_stats(Socket& socket,
-                    std::vector<std::unique_ptr<Socket>>& links);
+  void handle_submit(const Request& request);
+  /// status/cancel/result/wait/stream: proxied with ids translated.
+  void handle_job_op(const Request& request);
+  void handle_stats(const Request& request);
   /// Fleet-wide Prometheus scrape: every live worker's exposition with
   /// a worker="N" label injected into each series, plus the fleet's
   /// own registry — one scrape sees the whole fleet.
-  void handle_metrics(Socket& socket,
-                      std::vector<std::unique_ptr<Socket>>& links);
+  void handle_metrics(const Request& request);
   /// The merged span tree: the route's fleet spans stitched with the
   /// owning worker's spans under one trace id.
-  void handle_trace(const JsonValue& message, Socket& socket,
-                    std::vector<std::unique_ptr<Socket>>& links);
-  /// Tails the fleet front's own structured-log ring.
-  void handle_logs(const JsonValue& message, Socket& socket);
-  void handle_fleet(Socket& socket);
-  void handle_drain(const JsonValue& message, Socket& socket, bool drain);
+  void handle_trace(const Request& request);
+  void handle_fleet(const Request& request);
+  /// drain/undrain, by the request's op.
+  void handle_drain(const Request& request);
   void health_loop();
-  /// The handler's socket to `worker`, connected on first use. Throws
-  /// IoError when the worker cannot be reached (marks it dead).
-  Socket& link(std::vector<std::unique_ptr<Socket>>& links,
-               std::size_t worker);
+  /// Sends `line` (when non-empty) to `worker` over this connection's
+  /// link, connected on first use, and returns the worker's next answer
+  /// line. A worker that cannot be reached or hangs up has its link
+  /// closed and is marked down; the request fails with worker_down. A
+  /// worker that refuses the link (too_many_connections, line_too_long)
+  /// stays up: its answer is returned and the link closed. A line over
+  /// the cap, or a front out of descriptors, fails without touching the
+  /// link (line_too_long, too_many_connections).
+  std::string call(std::vector<Socket>& links, std::size_t worker,
+                   std::string_view line);
+  /// Every live worker's ok answer to `op`, by worker index; a worker
+  /// that fails is marked down and left out.
+  std::vector<std::pair<std::size_t, JsonValue>> ask_live_workers(
+      std::vector<Socket>& links, const std::string& op);
+  /// The job's route; fails with unknown_job for an id never routed and
+  /// with worker_down when its worker is down.
+  [[nodiscard]] Route live_route(std::uint64_t global_id) const;
   /// Least-loaded live undrained worker, or npos.
   [[nodiscard]] std::size_t pick_worker_locked() const;
   /// Marks a terminal proxied response against the route's in_flight
@@ -179,15 +184,11 @@ class FleetDaemon {
   /// observed the terminal state).
   void note_finished(std::uint64_t global_id, const JsonValue& response,
                      double proxy_seconds);
-  void reap_connections();
+  /// The job's fleet trace id for slow-request logs (0 when unknown).
+  [[nodiscard]] std::uint64_t trace_of(std::uint64_t global_id) const;
 
   FleetOptions options_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  ServerSocket server_;
-  std::thread acceptor_;
-  std::thread health_;
-  bool started_ = false;
-  std::atomic<bool> stopping_{false};
 
   mutable std::mutex routes_mutex_;
   std::map<std::uint64_t, Route> routes_;
@@ -195,12 +196,10 @@ class FleetDaemon {
   /// Round-robin cursor for placement ties.
   std::size_t placement_cursor_ = 0;
 
-  std::mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_;
-
-  std::mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
-  bool shutdown_requested_ = false;
+  /// Declared after the state its handler threads use; stop() joins
+  /// them (and health_) before any of it is destroyed.
+  LineServer server_;
+  std::thread health_;
 };
 
 }  // namespace bgls::service

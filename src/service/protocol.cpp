@@ -103,6 +103,12 @@ std::string logs_request_line(const std::string& level, std::uint64_t trace_id,
   return os.str();
 }
 
+std::uint64_t job_field(const JsonValue& message) {
+  const JsonValue* job = message.find("job");
+  BGLS_REQUIRE(job != nullptr, "request needs a 'job' field");
+  return job->as_u64();
+}
+
 RunRequest parse_submit(const JsonValue& message) {
   const JsonValue* qasm = message.find("qasm");
   BGLS_REQUIRE(qasm != nullptr, "submit needs a 'qasm' field");

@@ -33,8 +33,16 @@
 /// result-cache identity.
 ///
 /// Every response carries "ok" (bool); failures add "code" (a stable
-/// slug: parse_error/unknown_op/unknown_job/queue_full/not_done/
-/// cancelled/timeout/failed) and "error" (a human-readable message).
+/// slug) and "error" (a human-readable message). The slugs:
+///   request:   parse_error, unknown_op, bad_request, unknown_job,
+///              not_done, line_too_long (the connection then closes,
+///              unless a front found only the forwarded line too long),
+///              too_many_connections (sent in place of serving, or by a
+///              front with no descriptor left for a worker link)
+///   admission: queue_full, tenant_quota, over_budget, journal_error
+///   job state: cancelled, timeout, failed
+///   fleet:     worker_down (unknown_job is the fleet's answer for an
+///              id it never routed; a worker answers bad_request)
 /// `result`/`wait` responses embed the canonical bgls_run report
 /// (service/report.h) as an escaped string in "report", so clients can
 /// reproduce the CLI's byte-exact output. Job lifecycle states on the
@@ -45,15 +53,31 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/run_types.h"
 #include "core/progress.h"
 #include "obs/trace.h"
+#include "util/error.h"
 #include "util/json_parser.h"
 #include "util/json_writer.h"
 
 namespace bgls::service {
+
+/// A request that failed with a protocol error code ("cancelled",
+/// "worker_down", ...). Clients throw it when a server answered
+/// ok=false; server handlers throw it to answer with that code.
+class ServiceError : public Error {
+ public:
+  ServiceError(std::string code, const std::string& message)
+      : Error(message), code_(std::move(code)) {}
+
+  [[nodiscard]] const std::string& code() const { return code_; }
+
+ private:
+  std::string code_;
+};
 
 /// Client-side submission knobs (the JSON fields of the submit op).
 struct SubmitArgs {
@@ -91,6 +115,10 @@ struct SubmitArgs {
 [[nodiscard]] std::string logs_request_line(const std::string& level,
                                             std::uint64_t trace_id,
                                             std::uint64_t limit);
+
+/// Server-side: the request's required "job" id. Throws ValueError when
+/// it is absent or not an unsigned integer.
+[[nodiscard]] std::uint64_t job_field(const JsonValue& message);
 
 /// Daemon-side: builds the RunRequest for a parsed submit message
 /// (parses the embedded QASM). Throws ParseError/ValueError with the

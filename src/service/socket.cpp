@@ -110,13 +110,18 @@ std::string Endpoint::to_string() const {
 Socket::~Socket() { close(); }
 
 Socket::Socket(Socket&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), buffer_(std::move(other.buffer_)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      buffer_(std::move(other.buffer_)),
+      start_(std::exchange(other.start_, 0)),
+      scanned_(std::exchange(other.scanned_, 0)) {}
 
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
     buffer_ = std::move(other.buffer_);
+    start_ = std::exchange(other.start_, 0);
+    scanned_ = std::exchange(other.scanned_, 0);
   }
   return *this;
 }
@@ -141,15 +146,30 @@ void Socket::write_all(std::string_view data) {
   }
 }
 
-bool Socket::read_line(std::string& line) {
+bool Socket::read_line(std::string& line, std::size_t max_bytes) {
   BGLS_REQUIRE(valid(), "read on a closed socket");
   while (true) {
-    const std::size_t newline = buffer_.find('\n');
+    // Scan only bytes not scanned before, and consume lines by offset,
+    // so reading stays linear in the bytes received however long the
+    // line or deep the pipeline.
+    const std::size_t newline = buffer_.find('\n', scanned_);
+    const std::size_t end =
+        newline == std::string::npos ? buffer_.size() : newline;
+    if (end - start_ > max_bytes) {
+      detail::throw_error<LineTooLongError>("line longer than ", max_bytes,
+                                            " bytes");
+    }
     if (newline != std::string::npos) {
-      line.assign(buffer_, 0, newline);
-      buffer_.erase(0, newline + 1);
+      line.assign(buffer_, start_, newline - start_);
+      start_ = scanned_ = newline + 1;
       return true;
     }
+    // Every complete line is consumed: drop them before reading more.
+    // Only the partial line moves, and once (start_ stays 0 until it
+    // completes).
+    buffer_.erase(0, start_);
+    start_ = 0;
+    scanned_ = buffer_.size();
     // Fault point "socket_recv": behave as if the read was interrupted
     // (EINTR path) — the loop must simply retry.
     if (fault::should_fail("socket_recv")) continue;
@@ -165,6 +185,7 @@ bool Socket::read_line(std::string& line) {
       if (buffer_.empty()) return false;
       line = std::move(buffer_);
       buffer_.clear();
+      scanned_ = 0;
       return true;
     }
     buffer_.append(chunk, static_cast<std::size_t>(n));
@@ -245,6 +266,12 @@ Socket ServerSocket::accept() {
     const int client = ::accept(fd_, nullptr, nullptr);
     if (client < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE) {
+        // Out of descriptors: the connection stays queued until one is
+        // released. Back off rather than spin; close() still wakes us.
+        ::poll(&fds[1], 1, 100);
+        continue;
+      }
       return Socket{};  // listening socket was torn down
     }
     return Socket{client};
@@ -265,7 +292,14 @@ void ServerSocket::close() noexcept {
 Socket connect_to(const Endpoint& endpoint) {
   const Address address = resolve(endpoint);
   const int fd = ::socket(address.family, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket() failed");
+  if (fd < 0) {
+    if (errno == EMFILE || errno == ENFILE) {
+      detail::throw_error<DescriptorLimitError>(
+          "cannot connect to ", endpoint.to_string(), ": ",
+          std::strerror(errno));
+    }
+    throw_errno("socket() failed");
+  }
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&address.storage),
                 address.length) != 0) {
     const int saved = errno;

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -26,6 +27,19 @@ namespace bgls::service {
 class IoError : public Error {
  public:
   using Error::Error;
+};
+
+/// Thrown by Socket::read_line when a line exceeds the caller's cap.
+class LineTooLongError : public IoError {
+ public:
+  using IoError::IoError;
+};
+
+/// Thrown by connect_to when this process is out of file descriptors
+/// (EMFILE/ENFILE): a local shortage, not a fault of the peer.
+class DescriptorLimitError : public IoError {
+ public:
+  using IoError::IoError;
 };
 
 /// Where a server listens / a client connects: a Unix-domain socket
@@ -69,8 +83,11 @@ class Socket {
 
   /// Reads up to the next '\n' (consumed, not included) into `line`.
   /// Returns false on clean EOF with no buffered data; throws IoError
-  /// on read failures.
-  bool read_line(std::string& line);
+  /// on read failures, and LineTooLongError as soon as the line is
+  /// known to exceed `max_bytes` (so a peer that never sends '\n'
+  /// grows the buffer at most one read past the cap).
+  bool read_line(std::string& line,
+                 std::size_t max_bytes = std::numeric_limits<std::size_t>::max());
 
   /// Shuts down both directions (unblocks a peer's blocking read).
   void shutdown_both() noexcept;
@@ -79,7 +96,9 @@ class Socket {
 
  private:
   int fd_ = -1;
-  std::string buffer_;  ///< bytes received beyond the last returned line
+  std::string buffer_;       ///< received bytes; [start_, end) is unread
+  std::size_t start_ = 0;    ///< where the next line begins in buffer_
+  std::size_t scanned_ = 0;  ///< buffer_ holds no '\n' in [start_, scanned_)
 };
 
 /// A listening socket whose blocking accept() can be interrupted from
@@ -122,7 +141,8 @@ class ServerSocket {
   Endpoint endpoint_;
 };
 
-/// Connects to a listening endpoint; throws IoError on failure.
+/// Connects to a listening endpoint; throws IoError on failure
+/// (DescriptorLimitError when no descriptor is left for the socket).
 [[nodiscard]] Socket connect_to(const Endpoint& endpoint);
 
 }  // namespace bgls::service

@@ -1,13 +1,20 @@
 #include "targets.h"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "qasm/qasm.h"
 #include "service/journal.h"
 #include "service/protocol.h"
+#include "service/socket.h"
 #include "util/error.h"
 
 namespace bgls::fuzz {
@@ -107,6 +114,64 @@ void one_journal(const std::uint8_t* data, std::size_t size) {
     if (!records.empty() || skipped != 1) {
       fail("non-JSON body was neither recovered nor counted as skipped");
     }
+  }
+}
+
+void one_framing(const std::uint8_t* data, std::size_t size) {
+  if (size < 2) return;
+  const std::size_t cap = data[0];
+  const std::size_t chunk = std::size_t{data[1]} + 1;
+  const std::string stream = as_string(data + 2, size - 2);
+
+  std::vector<std::string> expected;
+  for (std::size_t start = 0; start < stream.size();) {
+    const std::size_t newline = stream.find('\n', start);
+    const std::size_t end = std::min(newline, stream.size());
+    expected.push_back(stream.substr(start, end - start));
+    start = end + 1;
+  }
+  const auto over_cap =
+      std::find_if(expected.begin(), expected.end(),
+                   [&](const std::string& line) { return line.size() > cap; });
+
+  // SOCK_SEQPACKET keeps every write one record, so each recv sees one
+  // chunk: the reader meets the input's partial writes deterministically.
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds) != 0) {
+    fail("socketpair failed");
+  }
+  service::Socket reader(fds[0]);
+  std::thread writer([&stream, chunk, fd = fds[1]] {
+    for (std::size_t at = 0; at < stream.size(); at += chunk) {
+      const std::size_t n = std::min(chunk, stream.size() - at);
+      // Fails once the reader closed after rejecting a line.
+      if (::send(fd, stream.data() + at, n, MSG_NOSIGNAL) < 0) break;
+    }
+    ::close(fd);
+  });
+
+  std::size_t returned = 0;
+  bool rejected = false;
+  std::string line;
+  try {
+    while (reader.read_line(line, cap)) {
+      if (returned >= expected.size() || line != expected[returned]) {
+        fail("read_line returned a line the stream does not hold there");
+      }
+      ++returned;
+    }
+  } catch (const service::LineTooLongError&) {
+    rejected = true;
+  }
+  reader.close();  // unblocks a writer stuck on a full queue
+  writer.join();
+  if (returned != static_cast<std::size_t>(over_cap - expected.begin())) {
+    fail("read_line did not return exactly the lines before the first "
+         "over-cap one");
+  }
+  if (rejected != (over_cap != expected.end())) {
+    fail(rejected ? "read_line rejected a line within the cap"
+                  : "read_line accepted a line over the cap");
   }
 }
 

@@ -5,7 +5,7 @@
 /// outside world and treats bgls::Error as the expected rejection path:
 /// a target returns normally for both accepted and cleanly rejected
 /// input, and anything else — a sanitizer report, an uncaught foreign
-/// exception, a crash — is a finding. The same three functions back the
+/// exception, a crash — is a finding. The same functions back the
 /// libFuzzer harnesses (fuzz_*.cpp), the standalone replay/mutation
 /// driver (standalone_main.cpp), and the always-on corpus regression
 /// test (tests/test_fuzz_regressions.cpp), so a checked-in crasher is
@@ -35,5 +35,12 @@ void one_protocol(const std::uint8_t* data, std::size_t size);
 /// not an error. Re-frames each recovered body and checks the second
 /// replay loses nothing (recovery is idempotent).
 void one_journal(const std::uint8_t* data, std::size_t size);
+
+/// Request framing (service/socket.cpp): Socket::read_line over a
+/// socketpair. Byte 0 is the line cap, byte 1 + 1 the write chunk size,
+/// the rest the stream, written in those chunks. read_line must return
+/// exactly the stream's '\n'-split lines (an unterminated tail counts)
+/// up to the first line longer than the cap, and reject that one.
+void one_framing(const std::uint8_t* data, std::size_t size);
 
 }  // namespace bgls::fuzz

@@ -57,5 +57,7 @@ TEST(FuzzRegressions, ProtocolCorpus) {
 
 TEST(FuzzRegressions, JournalCorpus) { replay("journal", fuzz::one_journal); }
 
+TEST(FuzzRegressions, FramingCorpus) { replay("framing", fuzz::one_framing); }
+
 }  // namespace
 }  // namespace bgls

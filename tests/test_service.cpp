@@ -1,11 +1,13 @@
 /// \file test_service.cpp
-/// End-to-end protocol tests for the service daemon (service/daemon.h):
-/// an in-process ServiceDaemon on a private Unix socket, driven by
-/// ServiceClient over the real wire — the same code path the
-/// standalone bgls_serve/bgls_client binaries run. Pins the acceptance
-/// contract: daemon reports byte-identical to the CLI path, bounded
-/// cancellation, deadline → timeout, deterministic streaming, and
-/// protocol error handling. Runs under TSan in CI.
+/// End-to-end protocol tests for the service daemon (service/daemon.h)
+/// and the fleet front (service/fleet.h): in-process servers on private
+/// Unix sockets, driven by ServiceClient over the real wire — the same
+/// code path the standalone bgls_serve/bgls_fleet/bgls_client binaries
+/// run. Pins the acceptance contract: daemon reports byte-identical to
+/// the CLI path, bounded cancellation, deadline → timeout,
+/// deterministic streaming, and protocol error handling and request
+/// bounds on both servers (service/line_server.h). Runs under TSan in
+/// CI.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +20,12 @@
 #include <vector>
 
 #include "api/session.h"
+#include "obs/metrics.h"
 #include "qasm/qasm.h"
 #include "service/client.h"
 #include "service/daemon.h"
+#include "service/fleet.h"
+#include "service/line_server.h"
 #include "service/report.h"
 
 namespace bgls {
@@ -89,6 +94,132 @@ class ServiceTest : public ::testing::Test {
 
   std::unique_ptr<ServiceDaemon> daemon_;
 };
+
+/// The daemon with every request slow-logged (bgls_serve --slow-ms 1).
+class SlowLogServiceTest : public ServiceTest {
+ protected:
+  void configure(DaemonOptions& options) override {
+    options.slow_request_ms = 1;
+  }
+};
+
+/// A fleet front over the fixture's daemon, both slow-logging every
+/// request: the wiring bgls_fleet runs, with one worker.
+class FleetFrontTest : public SlowLogServiceTest {
+ protected:
+  void SetUp() override {
+    SlowLogServiceTest::SetUp();
+    FleetOptions options;
+    options.endpoint = Endpoint::unix_socket(unique_socket_path());
+    options.workers.push_back(daemon_->endpoint());
+    options.slow_request_ms = 1;
+    fleet_ = std::make_unique<FleetDaemon>(options);
+    fleet_->start();
+  }
+
+  void TearDown() override {
+    fleet_->stop();
+    SlowLogServiceTest::TearDown();
+  }
+
+  std::unique_ptr<FleetDaemon> fleet_;
+};
+
+/// Submits a small job over `client` and checks its report bytes: the
+/// server (and this connection) still serve.
+void expect_serves_a_job(ServiceClient& client) {
+  SubmitArgs args;
+  args.qasm = kX0Qasm;
+  args.repetitions = 16;
+  EXPECT_EQ(client.wait_report(client.submit(args)), direct_report(args));
+}
+
+/// Protocol errors answer their slug and leave the connection usable.
+/// A daemon answers an unknown job id `bad_request`, a fleet front
+/// `unknown_job`.
+void expect_protocol_errors_keep_connection_usable(
+    const Endpoint& endpoint, const std::string& unknown_job_code) {
+  ServiceClient client(endpoint);
+  // Malformed JSON.
+  JsonValue response = client.roundtrip("this is not json\n");
+  EXPECT_FALSE(response.bool_or("ok", true));
+  EXPECT_EQ(response.string_or("code", ""), "parse_error");
+  // Unknown op.
+  response = client.roundtrip("{\"op\":\"frobnicate\"}\n");
+  EXPECT_EQ(response.string_or("code", ""), "unknown_op");
+  // Unknown job.
+  response = client.roundtrip("{\"op\":\"status\",\"job\":12345}\n");
+  EXPECT_EQ(response.string_or("code", ""), unknown_job_code);
+  // Malformed QASM in submit.
+  response = client.roundtrip(
+      "{\"op\":\"submit\",\"qasm\":\"OPENQASM 9;\"}\n");
+  EXPECT_FALSE(response.bool_or("ok", true));
+  // Result for a job that is not done yet / unknown.
+  response = client.roundtrip("{\"op\":\"result\",\"job\":999}\n");
+  EXPECT_FALSE(response.bool_or("ok", true));
+  // The connection survived all of it.
+  expect_serves_a_job(client);
+}
+
+/// A non-string op, and a slow wait whose trace_id is not an unsigned
+/// integer, each answer bad_request; the server keeps serving.
+void expect_malformed_fields_answer_bad_request(const Endpoint& endpoint) {
+  ServiceClient client(endpoint);
+  EXPECT_EQ(client.roundtrip("{\"op\":5}\n").string_or("code", ""),
+            "bad_request");
+  // The wait must cross the 1 ms slow-request threshold, so it follows
+  // a running job.
+  SubmitArgs big;
+  big.qasm = kGhzQasm;
+  big.repetitions = 500'000'000ULL;
+  big.no_batch = true;
+  const std::uint64_t running = client.submit(big);
+  while (client.status(running).string_or("state", "") == "queued") {
+    std::this_thread::sleep_for(1ms);
+  }
+  const std::string wait = "{\"op\":\"wait\",\"job\":" +
+                           std::to_string(running) +
+                           ",\"timeout_ms\":20,\"trace_id\":\"x\"}\n";
+  EXPECT_EQ(client.roundtrip(wait).string_or("code", ""), "bad_request");
+  client.cancel(running);
+  expect_serves_a_job(client);
+}
+
+/// A request line one byte over the cap answers line_too_long and its
+/// connection closes; the server keeps serving new connections.
+void expect_over_cap_line_rejected(const Endpoint& endpoint) {
+  Socket socket = connect_to(endpoint);
+  try {
+    socket.write_all(std::string(kMaxRequestLineBytes + 1, ' ') + "\n");
+  } catch (const IoError&) {
+    // The server may close before the last bytes are sent.
+  }
+  std::string answer;
+  ASSERT_TRUE(socket.read_line(answer));
+  EXPECT_EQ(JsonValue::parse(answer).string_or("code", ""), "line_too_long");
+  try {
+    EXPECT_FALSE(socket.read_line(answer)) << "connection still open";
+  } catch (const IoError&) {
+    // Closed with our unread bytes pending: a reset, also closed.
+  }
+  ServiceClient client(endpoint);
+  expect_serves_a_job(client);
+}
+
+/// The server's scrape carries `<prefix>_requests_total{op=...}` for
+/// every op it answers, and its request-latency histogram.
+void expect_request_series(const Endpoint& endpoint, const std::string& prefix,
+                           const std::vector<std::string>& ops) {
+  if constexpr (!obs::kTelemetryCompiled) GTEST_SKIP() << "telemetry off";
+  const std::string text = ServiceClient(endpoint).metrics_text();
+  for (const std::string& op : ops) {
+    const std::string series =
+        "\n" + prefix + "_requests_total{op=\"" + op + "\"} ";
+    EXPECT_NE(text.find(series), std::string::npos) << series;
+  }
+  EXPECT_NE(text.find("\n" + prefix + "_request_seconds_count "),
+            std::string::npos);
+}
 
 TEST_F(ServiceTest, SubmitWaitReportMatchesCliBytes) {
   ServiceClient client(daemon_->endpoint());
@@ -215,29 +346,105 @@ TEST_F(ServiceTest, StatsEndpointCounts) {
 }
 
 TEST_F(ServiceTest, ProtocolErrorsKeepConnectionUsable) {
-  ServiceClient client(daemon_->endpoint());
-  // Malformed JSON.
-  JsonValue response = client.roundtrip("this is not json\n");
-  EXPECT_FALSE(response.bool_or("ok", true));
-  EXPECT_EQ(response.string_or("code", ""), "parse_error");
-  // Unknown op.
-  response = client.roundtrip("{\"op\":\"frobnicate\"}\n");
-  EXPECT_EQ(response.string_or("code", ""), "unknown_op");
-  // Unknown job.
-  response = client.roundtrip("{\"op\":\"status\",\"job\":12345}\n");
-  EXPECT_EQ(response.string_or("code", ""), "bad_request");
-  // Malformed QASM in submit.
-  response = client.roundtrip(
-      "{\"op\":\"submit\",\"qasm\":\"OPENQASM 9;\"}\n");
-  EXPECT_FALSE(response.bool_or("ok", true));
-  // Result for a job that is not done yet / unknown.
-  response = client.roundtrip("{\"op\":\"result\",\"job\":999}\n");
-  EXPECT_FALSE(response.bool_or("ok", true));
-  // The connection survived all of it.
+  expect_protocol_errors_keep_connection_usable(daemon_->endpoint(),
+                                                "bad_request");
+}
+
+TEST_F(FleetFrontTest, ProtocolErrorsKeepConnectionUsable) {
+  expect_protocol_errors_keep_connection_usable(fleet_->endpoint(),
+                                                "unknown_job");
+}
+
+TEST_F(SlowLogServiceTest, MalformedFieldsAnswerBadRequest) {
+  expect_malformed_fields_answer_bad_request(daemon_->endpoint());
+}
+
+TEST_F(FleetFrontTest, MalformedFieldsAnswerBadRequest) {
+  expect_malformed_fields_answer_bad_request(fleet_->endpoint());
+}
+
+TEST_F(ServiceTest, OverCapLineAnswersLineTooLong) {
+  expect_over_cap_line_rejected(daemon_->endpoint());
+}
+
+TEST_F(FleetFrontTest, OverCapLineAnswersLineTooLong) {
+  expect_over_cap_line_rejected(fleet_->endpoint());
+}
+
+/// Lines under the cap that the front's re-emission grows past it: `\b`
+/// escapes come out as `\u0008` (3x), and the trace fields push a line at
+/// the cap over it. Neither may cost the worker its liveness.
+TEST_F(FleetFrontTest, LinesGrownByForwardingKeepTheWorkerLive) {
+  const std::string head = "{\"op\":\"submit\",\"qasm\":\"";
+  const std::string tail = "\"}\n";
+  std::string escapes = head;
+  for (std::size_t i = 0; i < kMaxRequestLineBytes / 4; ++i) escapes += "\\b";
+  escapes += tail;
+  std::string at_cap =
+      head + std::string(kMaxRequestLineBytes - head.size() - 2, 'a') + tail;
+  ASSERT_EQ(at_cap.size(), kMaxRequestLineBytes + 1);
+  ServiceClient client(fleet_->endpoint());
+  for (const std::string* line : {&escapes, &at_cap}) {
+    const JsonValue response = client.roundtrip(*line);
+    EXPECT_FALSE(response.bool_or("ok", true));
+    EXPECT_NE(response.string_or("code", ""), "worker_down");
+    if constexpr (obs::kTelemetryCompiled) {
+      // Only with telemetry does the front re-emit a submit.
+      EXPECT_EQ(response.string_or("code", ""), "line_too_long");
+    }
+    EXPECT_TRUE(fleet_->workers()[0].alive);
+  }
+  expect_serves_a_job(client);
+}
+
+/// A worker at its connection cap answers too_many_connections and
+/// closes every link, health pings included: the front passes the
+/// answer on and keeps the worker live.
+TEST(FleetFront, WorkerRefusingLinksStaysLive) {
+  ServerSocket full;
+  full.listen_on(Endpoint::unix_socket(unique_socket_path()));
+  std::thread refuser([&full] {
+    for (Socket socket = full.accept(); socket.valid();
+         socket = full.accept()) {
+      try {
+        socket.write_all(error_line("too_many_connections", "worker is full"));
+      } catch (const IoError&) {
+        // The front hung up first (it is stopping).
+      }
+    }
+  });
+  FleetOptions options;
+  options.endpoint = Endpoint::unix_socket(unique_socket_path());
+  options.workers.push_back(full.endpoint());
+  options.health_interval = 5ms;
+  FleetDaemon fleet(options);
+  fleet.start();
+  ServiceClient client(fleet.endpoint());
   SubmitArgs args;
   args.qasm = kX0Qasm;
-  args.repetitions = 16;
-  EXPECT_EQ(client.wait_report(client.submit(args)), direct_report(args));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(client.roundtrip(submit_request_line(args)).string_or("code", ""),
+              "too_many_connections");
+    std::this_thread::sleep_for(20ms);  // a few refused health pings
+  }
+  EXPECT_TRUE(fleet.workers()[0].alive);
+  fleet.stop();
+  full.close();
+  refuser.join();
+}
+
+TEST_F(ServiceTest, RequestSeriesCoverEveryOp) {
+  expect_request_series(daemon_->endpoint(), "bgls_daemon",
+                        {"submit", "status", "cancel", "result", "wait",
+                         "stream", "stats", "metrics", "trace", "logs",
+                         "shutdown", "other"});
+}
+
+TEST_F(FleetFrontTest, RequestSeriesCoverEveryOp) {
+  expect_request_series(fleet_->endpoint(), "bgls_fleet",
+                        {"submit", "status", "cancel", "result", "wait",
+                         "stream", "stats", "metrics", "trace", "logs",
+                         "fleet", "drain", "undrain", "shutdown", "other"});
 }
 
 class TinyQueueServiceTest : public ServiceTest {

@@ -84,8 +84,6 @@ NONDET_ALLOWED_PREFIXES = (
     "src/util/cancellation.h",  # deadline math
     "src/obs/",                 # telemetry: metrics timestamps, spans
     "src/service/scheduler",    # queue-wait / runtime accounting
-    "src/service/daemon.",      # journal-replay + uptime accounting
-    "src/service/fleet.",       # placement/proxy span + health timing
     "src/api/session.",         # per-run elapsed-seconds reporting
     "src/statevector/kernels.cpp",  # kernel progress heartbeat
     "tests/",                   # timing assertions, stress loops

@@ -35,12 +35,23 @@
 #      the fleet metrics op aggregates worker scrapes under worker="N"
 #      labels.
 #
+#  10. request bounds (fleet builds), against one worker and against
+#      the front: an over-cap line, cap+1 connections at once, {"op":5}
+#      and a slow wait with a string trace_id each get their own slug,
+#      and both processes stay up and serve byte-identical jobs; a
+#      worker and a front started at a low descriptor limit fit their
+#      connection caps to it, and the front marks no worker down.
+#
 # Usage: service_e2e.sh BGLS_SERVE BGLS_CLIENT BGLS_RUN DATA_DIR WORK_DIR
 #        [BGLS_FLEET]
 
 set -u
 
 SERVE="$1"; CLIENT="$2"; RUN="$3"; DATA="$4"; WORK="$5"; FLEET="${6:-}"
+
+# Servers start at the usual default soft limit: they raise it to the
+# hard limit themselves to hold their connection caps (section 10).
+ulimit -Sn 1024 2>/dev/null || true
 
 SOCK="/tmp/bgls_e2e_$$.sock"
 CONNECT="unix:$SOCK"
@@ -50,6 +61,7 @@ JSERVE_PID=""
 W1_PID=""
 W2_PID=""
 FLEET_PID=""
+LOW_PID=""
 
 fail() {
   echo "FAIL: $*" >&2
@@ -58,6 +70,7 @@ fail() {
   [ -n "$W1_PID" ] && kill "$W1_PID" 2>/dev/null
   [ -n "$W2_PID" ] && kill "$W2_PID" 2>/dev/null
   [ -n "$FLEET_PID" ] && kill "$FLEET_PID" 2>/dev/null
+  [ -n "$LOW_PID" ] && kill "$LOW_PID" 2>/dev/null
   exit 1
 }
 
@@ -67,9 +80,11 @@ cleanup() {
   [ -n "$W1_PID" ] && kill "$W1_PID" 2>/dev/null
   [ -n "$W2_PID" ] && kill "$W2_PID" 2>/dev/null
   [ -n "$FLEET_PID" ] && kill "$FLEET_PID" 2>/dev/null
+  [ -n "$LOW_PID" ] && kill "$LOW_PID" 2>/dev/null
   rm -f "$SOCK" "/tmp/bgls_e2e_j$$.sock" \
     "/tmp/bgls_e2e_w1_$$.sock" "/tmp/bgls_e2e_w2_$$.sock" \
-    "/tmp/bgls_e2e_front_$$.sock"
+    "/tmp/bgls_e2e_front_$$.sock" "/tmp/bgls_e2e_low_$$.sock" \
+    "/tmp/bgls_e2e_lowfront_$$.sock"
 }
 trap cleanup EXIT
 
@@ -492,6 +507,9 @@ if [ -n "$FLEET" ]; then
       || fail 'fleet metrics missing worker="1" series'
     grep -q '^bgls_fleet_' "$WORK/fleet_metrics.txt" \
       || fail "fleet metrics missing the front's own series"
+    grep -q '^bgls_fleet_requests_total{op="submit"} ' \
+      "$WORK/fleet_metrics.txt" \
+      || fail "fleet metrics missing the front's request series"
 
     TRACE_ID=424242
     # A dictionary-path job, so its run records one shard span and an
@@ -544,6 +562,177 @@ PY
       || fail "--log-file ndjson missing the traced slow-request line"
     echo "ok: slow-request logs tagged with trace_id=$TRACE_ID"
   fi
+
+  # --- 10. Request bounds: one worker, then the fleet front ---
+  # probe_bounds SOCKET CAP: the four over-limit inputs, each answered
+  # with its own slug.
+  probe_bounds() {
+    python3 - "$1" "$2" "$DATA/ghz.qasm" <<'PY'
+import json, resource, select, socket, sys, time
+
+path, cap, qasm_path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+# cap+1 sockets below; the shell checked that the hard limit allows it.
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (2100, hard))
+MAX_LINE = 16 << 20  # kMaxRequestLineBytes (service/line_server.h)
+
+def connect():
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.connect(path)
+    return s
+
+def answer(s):
+    data = b""
+    while not data.endswith(b"\n"):
+        chunk = s.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    return json.loads(data)
+
+def ask(s, request):
+    s.sendall(json.dumps(request).encode() + b"\n")
+    return answer(s)
+
+def expect(code, got, what):
+    if got.get("code") != code:
+        sys.exit(f"{path}: {what}: expected {code}, got {got}")
+
+s = connect()
+try:
+    s.sendall(b" " * (MAX_LINE + 1) + b"\n")
+except (BrokenPipeError, ConnectionResetError):
+    pass  # the server closed before the last bytes
+expect("line_too_long", answer(s), "over-cap line")
+s.close()
+
+s = connect()
+expect("bad_request", ask(s, {"op": 5}), "non-string op")
+# The wait follows a running job, so it crosses --slow-ms 1.
+qasm = open(qasm_path).read()
+job = ask(s, {"op": "submit", "qasm": qasm, "reps": 500000000,
+              "no_batch": True})["job"]
+while ask(s, {"op": "status", "job": job})["state"] == "queued":
+    time.sleep(0.01)
+expect("bad_request",
+       ask(s, {"op": "wait", "job": job, "timeout_ms": 20, "trace_id": "x"}),
+       "slow wait with a string trace_id")
+ask(s, {"op": "cancel", "job": job})
+s.close()
+
+# cap+1 connections at once: the last is refused, and says so. A worker
+# may refuse one more, whose slot a health ping of the front held: more
+# would mean the server did not raise its descriptor limit to the cap.
+held = [connect() for _ in range(cap + 1)]
+poller = select.poll()
+for conn in held:
+    poller.register(conn, select.POLLIN)
+by_fd = {conn.fileno(): conn for conn in held}
+if not poller.poll(10000):
+    sys.exit(f"{path}: {cap + 1} connections at once, none refused")
+time.sleep(0.5)
+ready = poller.poll(0)
+if len(ready) > 2:
+    sys.exit(f"{path}: {len(ready)} of {cap + 1} connections refused")
+for fd, _ in ready:
+    expect("too_many_connections", answer(by_fd[fd]),
+           f"connection past the cap of {cap}")
+for conn in held:
+    conn.close()
+print(f"ok: {path}: line_too_long, bad_request x2, "
+      f"too_many_connections x{len(ready)} of {cap + 1}")
+PY
+  }
+  if [ "$(ulimit -Hn)" != unlimited ] && [ "$(ulimit -Hn)" -lt 2100 ]; then
+    fail "hard descriptor limit $(ulimit -Hn) is below a worker's 1024 connections"
+  fi
+  probe_bounds "$W1SOCK" 1024 || fail "worker request bounds"
+  probe_bounds "$FSOCK" 512 || fail "fleet request bounds"
+  for BSOCK in "$W1SOCK" "$FSOCK"; do
+    "$CLIENT" --connect "unix:$BSOCK" run --reps 2048 --seed 11 \
+      "$DATA/ghz.qasm" > "$WORK/bounds_after.json" \
+      || fail "no job served on $BSOCK after the bounds probe"
+    cmp "$WORK/bounds_after.json" "$WORK/expected_1.json" \
+      || fail "post-probe output on $BSOCK differs from bgls_run"
+  done
+  kill -0 "$W1_PID" 2>/dev/null || fail "worker 1 died in the bounds probe"
+  kill -0 "$FLEET_PID" 2>/dev/null || fail "fleet died in the bounds probe"
+  echo "ok: worker and fleet kept serving past every request bound"
+
+  # flood SOCKET N: N connections held at once, each asking stats (a
+  # front asks every worker over its own links). Each must answer ok or
+  # too_many_connections: a server at a low descriptor limit fits its
+  # cap to it rather than running out.
+  flood() {
+    python3 - "$1" "$2" <<'PY'
+import json, socket, sys
+
+path, count = sys.argv[1], int(sys.argv[2])
+held = []
+for _ in range(count):
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.settimeout(10)
+    s.connect(path)
+    held.append(s)
+codes = {}
+for s in held:
+    try:
+        s.sendall(b'{"op":"stats"}\n')
+    except (BrokenPipeError, ConnectionResetError):
+        pass  # refused and closed: its answer is still there to read
+    data = b""
+    while not data.endswith(b"\n"):
+        chunk = s.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    got = json.loads(data)
+    code = "ok" if got.get("ok") else got.get("code")
+    codes[code] = codes.get(code, 0) + 1
+for s in held:
+    s.close()
+if set(codes) != {"ok", "too_many_connections"}:
+    sys.exit(f"{path}: {count} connections answered {codes}")
+print(f"ok: {path}: {count} connections answered {codes}")
+PY
+  }
+  # serves_after_flood SOCKET WHAT: a job byte-identical to bgls_run.
+  serves_after_flood() {
+    timeout 30 "$CLIENT" --connect "unix:$1" run --reps 2048 --seed 11 \
+      "$DATA/ghz.qasm" > "$WORK/low_fd.json" \
+      || fail "$2 stopped serving after the flood"
+    cmp "$WORK/low_fd.json" "$WORK/expected_1.json" \
+      || fail "$2 output differs from bgls_run"
+    "$CLIENT" --connect "unix:$1" shutdown > /dev/null \
+      || fail "$2 shutdown failed"
+    wait "$LOW_PID" || fail "$2 exited non-zero"
+    LOW_PID=""
+  }
+
+  LSOCK="/tmp/bgls_e2e_low_$$.sock"
+  (ulimit -n 64 && exec "$SERVE" --listen "unix:$LSOCK") &
+  LOW_PID=$!
+  wait_socket "$LSOCK" || fail "low-descriptor worker socket never appeared"
+  flood "$LSOCK" 100 || fail "low-descriptor worker flood"
+  serves_after_flood "$LSOCK" "low-descriptor worker"
+  echo "ok: a worker at a low descriptor limit refused past its fitted cap"
+
+  # A front at a low limit holds 1 + 2 descriptors per client connection
+  # (its links to both workers): it must refuse clients, not mark a
+  # worker down for descriptors it lacks itself.
+  LSOCK="/tmp/bgls_e2e_lowfront_$$.sock"
+  (ulimit -n 128 && exec "$FLEET" --listen "unix:$LSOCK" \
+    --worker "unix:$W1SOCK" --worker "unix:$W2SOCK") &
+  LOW_PID=$!
+  wait_socket "$LSOCK" || fail "low-descriptor front socket never appeared"
+  flood "$LSOCK" 60 || fail "low-descriptor front flood"
+  "$CLIENT" --connect "unix:$LSOCK" raw '{"op":"fleet"}' \
+    > "$WORK/low_front_fleet.json" || fail "low-descriptor front fleet op"
+  if grep -q '"alive":false' "$WORK/low_front_fleet.json"; then
+    fail "low-descriptor front marked a worker down"
+  fi
+  serves_after_flood "$LSOCK" "low-descriptor front"
+  echo "ok: a front at a low descriptor limit refused clients, not workers"
 
   "$CLIENT" --connect "$FCONNECT" shutdown > /dev/null \
     || fail "fleet shutdown failed"
