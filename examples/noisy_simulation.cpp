@@ -2,7 +2,9 @@
 /// Non-unitary operations in BGLS (Sec. 3.2.1): noise channels via
 /// quantum trajectories and mid-circuit measurement. The sampled
 /// distribution from statevector trajectories is cross-checked against
-/// the exact density-matrix evolution.
+/// the exact density-matrix evolution; the program exits with status 1
+/// when their total variation distance exceeds the bound a correct
+/// sampler exceeds with probability at most 1e-9.
 ///
 ///   $ ./noisy_simulation
 
@@ -38,14 +40,25 @@ int main() {
   const auto empirical = result.distribution("noisy");
 
   ConsoleTable table({"outcome", "trajectory estimate", "exact (dm)"});
+  Distribution exact;
   for (Bitstring b = 0; b < 4; ++b) {
+    exact[b] = rho.probability(b);
     const auto it = empirical.find(b);
     table.add_row({to_string(b, 2),
                    ConsoleTable::num(it == empirical.end() ? 0.0 : it->second, 4),
-                   ConsoleTable::num(rho.probability(b), 4)});
+                   ConsoleTable::num(exact[b], 4)});
   }
   std::cout << "Noisy Bell pair, " << reps << " trajectories vs exact:\n\n";
   table.print(std::cout);
+  const double tvd = total_variation_distance(empirical, exact);
+  const double bound = tvd_sampling_bound(exact, reps, 1e-9);
+  std::cout << "\ntotal variation distance: " << tvd << " (bound " << bound
+            << ")\n";
+  if (tvd > bound) {
+    std::cerr << "trajectory estimate disagrees with the exact density "
+                 "matrix\n";
+    return 1;
+  }
   std::cout << "\ntrajectories used: " << sim.last_run_stats().trajectories
             << " (sample parallelization is disabled for stochastic "
                "circuits)\n\n";

@@ -75,10 +75,10 @@ BackendSelector::Selection BackendSelector::select(
             "pure-Clifford circuit: CH-form stabilizer simulation is exact "
             "at polynomial cost"};
   }
-  // 2. Channels: exact Kraus branching in one 4^n pass vs re-evolving
-  //    2^n amplitudes per trajectory — whichever the fitted model
-  //    predicts cheaper for this repetition count. Ties go to the
-  //    density matrix (exact beats sampled at equal cost).
+  // 2. Channels: both dense representations re-evolve once per
+  //    trajectory, over 4^n density-matrix entries or 2^n amplitudes —
+  //    whichever the fitted model predicts cheaper. Ties go to the
+  //    density matrix.
   if (p.has_channels) {
     if (p.num_qubits <= thresholds_.max_statevector_qubits) {
       const double dm_seconds = cost_model_.predict_seconds(
@@ -87,12 +87,12 @@ BackendSelector::Selection BackendSelector::select(
           p, repetitions, BackendId::kStateVector);
       if (dm_seconds <= sv_seconds) {
         return {BackendId::kDensityMatrix,
-                "channel-bearing circuit: one exact density-matrix pass "
-                "predicted no slower than per-trajectory re-evolution"};
+                "channel-bearing circuit: density-matrix trajectories "
+                "predicted no slower than statevector trajectories"};
       }
       return {BackendId::kStateVector,
               "channel-bearing circuit: statevector quantum trajectories "
-              "predicted cheaper than the exact density-matrix pass"};
+              "predicted cheaper than density-matrix trajectories"};
     }
     if (p.max_gate_arity <= 2) {
       return {BackendId::kMps,

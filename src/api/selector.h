@@ -14,8 +14,8 @@
 ///  1. pure Clifford (no channels)            → stabilizer (exact, poly);
 ///  2. channel-bearing                        → densitymatrix or the
 ///     statevector trajectory path, whichever the CostModel predicts
-///     cheaper for the requested repetitions (exact one-pass 4^n vs
-///     reps × 2^n re-evolutions — DM while 2^n ≤ reps);
+///     cheaper (both re-evolve per repetition, 4^n vs 2^n elements a
+///     pass, so statevector at the default coefficients);
 ///  3. wider than the statevector limit       → mps (only dense option);
 ///  4. 1D nearest-neighbor with arity ≤ 2     → mps when the CostModel
 ///     predicts its n·χ³ contractions cheaper than 2^n amplitudes;
@@ -25,8 +25,6 @@
 /// the former hard-coded qubit cutoffs (max_density_matrix_qubits,
 /// min_mps_qubits, entangling-density ceiling) replaced by predicted-
 /// cost comparisons fitted from the BENCH artifacts (service/cost.h).
-/// At the default 1024 repetitions the cost comparisons reproduce the
-/// old boundaries exactly.
 
 #pragma once
 
@@ -111,9 +109,9 @@ class BackendSelector {
   }
 
   /// Profiles and selects. Throws UnsupportedOperationError when no
-  /// shipped representation can run the circuit. Repetitions matter:
-  /// the DM-vs-trajectories and MPS-vs-dense boundaries are predicted-
-  /// cost comparisons, and trajectory cost scales with repetitions.
+  /// shipped representation can run the circuit. The DM-vs-trajectories
+  /// and MPS-vs-dense boundaries are predicted-cost comparisons at
+  /// `repetitions`.
   [[nodiscard]] Selection select(
       const Circuit& circuit,
       std::uint64_t repetitions = kDefaultRepetitions) const;

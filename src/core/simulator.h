@@ -29,9 +29,16 @@
 ///    Kraus-branch × candidate update (equivalent to running BGLS on the
 ///    channel's unitary dilation and discarding the environment bit),
 ///    which keeps the hidden-variable coupling exact even for non-unital
-///    channels. Mid-circuit measurements read their outcome off the
-///    current bitstring — a faithful sample by the BGL invariant — and
-///    collapse the state accordingly;
+///    channels. The weight of (branch k, candidate c) is |(K_k ψ)[c]|²,
+///    and only the drawn operator is applied to the state, which is then
+///    renormalized. States with amplitude() (statevector, MPS) compute
+///    every weight from the 2^k candidates' amplitudes, a 2^k × 2^k
+///    product per branch. Other states (density matrix, user-defined
+///    states), and an MPS whose bond cap can truncate a multi-qubit
+///    operator, apply each operator to a copy of the state and read the
+///    weights off the copies. Mid-circuit measurements read their
+///    outcome off the current bitstring — a faithful sample by the BGL
+///    invariant — and collapse the state accordingly;
 ///  - optional skipping of diagonal-gate updates: a diagonal unitary
 ///    rescales every candidate amplitude by a unit-modulus phase, so the
 ///    candidate distribution is unchanged and the resampling step can be
@@ -56,6 +63,7 @@
 
 #include <algorithm>
 #include <array>
+#include <concepts>
 #include <functional>
 #include <map>
 #include <memory>
@@ -87,7 +95,7 @@ struct ShardStats {
   std::size_t trajectories = 0;
   /// apply_op invocations executed in this shard.
   std::size_t state_applications = 0;
-  /// compute_probability invocations executed in this shard.
+  /// Probability evaluations in this shard (see RunStats).
   std::size_t probability_evaluations = 0;
 };
 
@@ -97,7 +105,9 @@ struct ShardStats {
 struct RunStats {
   /// Number of apply_op invocations across all trajectories.
   std::size_t state_applications = 0;
-  /// Number of compute_probability invocations.
+  /// Number of compute_probability invocations, plus one per (Kraus
+  /// branch, candidate) weight of each channel step, also where that
+  /// weight is read from the candidates' amplitudes.
   std::size_t probability_evaluations = 0;
   /// Peak unique-bitstring dictionary size (≤ 2^n; Sec. 3.2.3).
   std::size_t max_dictionary_size = 0;
@@ -130,6 +140,26 @@ struct RunStats {
   double optimize_ms = 0.0;
   double evolve_ms = 0.0;
   double sample_ms = 0.0;
+};
+
+/// States the simulator branches channels on exactly: a Kraus operator
+/// applies without renormalizing, and renormalize() restores unit norm.
+template <typename S>
+concept KrausBranching =
+    requires(S s, const Matrix& m, std::span<const Qubit> qubits) {
+      s.apply_matrix(m, qubits);
+      s.renormalize();
+    };
+
+/// States that expose ⟨b|ψ⟩ directly (statevector, MPS). Their channel
+/// weights come from the candidates' amplitudes, which assumes
+/// compute_probability(s, b) == |s.amplitude(b)|² and that apply_matrix
+/// is exact. A state whose apply_matrix can truncate says so through an
+/// optional `bool applies_exactly(std::span<const Qubit>) const`, and
+/// where that is false its weights come from per-branch copies.
+template <typename S>
+concept AmplitudeReadable = requires(const S& s, Bitstring b) {
+  { s.amplitude(b) } -> std::convertible_to<Complex>;
 };
 
 /// Tuning knobs.
@@ -188,7 +218,9 @@ struct SimulatorOptions {
 ///  - optional members for full feature support:
 ///      `project(std::span<const Qubit>, Bitstring)` (mid-circuit
 ///      measurement), `apply_matrix(const Matrix&, std::span<const
-///      Qubit>)` + `renormalize()` (exact channel branching).
+///      Qubit>)` + `renormalize()` (exact channel branching, see
+///      KrausBranching), `amplitude(Bitstring)` (channel weights
+///      without per-branch copies, see AmplitudeReadable).
 template <typename State>
 class Simulator {
  public:
@@ -774,37 +806,87 @@ class Simulator {
 
   /// Exact channel handling: sample (Kraus branch, candidate) jointly —
   /// this is BGLS on the channel's unitary dilation with the environment
-  /// bit discarded, so the hidden-variable invariant holds exactly.
-  template <typename S = State>
+  /// bit discarded, so the hidden-variable invariant holds exactly. The
+  /// weights |(K_k ψ)[c_i]|² are listed branch-major (k outer, candidate
+  /// i inner); the drawn operator is applied and the state renormalized.
+  template <KrausBranching S>
   Bitstring apply_channel_jointly(const Operation& op, S& state, Bitstring b,
-                                  Rng& rng, RunStats& stats) const
-    requires requires(S s, const Matrix& m, std::span<const Qubit> qs) {
-      s.apply_matrix(m, qs);
-      s.renormalize();
-    }
-  {
+                                  Rng& rng, RunStats& stats) const {
     const auto& kraus = op.gate().channel().operators();
-    const CandidateList candidates = expand_candidates(b, op.qubits());
+    const std::span<const Qubit> qubits = op.qubits();
+    const CandidateList candidates = expand_candidates(b, qubits);
     const auto num_candidates = static_cast<std::size_t>(candidates.count);
-
-    std::vector<S> branches;
-    branches.reserve(kraus.size());
     std::vector<double> weights;
     weights.reserve(kraus.size() * num_candidates);
-    for (const auto& k : kraus) {
-      S branch = state;
-      branch.apply_matrix(k, op.qubits());
-      for (std::size_t i = 0; i < num_candidates; ++i) {
-        weights.push_back(compute_probability_(branch, candidates.values[i]));
+    std::size_t chosen = 0;
+    if (weights_from_amplitudes(state, kraus, qubits, candidates, weights)) {
+      chosen = rng.categorical(weights);
+      state.apply_matrix(kraus[chosen / num_candidates], qubits);
+    } else {
+      // Apply every operator to its own copy and read the weights off
+      // the copies.
+      std::vector<S> branches;
+      branches.reserve(kraus.size());
+      for (const Matrix& k : kraus) {
+        S branch = state;
+        branch.apply_matrix(k, qubits);
+        for (std::size_t i = 0; i < num_candidates; ++i) {
+          weights.push_back(compute_probability_(branch, candidates.values[i]));
+        }
+        branches.push_back(std::move(branch));
       }
-      branches.push_back(std::move(branch));
+      chosen = rng.categorical(weights);
+      state = std::move(branches[chosen / num_candidates]);
     }
-    stats.probability_evaluations += weights.size();
-    const std::size_t chosen = rng.categorical(weights);
-    state = std::move(branches[chosen / num_candidates]);
     state.renormalize();
+    stats.probability_evaluations += weights.size();
     ++stats.state_applications;
     return candidates.values[chosen % num_candidates];
+  }
+
+  /// Fills `weights` (branch-major) from the candidates' amplitudes and
+  /// returns true, or returns false and fills nothing when the state has
+  /// no amplitude() or says applying a matrix on `qubits` would not be
+  /// exact (an MPS whose bond cap can truncate a two-qubit operator: its
+  /// weights must come from the truncated copies, so the drawn candidate
+  /// stays one the truncated state supports).
+  template <typename S>
+  static bool weights_from_amplitudes(const S& state,
+                                      const std::vector<Matrix>& kraus,
+                                      std::span<const Qubit> qubits,
+                                      const CandidateList& candidates,
+                                      std::vector<double>& weights) {
+    if constexpr (!AmplitudeReadable<S>) {
+      return false;
+    } else {
+      if constexpr (requires { state.applies_exactly(qubits); }) {
+        if (!state.applies_exactly(qubits)) return false;
+      }
+      // ψ's 2^k candidate amplitudes in gate-local order (qubits[0] is
+      // the most significant gate bit; candidate i sets qubits[j] to
+      // bit j of i), then each weight as one row of K_k times them.
+      // Rows are summed in column order, the order of every kernel, so
+      // on a statevector the weights equal the copies' to the bit.
+      const auto num_candidates = static_cast<std::size_t>(candidates.count);
+      std::array<Complex, (1u << kMaxGateArity)> local{};
+      std::array<std::size_t, (1u << kMaxGateArity)> row{};
+      for (std::size_t i = 0; i < num_candidates; ++i) {
+        for (std::size_t j = 0; j < qubits.size(); ++j) {
+          row[i] |= ((i >> j) & 1u) << (qubits.size() - 1 - j);
+        }
+        local[row[i]] = state.amplitude(candidates.values[i]);
+      }
+      for (const Matrix& k : kraus) {
+        for (std::size_t i = 0; i < num_candidates; ++i) {
+          Complex amplitude{0.0, 0.0};
+          for (std::size_t col = 0; col < num_candidates; ++col) {
+            amplitude += k(row[i], col) * local[col];
+          }
+          weights.push_back(std::norm(amplitude));
+        }
+      }
+      return true;
+    }
   }
 
   /// One full trajectory over `ops` (the circuit's flattened
@@ -840,12 +922,8 @@ class Simulator {
                      "' which has not been measured yet");
         if (it->second == 0) continue;  // condition false: skip the gate
       }
-      if (gate.is_channel() && hooks_are_native_) {
-        if constexpr (requires(State s, const Matrix& m,
-                               std::span<const Qubit> qs) {
-                        s.apply_matrix(m, qs);
-                        s.renormalize();
-                      }) {
+      if constexpr (KrausBranching<State>) {
+        if (gate.is_channel() && hooks_are_native_) {
           b = apply_channel_jointly(op, state, b, rng, stats);
           continue;
         }

@@ -1,5 +1,6 @@
 #include "densitymatrix/state.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"
@@ -38,7 +39,9 @@ DensityMatrixState::DensityMatrixState(int num_qubits, Bitstring initial)
 
 double DensityMatrixState::probability(Bitstring b) const {
   BGLS_REQUIRE(b < dim_, "bitstring out of range");
-  return rho_[b * dim_ + b].real();
+  // Rounding can leave a diagonal entry a few ulps below zero after a
+  // gate; clamp as probabilities() does.
+  return std::max(0.0, rho_[b * dim_ + b].real());
 }
 
 void DensityMatrixState::apply(const Operation& op) {

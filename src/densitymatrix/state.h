@@ -34,7 +34,7 @@ class DensityMatrixState {
     return rho_[r * dim_ + c];
   }
 
-  /// P(b) = ρ_bb — the compute_probability ingredient.
+  /// P(b) = ρ_bb, clamped at 0 — the compute_probability ingredient.
   [[nodiscard]] double probability(Bitstring b) const;
 
   /// Applies a unitary operation: ρ → U ρ U†.

@@ -57,6 +57,13 @@ class MPSState {
   /// listed qubits (k ≤ 2) without renormalizing — Kraus branches.
   void apply_matrix(const Matrix& m, std::span<const Qubit> qubits);
 
+  /// False when apply_matrix on `qubits` can drop more than relatively
+  /// negligible weight: a two-qubit split under a bond cap. The
+  /// simulator then weighs channel branches on truncated copies.
+  [[nodiscard]] bool applies_exactly(std::span<const Qubit> qubits) const {
+    return qubits.size() < 2 || options_.max_bond_dim == 0;
+  }
+
   /// ⟨b|ψ⟩ via physical-index selection and reduced-network contraction.
   [[nodiscard]] Complex amplitude(Bitstring b) const;
 

@@ -70,8 +70,7 @@ CostModel CostModel::fitted(const JsonValue& micro_states,
   CostCoefficients c;  // start from the committed-artifact defaults
   // One Hadamard sweep over 2^20 amplitudes: the cleanest
   // seconds-per-element sample the micro bench records. The density
-  // matrix shares the coefficient (same dense per-element work), which
-  // pins the DM-vs-trajectories crossover at 2^n = reps.
+  // matrix shares the coefficient (same dense per-element work).
   const double apply_h_20_ns =
       benchmark_real_time_ns(micro_states, "BM_StateVector_ApplyH/20");
   if (apply_h_20_ns > 0) {
@@ -133,10 +132,9 @@ double CostModel::predict_seconds(const CircuitProfile& profile,
       std::max<std::size_t>(profile.num_operations, 1));
   const double reps = static_cast<double>(repetitions);
   // Unitary circuits evolve once (dictionary-batched repetitions);
-  // channel-bearing circuits re-evolve per trajectory on the pure-state
-  // representations. The exact densitymatrix branches channels in a
-  // single pass regardless of repetitions — that asymmetry is the whole
-  // routing decision.
+  // channel-bearing circuits re-evolve once per trajectory on every
+  // representation, the density matrix included (Simulator runs
+  // channels as trajectories whatever the state).
   const double passes = profile.has_channels ? std::max(reps, 1.0) : 1.0;
   const double shared = reps * coefficients_.sample_seconds_per_repetition +
                         coefficients_.job_overhead_seconds;
@@ -146,7 +144,7 @@ double CostModel::predict_seconds(const CircuitProfile& profile,
                  coefficients_.sv_seconds_per_element +
              shared;
     case BackendId::kDensityMatrix:
-      return ops * std::ldexp(1.0, 2 * profile.num_qubits) *
+      return passes * ops * std::ldexp(1.0, 2 * profile.num_qubits) *
                  coefficients_.dm_seconds_per_element +
              shared;
     case BackendId::kStabilizer: {

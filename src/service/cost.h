@@ -10,8 +10,9 @@
 ///   statevector    ops · 2^n          (one evolution; channel-bearing
 ///                                      circuits re-evolve per
 ///                                      trajectory)
-///   densitymatrix  ops · 4^n          (exact channel branching, one
-///                                      pass regardless of repetitions)
+///   densitymatrix  ops · 4^n          (likewise: channel-bearing
+///                                      circuits re-evolve ρ per
+///                                      trajectory)
 ///   stabilizer     ops · n²/64        (bit-packed CH-form rows; pure
 ///                                      Clifford evolves once)
 ///   mps            ops · n · χ³       (contraction + SVD per gate,
@@ -23,11 +24,10 @@
 /// overhead. Two consumers:
 ///
 ///  - BackendSelector (api/selector.cpp) compares predicted costs
-///    instead of hard-coded qubit cutoffs — densitymatrix wins over
-///    statevector trajectories exactly while 4^n·ops ≤ reps·2^n·ops,
-///    i.e. 2^n ≤ reps, which reproduces the old
-///    max_density_matrix_qubits=10 boundary at the default 1024
-///    repetitions;
+///    instead of hard-coded qubit cutoffs. On a channel-bearing circuit
+///    both dense backends pay one pass per repetition, so densitymatrix
+///    wins only while 4^n · dm coefficient ≤ 2^n · sv coefficient: never
+///    at n ≥ 1 with the shared default coefficient;
 ///  - JobScheduler admission (service/scheduler.h) rejects submissions
 ///    whose predicted seconds exceed the configured budget before any
 ///    sampling happens, with an `over_budget` slug on the wire.
@@ -64,8 +64,7 @@ class CostBudgetError : public Error {
 ///    (≈ 0.97 ms per 2^20-amplitude sweep → ≈ 0.93 ns per amplitude;
 ///    rounded up to 1 ns to cover non-Hadamard gate classes). The
 ///    density matrix does the same dense per-element work over 4^n
-///    elements, so it shares the coefficient — which is exactly what
-///    makes the DM-vs-trajectories crossover land at 2^n = reps.
+///    elements, so it shares the coefficient.
 ///  - mps: SVD-dominated; ≈ 16 dense-element units per tensor element
 ///    (linalg/svd.cpp is an unblocked one-sided Jacobi — far from the
 ///    statevector kernels' streaming bandwidth).

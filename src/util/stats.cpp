@@ -39,6 +39,20 @@ double total_variation_distance(const Distribution& p, const Distribution& q) {
   return 0.5 * sum;
 }
 
+double tvd_sampling_bound(const Distribution& expected, std::uint64_t samples,
+                          double false_failure_rate) {
+  BGLS_REQUIRE(samples > 0, "tvd_sampling_bound needs at least one sample");
+  BGLS_REQUIRE(false_failure_rate > 0.0 && false_failure_rate < 1.0,
+               "false_failure_rate must lie in (0, 1)");
+  const double n = static_cast<double>(samples);
+  double spread = 0.0;
+  for (const auto& [bits, pb] : expected) {
+    spread += std::sqrt(std::max(0.0, pb * (1.0 - pb)) / n);
+  }
+  return 0.5 * spread +
+         std::sqrt(std::log(1.0 / false_failure_rate) / (2.0 * n));
+}
+
 double classical_fidelity(const Distribution& p, const Distribution& q) {
   double bc = 0.0;
   for (const auto& [bits, pb] : p) {

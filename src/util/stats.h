@@ -34,6 +34,16 @@ using Distribution = std::map<Bitstring, double>;
 [[nodiscard]] double total_variation_distance(const Distribution& p,
                                               const Distribution& q);
 
+/// A threshold the total variation distance between `expected` and the
+/// empirical distribution of `samples` independent draws from it
+/// exceeds with probability at most `false_failure_rate` (δ):
+/// ½ Σ_b √(p_b(1−p_b)/N) + √(ln(1/δ)/(2N)). The first term bounds the
+/// expected distance (Jensen); one draw moves the distance by at most
+/// 1/N, so McDiarmid's inequality bounds the excess by the second.
+[[nodiscard]] double tvd_sampling_bound(const Distribution& expected,
+                                        std::uint64_t samples,
+                                        double false_failure_rate);
+
 /// Classical (Bhattacharyya) fidelity (sum_b sqrt(p_b q_b))^2.
 [[nodiscard]] double classical_fidelity(const Distribution& p,
                                         const Distribution& q);

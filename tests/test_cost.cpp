@@ -1,6 +1,6 @@
 /// \file test_cost.cpp
 /// The CostModel (service/cost.h): closed-form predictions per backend,
-/// the DM-vs-trajectories crossover that replaced the selector's
+/// the DM-vs-trajectories comparison that replaced the selector's
 /// hard-coded qubit cutoff, best-effort fitting from BENCH artifacts,
 /// and the bond-dimension estimate's clamps.
 
@@ -32,51 +32,68 @@ CircuitProfile channel_profile(int n, std::size_t ops = 20) {
   return profile;
 }
 
-TEST(CostModel, DensityMatrixVsTrajectoriesCrossoverAtTwoPowNEqualsReps) {
-  // Shared sv/dm per-element coefficient ⇒ DM (one 4^n pass) beats
-  // reps × 2^n trajectories exactly while 2^n ≤ reps. At the service
-  // default of 1024 repetitions that reproduces the old hard-coded
-  // max_density_matrix_qubits = 10 boundary.
+TEST(CostModel, DensityMatrixPaysOnePassPerRepetitionOnChannelCircuits) {
+  // Simulator runs channels as trajectories on every state, so a
+  // channel-bearing circuit re-evolves the 4^n density matrix once per
+  // repetition, as the statevector re-evolves its 2^n amplitudes. With
+  // the shared sv/dm coefficient the density matrix is never cheaper.
   const CostModel model;
-  const std::uint64_t reps = BackendSelector::kDefaultRepetitions;
-  ASSERT_EQ(reps, 1024u);
-  for (int n = 2; n <= 10; ++n) {
-    EXPECT_LE(model.predict_seconds(channel_profile(n), reps,
-                                    BackendId::kDensityMatrix),
-              model.predict_seconds(channel_profile(n), reps,
-                                    BackendId::kStateVector))
-        << "n=" << n;
+  for (int n = 1; n <= 14; ++n) {
+    for (const std::uint64_t reps : {1u, 16u, 1024u, 1u << 13}) {
+      EXPECT_GT(model.predict_seconds(channel_profile(n), reps,
+                                      BackendId::kDensityMatrix),
+                model.predict_seconds(channel_profile(n), reps,
+                                      BackendId::kStateVector))
+          << "n=" << n << " reps=" << reps;
+    }
   }
-  for (int n = 11; n <= 14; ++n) {
-    EXPECT_GT(model.predict_seconds(channel_profile(n), reps,
-                                    BackendId::kDensityMatrix),
-              model.predict_seconds(channel_profile(n), reps,
-                                    BackendId::kStateVector))
-        << "n=" << n;
-  }
-  // The boundary moves with repetitions: at 2^12 shots the 12-qubit
-  // costs tie exactly (2^n = reps — DM wins the ≤ comparison), and one
-  // more doubling makes the density matrix strictly cheaper.
-  EXPECT_LE(model.predict_seconds(channel_profile(12), 1u << 12,
-                                  BackendId::kDensityMatrix),
-            model.predict_seconds(channel_profile(12), 1u << 12,
-                                  BackendId::kStateVector));
-  EXPECT_LT(model.predict_seconds(channel_profile(12), 1u << 13,
-                                  BackendId::kDensityMatrix),
-            model.predict_seconds(channel_profile(12), 1u << 13,
-                                  BackendId::kStateVector));
+  // Without the per-repetition and per-job terms, the channel circuit's
+  // density-matrix cost is linear in repetitions; a unitary circuit's is
+  // one pass at any count.
+  CostCoefficients passes_only;
+  passes_only.sample_seconds_per_repetition = 0.0;
+  passes_only.job_overhead_seconds = 0.0;
+  const CostModel bare(passes_only);
+  EXPECT_DOUBLE_EQ(
+      bare.predict_seconds(channel_profile(6), 1024, BackendId::kDensityMatrix),
+      1024 * bare.predict_seconds(channel_profile(6), 1,
+                                  BackendId::kDensityMatrix));
+  CircuitProfile unitary = channel_profile(6);
+  unitary.has_channels = false;
+  EXPECT_DOUBLE_EQ(
+      bare.predict_seconds(unitary, 1024, BackendId::kDensityMatrix),
+      bare.predict_seconds(unitary, 1, BackendId::kDensityMatrix));
 }
 
 TEST(CostModel, SelectorUsesCrossoverForChannelCircuits) {
-  // End-to-end through BackendSelector: the same channel circuit flips
-  // from densitymatrix to statevector trajectories when the requested
-  // repetitions drop below 2^n.
-  Circuit circuit = ghz_circuit(8);
-  circuit.append(Operation(Gate::Channel(depolarize(0.05)), {0}));
-  circuit.append(measure({0, 1, 2}, "m"));
+  // End-to-end through BackendSelector. At the default coefficients the
+  // channel circuit goes to statevector trajectories at every
+  // repetition count. A density-matrix coefficient 2^9 times smaller
+  // moves the crossover to 4^n / 2^9 = 2^n, i.e. n = 9: 8 qubits then
+  // route to the density matrix and 10 qubits still do not.
+  const auto channel_circuit = [](int n) {
+    Circuit circuit = ghz_circuit(n);
+    circuit.append(Operation(Gate::Channel(depolarize(0.05)), {0}));
+    circuit.append(measure({0, 1, 2}, "m"));
+    return circuit;
+  };
   const BackendSelector selector;
-  EXPECT_EQ(selector.select(circuit, 1024).id, BackendId::kDensityMatrix);
-  EXPECT_EQ(selector.select(circuit, 16).id, BackendId::kStateVector);
+  for (const std::uint64_t reps : {16u, 1024u, 1u << 13}) {
+    EXPECT_EQ(selector.select(channel_circuit(8), reps).id,
+              BackendId::kStateVector)
+        << "reps=" << reps;
+  }
+  CostCoefficients cheap_dm;
+  cheap_dm.dm_seconds_per_element = cheap_dm.sv_seconds_per_element / 512;
+  const BackendSelector tuned({}, CostModel(cheap_dm));
+  for (const std::uint64_t reps : {16u, 1024u}) {
+    EXPECT_EQ(tuned.select(channel_circuit(8), reps).id,
+              BackendId::kDensityMatrix)
+        << "reps=" << reps;
+    EXPECT_EQ(tuned.select(channel_circuit(10), reps).id,
+              BackendId::kStateVector)
+        << "reps=" << reps;
+  }
 }
 
 TEST(CostModel, PredictionsScaleWithWorkload) {

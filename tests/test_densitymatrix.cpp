@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "circuit/noise.h"
 #include "circuit/random.h"
+#include "core/simulator.h"
 #include "statevector/state.h"
 #include "test_helpers.h"
 #include "util/error.h"
@@ -149,6 +151,23 @@ TEST(DensityMatrix, ComputeProbabilityFreeFunction) {
   DensityMatrixState rho(1);
   rho.apply(h(0));
   EXPECT_NEAR(compute_probability(rho, 0), 0.5, 1e-12);
+}
+
+TEST(DensityMatrix, RoundingNegativeDiagonalClampsToZero) {
+  // A gate can leave ρ_bb a few ulps below zero (about -6.6e-18 in this
+  // circuit). probability() used to return it unclamped, and the
+  // sampler's categorical draw rejected the negative weight.
+  Rng circuit_rng(5192);
+  RandomCircuitOptions options;
+  options.num_moments = 8;
+  options.op_density = 0.8;
+  Circuit circuit = with_noise(generate_random_circuit(6, options, circuit_rng),
+                               amplitude_damp(0.1));
+  circuit.append(measure({0, 1, 2, 3, 4, 5}, "m"));
+  Simulator<DensityMatrixState> sim{DensityMatrixState(6)};
+  Result result;
+  ASSERT_NO_THROW(result = sim.run(circuit, 64, 2));
+  EXPECT_EQ(result.repetitions(), 64u);
 }
 
 }  // namespace

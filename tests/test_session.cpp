@@ -43,7 +43,7 @@ Circuit dense_workload(int n = 4) {
       random_clifford_t_circuit(n, 10, 4, rng), n);
 }
 
-/// Channel-bearing, small register → densitymatrix.
+/// Channel-bearing, small register → statevector trajectories.
 Circuit channel_workload(int n = 3) {
   Circuit circuit{h(0), cnot(0, 1)};
   circuit.append(Operation(Gate::Channel(amplitude_damp(0.4)), {0}));
@@ -68,16 +68,17 @@ TEST(BackendSelector, PureCliffordRoutesToStabilizer) {
   EXPECT_EQ(selector.select(clifford_workload()).id, BackendId::kStabilizer);
 }
 
-TEST(BackendSelector, ChannelBearingSmallRegisterRoutesToDensityMatrix) {
+TEST(BackendSelector, ChannelBearingSmallRegisterRoutesToTrajectories) {
+  // The density matrix re-evolves its 4^n entries once per repetition
+  // on a channel circuit, so even small registers go to statevector
+  // trajectories (2^n per repetition).
   const BackendSelector selector;
-  EXPECT_EQ(selector.select(channel_workload()).id,
-            BackendId::kDensityMatrix);
+  EXPECT_EQ(selector.select(channel_workload()).id, BackendId::kStateVector);
 }
 
 TEST(BackendSelector, ChannelBearingWideRegisterRoutesToTrajectories) {
-  // 12 qubits: 2^12 > the default 1024 repetitions, so the cost model
-  // predicts reps × 2^n trajectories cheaper than the one-pass 4^n
-  // density matrix (the old max_density_matrix_qubits=10 boundary).
+  // 12 qubits: reps × 2^n trajectories beat reps × 4^n density-matrix
+  // passes.
   Circuit circuit = ghz_circuit(12);
   circuit.append(Operation(Gate::Channel(depolarize(0.05)), {0}));
   circuit.append(measure({0, 1, 2}, "m"));
@@ -191,8 +192,15 @@ TEST(SessionDifferential, AutoStabilizerMatchesDirectRunBitForBit) {
 }
 
 TEST(SessionDifferential, AutoDensityMatrixMatchesDirectRunBitForBit) {
+  // A cost model whose density-matrix coefficient is 2^4 times smaller
+  // routes the 3-qubit channel circuit to the density matrix
+  // (4^3 / 2^4 < 2^3).
   const Circuit circuit = channel_workload();
-  Session session;
+  SessionOptions options;
+  service::CostCoefficients cheap_dm;
+  cheap_dm.dm_seconds_per_element = cheap_dm.sv_seconds_per_element / 16;
+  options.cost_model = service::CostModel(cheap_dm);
+  Session session(options);
   const RunResult result = session.run(circuit, 5000, 44);
   EXPECT_EQ(result.backend_id, BackendId::kDensityMatrix);
   EXPECT_EQ(result.measurements.histogram("m"),
@@ -232,7 +240,7 @@ TEST(SessionDifferential, EnginePathMatchesDirectEngineRuns) {
 
   const Circuit noisy = channel_workload();
   EXPECT_EQ(session.run(request_for(noisy)).measurements.histogram("m"),
-            direct_histogram(noisy, DensityMatrixState(3), 20000, 77,
+            direct_histogram(noisy, StateVectorState(3), 20000, 77,
                              options));
 
   // Session pinned the 4-thread context.

@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "circuit/random.h"
 #include "core/baseline.h"
 #include "densitymatrix/state.h"
+#include "mps/state.h"
 #include "statevector/state.h"
 #include "test_helpers.h"
 
@@ -246,6 +252,202 @@ TEST(Simulator, NonUnitalChannelMatchesDensityMatrix) {
   Rng rng(43);
   const Counts counts = sim.sample(circuit, 60000, rng);
   EXPECT_LT(total_variation_distance(normalize(counts), ideal), 0.02);
+}
+
+/// `Inner` without amplitude(): Simulator branches channels on it by
+/// applying every Kraus operator to a copy of the state, the reference
+/// the amplitude path must reproduce.
+template <typename Inner>
+class CopyPath {
+ public:
+  explicit CopyPath(Inner inner) : inner_(std::move(inner)) {}
+  void apply_matrix(const Matrix& m, std::span<const Qubit> qubits) {
+    inner_.apply_matrix(m, qubits);
+  }
+  void renormalize() { inner_.renormalize(); }
+  void project(std::span<const Qubit> qubits, Bitstring bits) {
+    inner_.project(qubits, bits);
+  }
+  friend void apply_op(const Operation& op, CopyPath& state, Rng& rng) {
+    bgls::apply_op(op, state.inner_, rng);
+  }
+  friend double compute_probability(const CopyPath& state, Bitstring b) {
+    return bgls::compute_probability(state.inner_, b);
+  }
+
+ private:
+  Inner inner_;
+};
+
+static_assert(AmplitudeReadable<StateVectorState>);
+static_assert(AmplitudeReadable<MPSState>);
+static_assert(KrausBranching<CopyPath<StateVectorState>>);
+static_assert(!AmplitudeReadable<CopyPath<StateVectorState>>);
+
+/// Runs `circuit` and checks its records and counters against `expected`.
+template <typename State>
+void expect_same_run(const Circuit& circuit, State initial, int threads,
+                     std::uint64_t reps, std::uint64_t seed,
+                     const std::pair<Result, RunStats>& expected) {
+  SimulatorOptions options;
+  options.num_threads = threads;
+  Simulator<State> sim{std::move(initial), options};
+  const Result result = sim.run(circuit, reps, seed);
+  const RunStats& stats = sim.last_run_stats();
+  ASSERT_EQ(result.keys(), expected.first.keys());
+  for (const std::string& key : result.keys()) {
+    EXPECT_EQ(result.values(key), expected.first.values(key)) << key;
+  }
+  EXPECT_EQ(stats.state_applications, expected.second.state_applications);
+  EXPECT_EQ(stats.probability_evaluations,
+            expected.second.probability_evaluations);
+  EXPECT_EQ(stats.trajectories, expected.second.trajectories);
+  ASSERT_EQ(stats.per_shard.size(), expected.second.per_shard.size());
+  for (std::size_t i = 0; i < stats.per_shard.size(); ++i) {
+    EXPECT_EQ(stats.per_shard[i].state_applications,
+              expected.second.per_shard[i].state_applications);
+    EXPECT_EQ(stats.per_shard[i].probability_evaluations,
+              expected.second.per_shard[i].probability_evaluations);
+  }
+}
+
+/// One single-threaded run's records and counters.
+template <typename State>
+std::pair<Result, RunStats> reference_run(const Circuit& circuit,
+                                          State initial, std::uint64_t reps,
+                                          std::uint64_t seed) {
+  Simulator<State> sim{std::move(initial)};
+  Result result = sim.run(circuit, reps, seed);
+  return {std::move(result), sim.last_run_stats()};
+}
+
+/// A non-unital 2-qubit channel that is not symmetric under swapping its
+/// qubits. With probability 0.7 the second qubit decays when the first
+/// reads 1 (|11⟩ → |10⟩ with γ = 0.6); otherwise a dense unitary (0.2)
+/// or ISWAP (0.1) acts. Its operators fall in the diagonal, dense and
+/// permutation kernel classes.
+KrausChannel asymmetric_decay_channel() {
+  const double keep = std::sqrt(0.7);
+  Matrix decay_none(4, 4);
+  decay_none(0, 0) = decay_none(1, 1) = decay_none(2, 2) = keep;
+  decay_none(3, 3) = keep * std::sqrt(0.4);
+  Matrix decay(4, 4);
+  decay(2, 3) = keep * std::sqrt(0.6);
+  const Matrix dense =
+      Matrix::kron(Gate::Ry(0.7).unitary(), Gate::T().unitary()) *
+      Gate::CX().unitary();
+  return KrausChannel(
+      "asymmetric_decay",
+      {decay_none, decay, Complex{std::sqrt(0.2), 0.0} * dense,
+       Complex{std::sqrt(0.1), 0.0} * Gate::ISwap().unitary()});
+}
+
+/// A 4-qubit circuit that puts `channel` on `qubits` twice, around
+/// entangling gates and a mid-circuit measurement, then measures every
+/// qubit.
+Circuit channel_circuit(const KrausChannel& channel,
+                        const std::vector<Qubit>& qubits) {
+  Circuit circuit{h(0), h(1), h(2), h(3), cnot(0, 1), t(2), cnot(3, 2)};
+  circuit.append(Operation(Gate::Channel(channel), qubits));
+  circuit.append(Operation(Gate::Ry(0.9), {1}));
+  circuit.append(Operation(Gate::CZ(), {1, 2}));
+  circuit.append(measure({2}, "mid"));
+  circuit.append(Operation(Gate::Rx(0.4), {3}));
+  circuit.append(cnot(2, 0));
+  circuit.append(Operation(Gate::Channel(channel), qubits));
+  circuit.append(h(1));
+  return with_terminal_measurement(std::move(circuit), 4);
+}
+
+/// Runs `channel` on `qubits` through the statevector's amplitude path
+/// at 1 and 4 threads and through the copy path at 4 threads, against
+/// the copy path at 1 thread.
+void expect_channel_paths_agree(const KrausChannel& channel,
+                                const std::vector<Qubit>& qubits) {
+  using CopyPathState = CopyPath<StateVectorState>;
+  const Circuit circuit = channel_circuit(channel, qubits);
+  for (const std::uint64_t seed : {5u, 6u}) {
+    SCOPED_TRACE(channel.name() + " seed " + std::to_string(seed));
+    const auto expected = reference_run(
+        circuit, CopyPathState(StateVectorState(4)), 400, seed);
+    for (const int threads : {1, 4}) {
+      expect_same_run(circuit, StateVectorState(4), threads, 400, seed,
+                      expected);
+    }
+    expect_same_run(circuit, CopyPathState(StateVectorState(4)), 4, 400,
+                    seed, expected);
+  }
+}
+
+TEST(Simulator, AmplitudeChannelPathMatchesCopyPath) {
+  // The statevector reads each channel step's weights off its candidate
+  // amplitudes and applies only the drawn operator; the wrapper applies
+  // every operator to a copy. Both sum each amplitude in the kernels'
+  // order, so records and counters match exactly at 1 and 4 threads.
+  expect_channel_paths_agree(bit_flip(0.3), {0});
+  expect_channel_paths_agree(phase_flip(0.3), {3});
+  expect_channel_paths_agree(depolarize(0.4), {1});
+  expect_channel_paths_agree(amplitude_damp(0.5), {0});
+  expect_channel_paths_agree(phase_damp(0.5), {2});
+  expect_channel_paths_agree(asymmetric_decay_channel(), {3, 1});
+}
+
+TEST(Simulator, BondCappedMpsWeighsMultiQubitChannelsOnCopies) {
+  // Under a bond cap a two-qubit operator is truncated after it is
+  // applied. Weights read off the untruncated amplitudes could then draw
+  // a candidate the truncated state gives zero amplitude, and a later
+  // gate would find all its candidate weights zero (this circuit does so
+  // within 200 repetitions). The capped MPS weighs such channels on
+  // truncated copies instead, so it matches the copy path exactly.
+  Rng circuit_rng(103);
+  RandomCircuitOptions options;
+  options.num_moments = 8;
+  options.op_density = 0.8;
+  const Circuit random = generate_random_circuit(6, options, circuit_rng);
+  const Gate decay = Gate::Channel(asymmetric_decay_channel());
+  Circuit circuit;
+  for (const Moment& moment : random.moments()) {
+    for (const Operation& op : moment.operations()) circuit.append(op);
+    circuit.append(Operation(decay, {3, 1}));
+    circuit.append(Operation(decay, {4, 5}));
+  }
+  circuit = with_terminal_measurement(std::move(circuit), 6);
+  const MPSState capped(6, MPSOptions{2, 1e-12});
+  EXPECT_FALSE(capped.applies_exactly(std::vector<Qubit>{3, 1}));
+  EXPECT_TRUE(capped.applies_exactly(std::vector<Qubit>{3}));
+  const auto expected =
+      reference_run(circuit, CopyPath<MPSState>(capped), 40, 3);
+  expect_same_run(circuit, capped, 1, 40, 3, expected);
+}
+
+TEST(Simulator, AsymmetricTwoQubitChannelMatchesDensityMatrix) {
+  // The 2-qubit channel on qubits {3, 1}: qubits[0] = 3 is the gate's
+  // most significant bit, so a swapped index convention would decay
+  // qubit 3 instead of qubit 1. Each bound is exceeded with probability
+  // at most 1e-9 by a correct sampler (util/stats.h).
+  Circuit circuit{h(0), h(1), h(3), cnot(0, 1), t(3)};
+  circuit.append(Operation(Gate::Channel(asymmetric_decay_channel()), {3, 1}));
+  circuit.append(h(0));
+
+  DensityMatrixState rho(4);
+  evolve_exact(circuit, rho);
+  Distribution exact;
+  for (Bitstring b = 0; b < 16; ++b) exact[b] = rho.probability(b);
+
+  const std::uint64_t reps = 100000;
+  Simulator<StateVectorState> sv{StateVectorState(4)};
+  Rng rng(71);
+  EXPECT_LE(total_variation_distance(normalize(sv.sample(circuit, reps, rng)),
+                                     exact),
+            tvd_sampling_bound(exact, reps, 1e-9));
+  // The MPS applies the channel as a two-qubit split between tensors 3
+  // and 1.
+  const std::uint64_t mps_reps = 20000;
+  Simulator<MPSState> mps{MPSState(4)};
+  EXPECT_LE(
+      total_variation_distance(normalize(mps.sample(circuit, mps_reps, rng)),
+                               exact),
+      tvd_sampling_bound(exact, mps_reps, 1e-9));
 }
 
 TEST(Simulator, DensityMatrixBackendSamplesCorrectly) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "util/error.h"
@@ -107,6 +108,18 @@ TEST(Stats, LogLogSlopeRejectsNonPositive) {
   const std::vector<double> xs{1.0, 0.0};
   const std::vector<double> ys{1.0, 2.0};
   EXPECT_THROW((void)log_log_slope(xs, ys), ValueError);
+}
+
+TEST(Stats, TvdSamplingBoundKnownValue) {
+  // Uniform over 4 outcomes, N = 100, δ = e^-2:
+  // ½·4·√(0.25·0.75/100) + √(2/200).
+  const Distribution uniform{{0, 0.25}, {1, 0.25}, {2, 0.25}, {3, 0.25}};
+  EXPECT_NEAR(tvd_sampling_bound(uniform, 100, std::exp(-2.0)),
+              2.0 * std::sqrt(0.001875) + 0.1, 1e-12);
+  // A point mass has no sampling spread; only the deviation term stays.
+  EXPECT_NEAR(tvd_sampling_bound({{5, 1.0}}, 50, std::exp(-1.0)), 0.1, 1e-12);
+  EXPECT_THROW((void)tvd_sampling_bound(uniform, 0, 0.01), ValueError);
+  EXPECT_THROW((void)tvd_sampling_bound(uniform, 10, 0.0), ValueError);
 }
 
 }  // namespace
