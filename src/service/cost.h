@@ -35,11 +35,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "api/run_types.h"
 #include "util/error.h"
-#include "util/json_parser.h"
 
 namespace bgls {
 struct CircuitProfile;  // api/selector.h
@@ -90,20 +88,6 @@ class CostModel {
   CostModel() = default;
   explicit CostModel(CostCoefficients coefficients)
       : coefficients_(coefficients) {}
-
-  /// Re-fits the statevector/densitymatrix coefficient from a
-  /// google-benchmark BENCH_micro_states.json document and the per-job
-  /// overhead from a BENCH_service.json document. Either document may
-  /// be null-kind or lack the expected rows — the corresponding
-  /// defaults are kept (fitting is best-effort: a missing artifact
-  /// must never take the service down).
-  [[nodiscard]] static CostModel fitted(const JsonValue& micro_states,
-                                        const JsonValue& service);
-
-  /// fitted() over file paths; unreadable or malformed files keep the
-  /// defaults.
-  [[nodiscard]] static CostModel fitted_from_files(
-      const std::string& micro_states_path, const std::string& service_path);
 
   /// Predicted wall seconds for sampling `repetitions` shots of a
   /// circuit with these features on `backend`. Throws ValueError for

@@ -17,11 +17,6 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// Maps a terminal non-done job state onto its wire error code.
-std::string state_error_code(JobState state) {
-  return std::string(job_state_name(state));
-}
-
 /// Builds one compact journal record body via a filler callback.
 template <typename Fill>
 std::string journal_record(std::string_view type, std::uint64_t job,
@@ -37,8 +32,9 @@ std::string journal_record(std::string_view type, std::uint64_t job,
 }
 
 std::string submit_record(std::uint64_t job, const std::string& line) {
-  return journal_record("submit", job,
-                        [&](JsonWriter& json) { json.key("line").value(line); });
+  return journal_record("submit", job, [&](JsonWriter& json) {
+    json.key("line").value(line);
+  });
 }
 
 std::string checkpoint_record(std::uint64_t job,
@@ -86,7 +82,8 @@ SchedulerOptions& ServiceDaemon::hooked_scheduler_options() {
   SchedulerOptions& scheduler = options_.scheduler;
   if (options_.journal_path.empty()) return scheduler;
   scheduler.on_terminal = [this](const JobInfo& info) {
-    journal_terminal(info);
+    if (!journal_.is_open()) return;
+    journal_.append(terminal_record(info.id, outcome_of(info)));
   };
   scheduler.on_checkpoint = [this](std::uint64_t id,
                                    std::shared_ptr<const RunCheckpoint> ckpt) {
@@ -100,34 +97,50 @@ SchedulerOptions& ServiceDaemon::hooked_scheduler_options() {
   return scheduler;
 }
 
-void ServiceDaemon::journal_terminal(const JobInfo& info) {
-  if (!journal_.is_open()) return;
-  std::string record;
-  if (info.state == JobState::kDone && info.result != nullptr) {
-    RunReportContext context;
-    bool have_context = false;
-    {
-      const std::lock_guard<std::mutex> lock(contexts_mutex_);
-      const auto it = contexts_.find(info.id);
-      if (it != contexts_.end()) {
-        context = it->second;
-        have_context = true;
-      }
-    }
-    if (!have_context) return;  // evicted side table; nothing to journal
-    record = journal_record("terminal", info.id, [&](JsonWriter& json) {
-      json.key("state").value(job_state_name(info.state));
-      json.key("backend").value(info.result->backend_name);
-      json.key("selection_reason").value(info.result->selection_reason);
-      json.key("report").value(run_report_string(context, *info.result));
-    });
-  } else {
-    record = journal_record("terminal", info.id, [&](JsonWriter& json) {
-      json.key("state").value(job_state_name(info.state));
-      json.key("error").value(info.error);
-    });
+ServiceDaemon::TerminalOutcome ServiceDaemon::outcome_of(const JobInfo& info) {
+  TerminalOutcome outcome;
+  outcome.state = info.state;
+  outcome.error = info.error;
+  if (info.state == JobState::kDone) {
+    outcome.backend = info.result->backend_name;
+    outcome.selection_reason = info.result->selection_reason;
+    outcome.report = run_report_string(info.report_context, *info.result);
   }
-  journal_.append(record);
+  return outcome;
+}
+
+void ServiceDaemon::send_outcome(std::uint64_t id,
+                                 const TerminalOutcome& outcome,
+                                 Socket& socket, const std::string& type) {
+  const bool done = outcome.state == JobState::kDone;
+  const std::string_view state = job_state_name(outcome.state);
+  socket.write_all(response_line(done, [&](JsonWriter& json) {
+    if (!type.empty()) json.key("type").value(type);
+    json.key("job").value(id);
+    if (!done) json.key("code").value(state);
+    json.key("state").value(state);
+    if (done) {
+      json.key("backend").value(outcome.backend);
+      json.key("selection_reason").value(outcome.selection_reason);
+      json.key("report").value(outcome.report);
+    } else {
+      json.key("error").value(outcome.error);
+    }
+  }));
+}
+
+std::string ServiceDaemon::terminal_record(std::uint64_t id,
+                                           const TerminalOutcome& outcome) {
+  return journal_record("terminal", id, [&](JsonWriter& json) {
+    json.key("state").value(job_state_name(outcome.state));
+    if (outcome.state == JobState::kDone) {
+      json.key("backend").value(outcome.backend);
+      json.key("selection_reason").value(outcome.selection_reason);
+      json.key("report").value(outcome.report);
+    } else {
+      json.key("error").value(outcome.error);
+    }
+  });
 }
 
 ServiceDaemon::~ServiceDaemon() { stop(); }
@@ -153,7 +166,7 @@ void ServiceDaemon::replay_journal() {
     std::shared_ptr<const RunCheckpoint> checkpoint;
     std::string checkpoint_json;
     bool terminal = false;
-    ReplayedResult result;
+    TerminalOutcome outcome;
   };
   std::map<std::uint64_t, Pending> pending;
   std::uint64_t max_id = 0;
@@ -195,20 +208,37 @@ void ServiceDaemon::replay_journal() {
       }
     } else if (type == "terminal") {
       job.terminal = true;
-      ReplayedResult& result = job.result;
+      TerminalOutcome& outcome = job.outcome;
       const std::string state = record.string_or("state", "failed");
-      result.state = state == "done"        ? JobState::kDone
-                     : state == "cancelled" ? JobState::kCancelled
-                     : state == "timeout"   ? JobState::kTimedOut
-                                            : JobState::kFailed;
-      result.error = record.string_or("error", "");
-      result.backend = record.string_or("backend", "");
-      result.selection_reason = record.string_or("selection_reason", "");
-      result.report = record.string_or("report", "");
+      outcome.state = state == "done"        ? JobState::kDone
+                      : state == "cancelled" ? JobState::kCancelled
+                      : state == "timeout"   ? JobState::kTimedOut
+                                             : JobState::kFailed;
+      outcome.error = record.string_or("error", "");
+      outcome.backend = record.string_or("backend", "");
+      outcome.selection_reason = record.string_or("selection_reason", "");
+      outcome.report = record.string_or("report", "");
     }
   }
 
   scheduler_.reserve_ids_through(max_id);
+
+  // The retention bound, as the scheduler applies it to live jobs: keep
+  // the newest max_retained_jobs terminal jobs (ids grow across
+  // restarts) and forget the older ones.
+  std::uint64_t terminal_jobs = 0;
+  for (const auto& [id, job] : pending) terminal_jobs += job.terminal ? 1 : 0;
+  std::uint64_t evicted = 0;
+  for (auto it = pending.begin();
+       terminal_jobs > options_.scheduler.max_retained_jobs;) {
+    if (it->second.terminal) {
+      it = pending.erase(it);
+      --terminal_jobs;
+      ++evicted;
+    } else {
+      ++it;
+    }
+  }
 
   // Compact to the live set — terminal records (so results survive any
   // number of restarts) plus submit+latest-checkpoint for incomplete
@@ -216,18 +246,7 @@ void ServiceDaemon::replay_journal() {
   std::vector<std::string> compacted;
   for (const auto& [id, job] : pending) {
     if (job.terminal) {
-      const ReplayedResult& result = job.result;
-      compacted.push_back(journal_record(
-          "terminal", id, [&](JsonWriter& json) {
-            json.key("state").value(job_state_name(result.state));
-            if (result.state == JobState::kDone) {
-              json.key("backend").value(result.backend);
-              json.key("selection_reason").value(result.selection_reason);
-              json.key("report").value(result.report);
-            } else {
-              json.key("error").value(result.error);
-            }
-          }));
+      compacted.push_back(terminal_record(id, job.outcome));
     } else if (!job.line.empty()) {
       compacted.push_back(submit_record(id, job.line));
       if (job.checkpoint != nullptr) {
@@ -241,26 +260,18 @@ void ServiceDaemon::replay_journal() {
   // Re-enqueue incomplete jobs under their journaled ids (the journal
   // is open first, so their terminal events are recorded), and answer
   // queries for terminal ones from memory.
-  std::uint64_t terminal_jobs = 0;
   std::uint64_t resubmitted = 0;
   std::uint64_t dropped = 0;
   for (auto& [id, job] : pending) {
     if (job.terminal) {
       const std::lock_guard<std::mutex> lock(replayed_mutex_);
-      replayed_.emplace(id, std::move(job.result));
-      ++terminal_jobs;
+      replayed_.emplace(id, std::move(job.outcome));
       continue;
     }
     if (job.line.empty()) continue;  // checkpoint without submit
     try {
       RunRequest request = parse_submit(JsonValue::parse(job.line));
-      const RunReportContext context =
-          report_context(request, request.circuit.num_qubits());
       if (job.checkpoint != nullptr) request.resume = job.checkpoint;
-      {
-        const std::lock_guard<std::mutex> lock(contexts_mutex_);
-        contexts_.emplace(id, context);
-      }
       scheduler_.resubmit(std::move(request), id);
       ++resubmitted;
     } catch (const std::exception&) {
@@ -273,6 +284,7 @@ void ServiceDaemon::replay_journal() {
   record_journal_replay_seconds(replay_seconds);
   obs::log(obs::LogLevel::kInfo, "daemon", "journal replayed",
            {{"terminal_jobs", terminal_jobs},
+            {"evicted", evicted},
             {"resubmitted", resubmitted},
             {"dropped", dropped},
             {"seconds", replay_seconds}});
@@ -300,26 +312,11 @@ std::uint64_t ServiceDaemon::trace_of(std::uint64_t job) const {
 }
 
 void ServiceDaemon::handle_submit(const Request& r) {
-  RunRequest request = parse_submit(r.message);
-  // Same width the CLI reports (no clamping) — the report must match
-  // bgls_run byte for byte.
-  const RunReportContext context =
-      report_context(request, request.circuit.num_qubits());
-  const std::uint64_t id = scheduler_.submit(std::move(request));
-  {
-    // Store this job's report context and prune entries for jobs the
-    // scheduler's retention bound has evicted, so the daemon's side
-    // table stays bounded alongside jobs_.
-    const std::uint64_t min_retained = scheduler_.min_retained_id();
-    const std::lock_guard<std::mutex> lock(contexts_mutex_);
-    contexts_.emplace(id, context);
-    contexts_.erase(contexts_.begin(),
-                    contexts_.lower_bound(min_retained));
-  }
+  const std::uint64_t id = scheduler_.submit(parse_submit(r.message));
   // Journal-before-ack: once the client sees the job id, a crash-and-
   // restart daemon still knows the job. On a journal failure the job
   // keeps running but the client gets journal_error and must retry —
-  // the orphan's terminal record is dropped at the next replay.
+  // the orphan's terminal record still answers its id after a restart.
   if (journal_.is_open()) journal_.append(submit_record(id, r.line));
   // Cache hits are born terminal — report the real state so clients
   // can skip straight to `result` without polling.
@@ -339,38 +336,19 @@ void ServiceDaemon::handle_submit(const Request& r) {
   }));
 }
 
-bool ServiceDaemon::find_replayed(std::uint64_t id,
-                                  ReplayedResult& out) const {
+std::optional<ServiceDaemon::TerminalOutcome> ServiceDaemon::replayed(
+    std::uint64_t id) const {
   const std::lock_guard<std::mutex> lock(replayed_mutex_);
   const auto it = replayed_.find(id);
-  if (it == replayed_.end()) return false;
-  out = it->second;
-  return true;
+  if (it == replayed_.end()) return std::nullopt;
+  return it->second;
 }
 
 bool ServiceDaemon::send_replayed(std::uint64_t id, Socket& socket,
                                   const std::string& type) {
-  ReplayedResult replayed;
-  if (!find_replayed(id, replayed)) return false;
-  // Same wire shape as send_result, rebuilt from the journaled report.
-  if (replayed.state == JobState::kDone) {
-    socket.write_all(response_line(true, [&](JsonWriter& json) {
-      if (!type.empty()) json.key("type").value(type);
-      json.key("job").value(id);
-      json.key("state").value(job_state_name(replayed.state));
-      json.key("backend").value(replayed.backend);
-      json.key("selection_reason").value(replayed.selection_reason);
-      json.key("report").value(replayed.report);
-    }));
-    return true;
-  }
-  socket.write_all(response_line(false, [&](JsonWriter& json) {
-    if (!type.empty()) json.key("type").value(type);
-    json.key("job").value(id);
-    json.key("code").value(state_error_code(replayed.state));
-    json.key("state").value(job_state_name(replayed.state));
-    json.key("error").value(replayed.error);
-  }));
+  const std::optional<TerminalOutcome> outcome = replayed(id);
+  if (!outcome) return false;
+  send_outcome(id, *outcome, socket, type);
   return true;
 }
 
@@ -380,15 +358,15 @@ void ServiceDaemon::handle_status(const Request& r) {
   try {
     info = scheduler_.info(id);
   } catch (const ValueError&) {
-    ReplayedResult replayed;
-    if (!find_replayed(id, replayed)) throw;
+    const std::optional<TerminalOutcome> outcome = replayed(id);
+    if (!outcome) throw;
     r.socket.write_all(response_line(true, [&](JsonWriter& json) {
       json.key("job").value(id);
-      json.key("state").value(job_state_name(replayed.state));
-      if (!replayed.error.empty()) json.key("error").value(replayed.error);
-      if (!replayed.backend.empty()) {
-        json.key("backend").value(replayed.backend);
-        json.key("selection_reason").value(replayed.selection_reason);
+      json.key("state").value(job_state_name(outcome->state));
+      if (!outcome->error.empty()) json.key("error").value(outcome->error);
+      if (!outcome->backend.empty()) {
+        json.key("backend").value(outcome->backend);
+        json.key("selection_reason").value(outcome->selection_reason);
       }
     }));
     return;
@@ -430,44 +408,13 @@ void ServiceDaemon::handle_cancel(const Request& r) {
 
 void ServiceDaemon::send_result(const JobInfo& info, Socket& socket,
                                 const std::string& type) {
-  if (info.state == JobState::kDone) {
-    RunReportContext context;
-    {
-      const std::lock_guard<std::mutex> lock(contexts_mutex_);
-      const auto it = contexts_.find(info.id);
-      if (it == contexts_.end()) {
-        // Evicted by retention between the info() snapshot and here.
-        socket.write_all(error_line(
-            "unknown_job", "job " + std::to_string(info.id) +
-                               " was evicted by the retention bound"));
-        return;
-      }
-      context = it->second;
-    }
-    const std::string report = run_report_string(context, *info.result);
-    socket.write_all(response_line(true, [&](JsonWriter& json) {
-      if (!type.empty()) json.key("type").value(type);
-      json.key("job").value(info.id);
-      json.key("state").value(job_state_name(info.state));
-      json.key("backend").value(info.result->backend_name);
-      json.key("selection_reason").value(info.result->selection_reason);
-      json.key("report").value(report);
-    }));
-    return;
-  }
   if (!is_terminal(info.state)) {
     socket.write_all(error_line(
         "not_done", "job " + std::to_string(info.id) + " is " +
                         std::string(job_state_name(info.state))));
     return;
   }
-  socket.write_all(response_line(false, [&](JsonWriter& json) {
-    if (!type.empty()) json.key("type").value(type);
-    json.key("job").value(info.id);
-    json.key("code").value(state_error_code(info.state));
-    json.key("state").value(job_state_name(info.state));
-    json.key("error").value(info.error);
-  }));
+  send_outcome(info.id, outcome_of(info), socket, type);
 }
 
 void ServiceDaemon::handle_result_or_wait(const Request& r, bool wait) {

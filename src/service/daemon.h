@@ -4,8 +4,9 @@
 /// protocol (service/protocol.h) over a Unix-domain or TCP endpoint.
 ///
 /// The daemon is a handler table plus its state (scheduler, journal,
-/// report contexts); LineServer (service/line_server.h) owns the socket
-/// and the threads: one acceptor, one handler thread per connection.
+/// journal-replayed outcomes); LineServer (service/line_server.h) owns
+/// the socket and the threads: one acceptor, one handler thread per
+/// connection.
 /// The daemon is embeddable: tests and examples/service_client.cpp
 /// start one in-process with start()/stop() and drive it through
 /// ServiceClient over a real socket, which is exactly the code path the
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "service/journal.h"
@@ -100,18 +102,10 @@ class ServiceDaemon {
   /// front stitches these worker spans with its own placement spans.
   void handle_trace(const Request& request);
 
-  /// Sends the terminal-state response for a job ("result" shape: the
-  /// canonical report on kDone, an error code otherwise). `type` tags
-  /// stream frames ("result") and is omitted when empty.
-  void send_result(const JobInfo& info, Socket& socket,
-                   const std::string& type);
-
-  /// The job's trace id for slow-request logs (0 when unknown).
-  [[nodiscard]] std::uint64_t trace_of(std::uint64_t job) const;
-
-  /// Terminal job restored from the journal at start() — answers
-  /// status/result/wait/stream for its id without re-running.
-  struct ReplayedResult {
+  /// What a terminal job hands back: the canonical report on kDone, the
+  /// error otherwise. Live jobs convert from JobInfo (outcome_of); jobs
+  /// that ended in an earlier life are restored from the journal.
+  struct TerminalOutcome {
     JobState state = JobState::kDone;
     std::string error;
     std::string backend;
@@ -119,18 +113,38 @@ class ServiceDaemon {
     std::string report;
   };
 
+  /// A terminal live job's outcome (its report built from the job's
+  /// report context).
+  [[nodiscard]] static TerminalOutcome outcome_of(const JobInfo& info);
+  /// Writes the terminal frame of result/wait/stream: the report on
+  /// kDone, the state as error code otherwise. `type` tags stream
+  /// frames ("result") and is omitted when empty.
+  static void send_outcome(std::uint64_t id, const TerminalOutcome& outcome,
+                           Socket& socket, const std::string& type);
+  /// The journal's `terminal` record for a job.
+  [[nodiscard]] static std::string terminal_record(
+      std::uint64_t id, const TerminalOutcome& outcome);
+
+  /// send_outcome for a live job, or `not_done` while it is not
+  /// terminal.
+  void send_result(const JobInfo& info, Socket& socket,
+                   const std::string& type);
+
+  /// The job's trace id for slow-request logs (0 when unknown).
+  [[nodiscard]] std::uint64_t trace_of(std::uint64_t job) const;
+
   /// Installs the journal event hooks on options_.scheduler (must run
   /// before scheduler_ is constructed — see the member order below).
   [[nodiscard]] SchedulerOptions& hooked_scheduler_options();
   /// Replays + compacts the journal, opens it for appending, and
   /// re-enqueues incomplete jobs (called from start()).
   void replay_journal();
+  /// The outcome of a job that ended in an earlier life, if `id` is one.
+  [[nodiscard]] std::optional<TerminalOutcome> replayed(std::uint64_t id) const;
   /// Answers a request for a journal-replayed terminal job; false when
   /// the id is not one.
   bool send_replayed(std::uint64_t id, Socket& socket,
                      const std::string& type);
-  bool find_replayed(std::uint64_t id, ReplayedResult& out) const;
-  void journal_terminal(const JobInfo& info);
 
   DaemonOptions options_;
   /// Declared before scheduler_ so it outlives it: scheduler runner
@@ -138,15 +152,10 @@ class ServiceDaemon {
   Journal journal_;
   JobScheduler scheduler_;
 
-  /// Report contexts per job (the submit knobs echoed into the
-  /// canonical report), kept daemon-side so `result` can rebuild the
-  /// byte-exact bgls_run output.
-  mutable std::mutex contexts_mutex_;
-  std::map<std::uint64_t, RunReportContext> contexts_;
-
-  /// Journal-replayed terminal jobs (start() fills it; read-mostly).
+  /// Journal-replayed terminal jobs, at most max_retained_jobs of them
+  /// (start() fills it; read-mostly).
   mutable std::mutex replayed_mutex_;
-  std::map<std::uint64_t, ReplayedResult> replayed_;
+  std::map<std::uint64_t, TerminalOutcome> replayed_;
 
   /// Declared last: its handler threads use every member above, and
   /// stop() joins them before any of those is destroyed.

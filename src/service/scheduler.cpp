@@ -42,6 +42,8 @@ struct JobScheduler::Job {
   double cost_units = 0.0;
   /// CostModel estimate at admission; 0 when none was possible.
   double predicted_seconds = 0.0;
+  /// What the job's canonical report echoes (JobInfo::report_context).
+  RunReportContext report_context;
   /// Answered from the result cache (instantly terminal, never ran).
   bool from_cache = false;
   /// Canonical cache key when the request is cacheable and missed (the
@@ -259,6 +261,7 @@ std::uint64_t JobScheduler::submit_impl(RunRequest request,
   JobPtr job = std::make_shared<Job>();
   job->priority = request.priority;
   job->tenant = request.tenant;
+  job->report_context = report_context(request, request.circuit.num_qubits());
   job->submitted_at = std::chrono::steady_clock::now();
 
   // Result cache: a hit never consumes a queue slot, a runner, or the
@@ -296,8 +299,7 @@ std::uint64_t JobScheduler::submit_impl(RunRequest request,
   request.deadline_ms = 0;
   job->checkpoint = request.resume;  // replayed jobs resume from here
 
-  bool notify_terminal = false;
-  JobInfo terminal_info;
+  std::optional<JobInfo> terminal;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     BGLS_REQUIRE(!stopping_, "scheduler is shutting down");
@@ -410,21 +412,9 @@ std::uint64_t JobScheduler::submit_impl(RunRequest request,
       // no runner, no fair-share charge. start_order stays 0 (it never
       // ran) and stats record it as completed like any other job.
       job->from_cache = true;
-      job->state = JobState::kDone;
-      job->result = std::move(cached);
-      job->finished_at = std::chrono::steady_clock::now();
       jobs_.emplace(job->id, job);
-      ++stats_.completed;
       ++stats_.cache_hits;
-      ++stats_.completed_per_backend[job->result->backend_name];
-      ++stats_.completed_per_tenant[metric_safe_label(job->tenant)];
-      tenant.completed_metric.add();
-      metrics.done.add();
-      note_terminal_locked(job);
-      if (options_.on_terminal) {
-        terminal_info = snapshot_locked(*job);
-        notify_terminal = true;
-      }
+      terminal = finish_locked(job, JobState::kDone, {}, std::move(cached));
     } else {
       // Record every progress update on the job (for poll/stream
       // replays), then forward to any caller-supplied sink.
@@ -490,14 +480,7 @@ std::uint64_t JobScheduler::submit_impl(RunRequest request,
     }
   }
   if (job->from_cache) {
-    // Already terminal — wake wait()ers, not runners.
-    job_changed_.notify_all();
-    if (notify_terminal) {
-      try {
-        options_.on_terminal(terminal_info);
-      } catch (...) {
-      }
-    }
+    notify_terminal(terminal);  // already terminal: wait()ers, not runners
   } else {
     work_available_.notify_one();
   }
@@ -533,8 +516,7 @@ void JobScheduler::maybe_preempt_locked(const JobPtr& incoming) {
 
 bool JobScheduler::cancel(std::uint64_t id) {
   JobPtr job;
-  bool became_terminal = false;
-  JobInfo terminal_info;
+  std::optional<JobInfo> terminal;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = jobs_.find(id);
@@ -545,53 +527,22 @@ bool JobScheduler::cancel(std::uint64_t id) {
       job->cancel_requested_at = std::chrono::steady_clock::now();
     }
     if (job->state == JobState::kQueued) {
-      // Cancelled before running: terminal immediately, and removed
-      // from the queue so it stops counting against admission control
-      // (queues are at most max_queue_depth deep, so the linear erase
-      // is cheap).
-      job->state = JobState::kCancelled;
-      job->error = "cancelled while queued";
-      job->finished_at = std::chrono::steady_clock::now();
-      ++stats_.cancelled;
-      bool dequeued = false;
-      const auto queued = std::find(queue_.begin(), queue_.end(), job);
-      if (queued != queue_.end()) {
-        queue_.erase(queued);
-        dequeued = true;
-      }
-      const auto delayed = std::find(delayed_.begin(), delayed_.end(), job);
-      if (delayed != delayed_.end()) {
-        delayed_.erase(delayed);
-        dequeued = true;
-      }
-      if (dequeued) {
-        TenantState& tenant = tenant_locked(job->tenant);
-        if (tenant.queued > 0) --tenant.queued;
-        predicted_backlog_seconds_ = std::max(
-            0.0, predicted_backlog_seconds_ - job->predicted_seconds);
-      }
-      note_terminal_locked(job);
-      SchedulerMetrics& metrics = SchedulerMetrics::instance();
-      metrics.cancelled.add();
-      metrics.queue_depth.set(
+      // Cancelled before running: removed from the queue (or the retry
+      // backoff list) so it stops counting against admission control,
+      // and terminal immediately. Queues are at most max_queue_depth
+      // deep, so the linear erase is cheap.
+      std::erase(queue_, job);
+      std::erase(delayed_, job);
+      release_queued_locked(*job);
+      SchedulerMetrics::instance().queue_depth.set(
           static_cast<std::int64_t>(queue_.size() + delayed_.size()));
-      metrics.queue_wait.observe(
-          seconds_between(job->submitted_at, job->finished_at));
-      metrics.cancel_latency.observe(
-          seconds_between(job->cancel_requested_at, job->finished_at));
-      became_terminal = true;
-      terminal_info = snapshot_locked(*job);
+      terminal = finish_locked(job, JobState::kCancelled,
+                               "cancelled while queued", nullptr);
     }
   }
   // Running jobs stop cooperatively at their next gate/shard check.
   job->token.cancel();
-  job_changed_.notify_all();
-  if (became_terminal && options_.on_terminal) {
-    try {
-      options_.on_terminal(terminal_info);
-    } catch (...) {
-    }
-  }
+  notify_terminal(terminal);
   return true;
 }
 
@@ -649,16 +600,6 @@ void JobScheduler::promote_delayed_locked() {
   const auto now = std::chrono::steady_clock::now();
   auto it = delayed_.begin();
   while (it != delayed_.end()) {
-    if (is_terminal((*it)->state)) {
-      // Became terminal while waiting out backoff without being erased
-      // by cancel() — release its backlog share here.
-      TenantState& tenant = tenant_locked((*it)->tenant);
-      if (tenant.queued > 0) --tenant.queued;
-      predicted_backlog_seconds_ = std::max(
-          0.0, predicted_backlog_seconds_ - (*it)->predicted_seconds);
-      it = delayed_.erase(it);
-      continue;
-    }
     if ((*it)->ready_at <= now) {
       queue_.push_back(std::move(*it));
       it = delayed_.erase(it);
@@ -669,33 +610,21 @@ void JobScheduler::promote_delayed_locked() {
 }
 
 JobScheduler::JobPtr JobScheduler::take_next_locked() {
+  // Every job in queue_ is kQueued: a queued job ends only through
+  // cancel() or the destructor, and both take it out of the queue.
   auto best = queue_.end();
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    if (is_terminal((*it)->state)) {
-      // Defensive: cancel() erases cancelled jobs eagerly, but anything
-      // that slipped through must not occupy a slot forever.
-      TenantState& tenant = tenant_locked((*it)->tenant);
-      if (tenant.queued > 0) --tenant.queued;
-      predicted_backlog_seconds_ = std::max(
-          0.0, predicted_backlog_seconds_ - (*it)->predicted_seconds);
-      it = queue_.erase(it);
-      continue;
-    }
+  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     const TenantState& tenant = tenant_locked((*it)->tenant);
     const bool eligible = tenant.quota.max_running == 0 ||
                           tenant.running < tenant.quota.max_running;
     if (eligible && (best == queue_.end() || dispatch_less(*best, *it))) {
       best = it;
     }
-    ++it;
   }
   if (best == queue_.end()) return nullptr;
   JobPtr job = std::move(*best);
   queue_.erase(best);
-  TenantState& tenant = tenant_locked(job->tenant);
-  if (tenant.queued > 0) --tenant.queued;
-  predicted_backlog_seconds_ = std::max(
-      0.0, predicted_backlog_seconds_ - job->predicted_seconds);
+  release_queued_locked(*job);
   // The global clock follows dispatched start tags so tenants going
   // from idle to busy start at "now" in virtual time rather than
   // cashing in every idle second as credit.
@@ -703,6 +632,13 @@ JobScheduler::JobPtr JobScheduler::take_next_locked() {
   SchedulerMetrics::instance().queue_depth.set(
       static_cast<std::int64_t>(queue_.size() + delayed_.size()));
   return job;
+}
+
+void JobScheduler::release_queued_locked(const Job& job) {
+  TenantState& tenant = tenant_locked(job.tenant);
+  if (tenant.queued > 0) --tenant.queued;
+  predicted_backlog_seconds_ =
+      std::max(0.0, predicted_backlog_seconds_ - job.predicted_seconds);
 }
 
 void JobScheduler::runner_loop() {
@@ -730,28 +666,16 @@ void JobScheduler::runner_loop() {
         }
       }
       if (stopping_) return;
-      SchedulerMetrics& metrics = SchedulerMetrics::instance();
       // A deadline that expired in the queue never samples.
       if (job->token.stop_kind() == StopKind::kDeadline) {
-        job->state = JobState::kTimedOut;
-        job->error = "deadline exceeded while queued";
-        job->finished_at = std::chrono::steady_clock::now();
-        ++stats_.timed_out;
-        note_terminal_locked(job);
-        metrics.timed_out.add();
-        metrics.queue_wait.observe(
-            seconds_between(job->submitted_at, job->finished_at));
-        const JobInfo terminal_info = snapshot_locked(*job);
+        const std::optional<JobInfo> terminal =
+            finish_locked(job, JobState::kTimedOut,
+                          "deadline exceeded while queued", nullptr);
         lock.unlock();
-        job_changed_.notify_all();
-        if (options_.on_terminal) {
-          try {
-            options_.on_terminal(terminal_info);
-          } catch (...) {
-          }
-        }
+        notify_terminal(terminal);
         continue;
       }
+      SchedulerMetrics& metrics = SchedulerMetrics::instance();
       job->state = JobState::kRunning;
       ++tenant_locked(job->tenant).running;
       job->started_at = std::chrono::steady_clock::now();
@@ -769,7 +693,6 @@ void JobScheduler::runner_loop() {
     }
     job_changed_.notify_all();
     run_job(job);
-    job_changed_.notify_all();
   }
 }
 
@@ -790,6 +713,10 @@ void JobScheduler::run_job(const JobPtr& job) {
   std::shared_ptr<RunResult> result;
   try {
     result = std::make_shared<RunResult>(session_.run(job->request));
+    // Scheduling-side wall time into the job's RunStats (never part of
+    // the byte-stable reports — see core/simulator.h).
+    result->stats.queue_wait_ms =
+        seconds_between(job->submitted_at, job->started_at) * 1000.0;
   } catch (const CancelledError& e) {
     state = JobState::kCancelled;
     error = e.what();
@@ -812,10 +739,17 @@ void JobScheduler::run_job(const JobPtr& job) {
     state = JobState::kFailed;
     error = e.what();
   }
+  if (result != nullptr && options_.result_cache != nullptr &&
+      !job->cache_key.empty()) {
+    // Cached before the job turns terminal, so whoever sees it done
+    // finds the entry (the insert takes the cache's own lock).
+    // Concurrent duplicates are identical by determinism; insert keeps
+    // the first.
+    options_.result_cache->insert(job->cache_key, result);
+  }
 
   bool requeued = false;
-  JobInfo terminal_info;
-  bool notify_terminal = false;
+  std::optional<JobInfo> terminal;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     SchedulerMetrics& metrics = SchedulerMetrics::instance();
@@ -860,19 +794,8 @@ void JobScheduler::run_job(const JobPtr& job) {
       requeued = true;
     }
     if (!requeued) {
-      finish_job_locked(job, state, std::move(error), std::move(result));
-      if (!stopping_ && options_.on_terminal) {
-        terminal_info = snapshot_locked(*job);
-        notify_terminal = true;
-      }
+      terminal = finish_locked(job, state, std::move(error), std::move(result));
     }
-  }
-  if (!requeued && state == JobState::kDone &&
-      options_.result_cache != nullptr && !job->cache_key.empty()) {
-    // Populate the cache outside the lock (insert takes the cache's own
-    // lock). Concurrent duplicates are identical by determinism; insert
-    // keeps the first.
-    options_.result_cache->insert(job->cache_key, job->result);
   }
   if (requeued) {
     work_available_.notify_one();
@@ -883,12 +806,7 @@ void JobScheduler::run_job(const JobPtr& job) {
     // gets to rescan.
     work_available_.notify_all();
   }
-  if (notify_terminal) {
-    try {
-      options_.on_terminal(terminal_info);
-    } catch (...) {
-    }
-  }
+  notify_terminal(terminal);
 }
 
 void JobScheduler::requeue_locked(
@@ -922,57 +840,58 @@ void JobScheduler::requeue_locked(
       static_cast<std::int64_t>(queue_.size() + delayed_.size()));
 }
 
-void JobScheduler::finish_job_locked(const JobPtr& job, JobState state,
-                                     std::string error,
-                                     std::shared_ptr<RunResult> result) {
+std::optional<JobInfo> JobScheduler::finish_locked(
+    const JobPtr& job, JobState state, std::string error,
+    std::shared_ptr<const RunResult> result) {
+  const bool ran = job->state == JobState::kRunning;
   job->state = state;
   job->error = std::move(error);
-  if (result) {
-    // Scheduling-side wall time into the job's RunStats (never part of
-    // the byte-stable reports — see core/simulator.h).
-    result->stats.queue_wait_ms =
-        seconds_between(job->submitted_at, job->started_at) * 1000.0;
-  }
   job->result = std::move(result);
   job->finished_at = std::chrono::steady_clock::now();
+  SchedulerMetrics& metrics = SchedulerMetrics::instance();
   TenantState& tenant = tenant_locked(job->tenant);
-  if (tenant.running > 0) --tenant.running;
   switch (state) {
     case JobState::kDone:
       ++stats_.completed;
       ++stats_.completed_per_backend[job->result->backend_name];
       ++stats_.completed_per_tenant[metric_safe_label(job->tenant)];
       tenant.completed_metric.add();
+      metrics.done.add();
       break;
-    case JobState::kFailed: ++stats_.failed; break;
-    case JobState::kCancelled: ++stats_.cancelled; break;
-    case JobState::kTimedOut: ++stats_.timed_out; break;
+    case JobState::kFailed:
+      ++stats_.failed;
+      metrics.failed.add();
+      break;
+    case JobState::kCancelled:
+      ++stats_.cancelled;
+      metrics.cancelled.add();
+      break;
+    case JobState::kTimedOut:
+      ++stats_.timed_out;
+      metrics.timed_out.add();
+      break;
     default: break;
   }
-  note_terminal_locked(job);
-  SchedulerMetrics& metrics = SchedulerMetrics::instance();
-  metrics.running.sub(1);
-  const double run_seconds =
-      seconds_between(job->started_at, job->finished_at);
-  metrics.run_seconds.observe(run_seconds);
-  switch (state) {
-    case JobState::kDone: metrics.done.add(); break;
-    case JobState::kFailed: metrics.failed.add(); break;
-    case JobState::kCancelled: metrics.cancelled.add(); break;
-    case JobState::kTimedOut: metrics.timed_out.add(); break;
-    default: break;
+  if (ran) {
+    if (tenant.running > 0) --tenant.running;
+    metrics.running.sub(1);
+    const double run_seconds =
+        seconds_between(job->started_at, job->finished_at);
+    metrics.run_seconds.observe(run_seconds);
+    if (job->trace) {
+      job->trace->record({obs::Trace::span_id(job->trace->id(), "run", 0),
+                          job->trace->parent(), "run", 0, run_seconds});
+    }
+  } else if (!job->from_cache) {
+    // Ended in the queue: all of its life was queue wait.
+    metrics.queue_wait.observe(
+        seconds_between(job->submitted_at, job->finished_at));
   }
   if (job->cancel_requested) {
     metrics.cancel_latency.observe(
         seconds_between(job->cancel_requested_at, job->finished_at));
   }
-  if (job->trace) {
-    job->trace->record({obs::Trace::span_id(job->trace->id(), "run", 0),
-                        job->trace->parent(), "run", 0, run_seconds});
-  }
-}
 
-void JobScheduler::note_terminal_locked(const JobPtr& job) {
   terminal_order_.push_back(job->id);
   // Retention bound: a long-lived daemon must not accumulate every job
   // (circuit + result + progress history) forever. Oldest-finished
@@ -981,11 +900,11 @@ void JobScheduler::note_terminal_locked(const JobPtr& job) {
     const std::uint64_t evicted_id = terminal_order_.front();
     jobs_.erase(evicted_id);
     terminal_order_.pop_front();
-    // The per-state counters in stats_ were folded in at the terminal
-    // transition, so forgetting the record loses no history — only the
-    // eviction itself is worth counting.
+    // The per-state counters in stats_ were folded in above, so
+    // forgetting the record loses no history — only the eviction
+    // itself is worth counting.
     ++stats_.evicted;
-    SchedulerMetrics::instance().evicted.add();
+    metrics.evicted.add();
     if (options_.on_evict) {
       // Called under the scheduler lock (documented in
       // SchedulerOptions): the hook appends a journal record and must
@@ -996,11 +915,19 @@ void JobScheduler::note_terminal_locked(const JobPtr& job) {
       }
     }
   }
+  // Jobs cancelled by shutdown stay incomplete for the journal.
+  if (!options_.on_terminal || stopping_) return std::nullopt;
+  return snapshot_locked(*job);
 }
 
-std::uint64_t JobScheduler::min_retained_id() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return jobs_.empty() ? next_id_ : jobs_.begin()->first;
+void JobScheduler::notify_terminal(const std::optional<JobInfo>& terminal) {
+  if (terminal) {
+    try {
+      options_.on_terminal(*terminal);
+    } catch (...) {
+    }
+  }
+  job_changed_.notify_all();
 }
 
 double JobScheduler::estimate_seconds(const RunRequest& request) const {
@@ -1054,6 +981,7 @@ JobInfo JobScheduler::snapshot_locked(const Job& job) const {
   info.tenant = job.tenant;
   info.from_cache = job.from_cache;
   info.predicted_seconds = job.predicted_seconds;
+  info.report_context = job.report_context;
   info.error = job.error;
   info.completed_repetitions = job.completed_repetitions;
   info.total_repetitions = job.request.repetitions;
@@ -1062,13 +990,12 @@ JobInfo JobScheduler::snapshot_locked(const Job& job) const {
   info.start_order = job.start_order;
   info.retries = job.retries;
   info.trace = job.trace;
-  const auto now = std::chrono::steady_clock::now();
-  const auto started =
-      job.start_order > 0 ? job.started_at : (is_terminal(job.state) ? job.finished_at : now);
+  const auto ended = is_terminal(job.state) ? job.finished_at
+                                            : std::chrono::steady_clock::now();
+  const auto started = job.start_order > 0 ? job.started_at : ended;
   info.queue_seconds = seconds_between(job.submitted_at, started);
   if (job.start_order > 0) {
-    info.run_seconds = seconds_between(
-        job.started_at, is_terminal(job.state) ? job.finished_at : now);
+    info.run_seconds = seconds_between(job.started_at, ended);
   }
   return info;
 }

@@ -49,7 +49,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,6 +58,7 @@
 #include "core/progress.h"
 #include "obs/trace.h"
 #include "service/cost.h"
+#include "service/report.h"
 #include "service/result_cache.h"
 #include "util/cancellation.h"
 #include "util/error.h"
@@ -108,6 +109,10 @@ struct JobInfo {
   /// CostModel estimate at admission, seconds (0 when no estimate was
   /// possible — custom backends have no closed form).
   double predicted_seconds = 0.0;
+  /// The submit knobs the canonical report echoes (service/report.h),
+  /// fixed at submit with the circuit's own width, as bgls_run reports
+  /// it.
+  RunReportContext report_context;
   /// What went wrong (kFailed), or the cancellation/timeout message.
   std::string error;
   /// Streaming progress: repetitions covered by the latest update and
@@ -236,8 +241,9 @@ struct SchedulerOptions {
   /// it — it must not call back into the scheduler), and exceptions
   /// they throw are swallowed: losing a journal record only means the
   /// affected job replays more work after a crash (determinism makes
-  /// the re-run byte-identical). on_terminal is NOT invoked for jobs
-  /// cancelled by scheduler shutdown — they stay incomplete in the
+  /// the re-run byte-identical). on_terminal fires exactly once per
+  /// terminal job (inside submit() for a cache hit), except for jobs
+  /// cancelled by scheduler shutdown: they stay incomplete in the
   /// journal so a restart resumes them.
   std::function<void(const JobInfo&)> on_terminal;
   std::function<void(std::uint64_t)> on_evict;
@@ -308,11 +314,6 @@ class JobScheduler {
   /// daemon's synchronous endpoints — and for tests comparing results).
   [[nodiscard]] Session& session() { return session_; }
 
-  /// Smallest job id still known (ids below it may have been evicted
-  /// by the retention bound). The daemon prunes its per-job side
-  /// tables with this.
-  [[nodiscard]] std::uint64_t min_retained_id() const;
-
  private:
   struct Job;
   using JobPtr = std::shared_ptr<Job>;
@@ -345,6 +346,9 @@ class JobScheduler {
   /// Pops the best dispatchable job — per-tenant running caps respected
   /// — or null when nothing is eligible.
   JobPtr take_next_locked();
+  /// Returns a job leaving queue_/delayed_ its tenant's queued slot and
+  /// its share of the predicted backlog.
+  void release_queued_locked(const Job& job);
   void runner_loop();
   /// Executes one dequeued job outside the lock.
   void run_job(const JobPtr& job);
@@ -358,13 +362,19 @@ class JobScheduler {
   /// Checkpoint-and-preempts the lowest-priority running job when
   /// `incoming` outranks it and no runner is free.
   void maybe_preempt_locked(const JobPtr& incoming);
-  /// Terminal bookkeeping for a job that ran (counters, metrics,
-  /// eviction).
-  void finish_job_locked(const JobPtr& job, JobState state, std::string error,
-                         std::shared_ptr<RunResult> result);
-  /// Records a terminal transition and evicts the oldest terminal jobs
-  /// beyond max_retained_jobs.
-  void note_terminal_locked(const JobPtr& job);
+  /// The one terminal transition, whichever way the job ended (cache
+  /// hit, cancel or deadline while queued, end of run): state and
+  /// result, per-state counters and metrics, run time and span (or
+  /// queue wait), cancel latency, then eviction of the oldest terminal
+  /// jobs beyond max_retained_jobs.
+  /// Returns the snapshot for on_terminal (none without a hook or
+  /// during shutdown); pass it to notify_terminal once unlocked.
+  [[nodiscard]] std::optional<JobInfo> finish_locked(
+      const JobPtr& job, JobState state, std::string error,
+      std::shared_ptr<const RunResult> result);
+  /// Fires on_terminal for finish_locked's snapshot, if any, then wakes
+  /// wait()ers. Call without the lock.
+  void notify_terminal(const std::optional<JobInfo>& terminal);
   [[nodiscard]] JobInfo snapshot_locked(const Job& job) const;
   [[nodiscard]] JobPtr find_locked(std::uint64_t id) const;
 

@@ -1,18 +1,16 @@
 /// \file test_cost.cpp
 /// The CostModel (service/cost.h): closed-form predictions per backend,
 /// the DM-vs-trajectories comparison that replaced the selector's
-/// hard-coded qubit cutoff, best-effort fitting from BENCH artifacts,
-/// and the bond-dimension estimate's clamps.
+/// hard-coded qubit cutoff, and the bond-dimension estimate's clamps.
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <cmath>
 
 #include "api/selector.h"
 #include "circuit/noise.h"
 #include "circuit/random.h"
 #include "service/cost.h"
-#include "util/json_parser.h"
 
 namespace bgls {
 namespace {
@@ -134,46 +132,6 @@ TEST(CostModel, BondDimensionEstimateSaturates) {
   profile.num_qubits = 1'000;
   EXPECT_LE(CostModel::estimated_bond_dimension(profile),
             std::pow(2.0, 32.0) + 1e-9);
-}
-
-TEST(CostModel, FittedRefitsCoefficientsFromArtifacts) {
-  // A micro-states document recording 2 ms per 2^20-amplitude sweep
-  // (≈ 1.9 ns/element) and a service document with a 1 ms per-job gap
-  // between the direct and queued paths.
-  const JsonValue micro = JsonValue::parse(R"({
-    "benchmarks": [
-      {"name": "BM_StateVector_ApplyH/20", "real_time": 2.0e6,
-       "time_unit": "ns"}
-    ]})");
-  const JsonValue service = JsonValue::parse(R"({
-    "jobs": 100,
-    "rows": [
-      {"path": "session_direct", "seconds": 1.0},
-      {"path": "scheduler_1", "seconds": 1.1}
-    ]})");
-  const CostModel model = CostModel::fitted(micro, service);
-  const double per_element = 2.0e-3 / 1048576.0;
-  EXPECT_DOUBLE_EQ(model.coefficients().sv_seconds_per_element, per_element);
-  EXPECT_DOUBLE_EQ(model.coefficients().dm_seconds_per_element, per_element);
-  EXPECT_DOUBLE_EQ(model.coefficients().mps_seconds_per_element,
-                   16.0 * per_element);
-  EXPECT_NEAR(model.coefficients().job_overhead_seconds, 1.0e-3, 1e-12);
-}
-
-TEST(CostModel, FittingIsBestEffort) {
-  // Missing rows, null documents, unreadable files: the committed
-  // defaults survive — a lost artifact must never take the service
-  // down.
-  const CostCoefficients defaults;
-  const CostModel from_null = CostModel::fitted(JsonValue(), JsonValue());
-  EXPECT_DOUBLE_EQ(from_null.coefficients().sv_seconds_per_element,
-                   defaults.sv_seconds_per_element);
-  EXPECT_DOUBLE_EQ(from_null.coefficients().job_overhead_seconds,
-                   defaults.job_overhead_seconds);
-  const CostModel from_missing = CostModel::fitted_from_files(
-      "/nonexistent/BENCH_micro_states.json", "/nonexistent/BENCH.json");
-  EXPECT_DOUBLE_EQ(from_missing.coefficients().sv_seconds_per_element,
-                   defaults.sv_seconds_per_element);
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +27,7 @@ using service::JobInfo;
 using service::JobScheduler;
 using service::JobState;
 using service::QueueFullError;
+using service::ResultCache;
 using service::SchedulerOptions;
 using service::SchedulerStats;
 using testing::trajectory_workload;
@@ -291,7 +295,6 @@ TEST(JobScheduler, RetentionBoundEvictsOldestTerminalJobs) {
   EXPECT_THROW((void)scheduler.info(ids[1]), ValueError);
   EXPECT_EQ(scheduler.info(ids[2]).state, JobState::kDone);
   EXPECT_EQ(scheduler.info(ids[3]).state, JobState::kDone);
-  EXPECT_EQ(scheduler.min_retained_id(), ids[2]);
   // Aggregate stats survive eviction.
   EXPECT_EQ(scheduler.stats().completed, 4u);
 }
@@ -311,7 +314,6 @@ TEST(JobScheduler, StatsSurviveRetentionEviction) {
   EXPECT_EQ(stats.submitted, 10u);
   EXPECT_EQ(stats.completed, 10u);
   EXPECT_EQ(stats.evicted, 6u);
-  EXPECT_GT(scheduler.min_retained_id(), 1u);
 }
 
 #if BGLS_TELEMETRY
@@ -470,7 +472,95 @@ TEST(JobScheduler, RetryBacklogCountsAgainstQueueDepth) {
   EXPECT_EQ(scheduler.stats().queue_depth, 2u);
   EXPECT_THROW((void)scheduler.submit(small_job(3)), QueueFullError);
   EXPECT_EQ(scheduler.stats().rejected, 1u);
-  // Destructor cancels the delayed jobs without running them again.
+  // Cancelling a job parked in backoff frees its slot at once.
+  EXPECT_TRUE(scheduler.cancel(a));
+  EXPECT_EQ(scheduler.info(a).state, JobState::kCancelled);
+  EXPECT_EQ(scheduler.stats().queue_depth, 1u);
+  const std::uint64_t c = scheduler.submit(small_job(3));
+  EXPECT_EQ(scheduler.stats().rejected, 1u);
+  EXPECT_EQ(scheduler.wait(c).state, JobState::kDone);
+  // Destructor cancels the delayed job without running it again.
+}
+
+TEST(JobScheduler, OnTerminalFiresOncePerTerminalPath) {
+  std::mutex fired_mutex;
+  std::map<std::uint64_t, std::vector<JobInfo>> fired;
+  const auto fired_for = [&](std::uint64_t id) {
+    const std::lock_guard<std::mutex> lock(fired_mutex);
+    return fired[id];
+  };
+  SchedulerOptions options;
+  options.max_concurrent_jobs = 1;
+  options.result_cache = std::make_shared<ResultCache>();
+  options.on_terminal = [&](const JobInfo& info) {
+    const std::lock_guard<std::mutex> lock(fired_mutex);
+    fired[info.id].push_back(info);
+  };
+  std::uint64_t done = 0;
+  std::uint64_t hit = 0;
+  std::uint64_t invalid = 0;
+  std::uint64_t blocker = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t timed_out = 0;
+  std::uint64_t shutdown_running = 0;
+  std::uint64_t shutdown_queued = 0;
+  {
+    JobScheduler scheduler(options);
+    done = scheduler.submit(small_job(7, 300));
+    scheduler.wait(done);
+    // The repeat is a cache hit, born terminal: its hook has fired by
+    // the time submit() returns.
+    hit = scheduler.submit(small_job(7, 300));
+    EXPECT_EQ(fired_for(hit).size(), 1u);
+    // No measurements: a ValueError at run time.
+    invalid = scheduler.submit(RunRequest()
+                                   .with_circuit(Circuit{h(0)})
+                                   .with_repetitions(5)
+                                   .with_seed(9));
+    scheduler.wait(invalid);
+    blocker = start_blocker(scheduler);
+    cancelled = scheduler.submit(small_job(2, 100));
+    EXPECT_TRUE(scheduler.cancel(cancelled));
+    timed_out = scheduler.submit(small_job(3, 200).with_deadline_ms(30));
+    std::this_thread::sleep_for(60ms);
+    scheduler.cancel(blocker);
+    scheduler.wait(timed_out);
+    // Cancelled by the destructor, running and queued: no hook.
+    shutdown_running = start_blocker(scheduler);
+    shutdown_queued = scheduler.submit(small_job(4));
+  }
+
+  struct Expected {
+    std::uint64_t id;
+    JobState state;
+    std::uint64_t seed;
+    std::uint64_t repetitions;
+    int num_qubits;
+  };
+  const Expected expected[] = {
+      {done, JobState::kDone, 7, 300, 3},
+      {hit, JobState::kDone, 7, 300, 3},
+      {invalid, JobState::kFailed, 9, 5, 1},
+      {blocker, JobState::kCancelled, 1, 500'000'000ULL, 3},
+      {cancelled, JobState::kCancelled, 2, 100, 3},
+      {timed_out, JobState::kTimedOut, 3, 200, 3},
+  };
+  for (const Expected& job : expected) {
+    const std::vector<JobInfo> infos = fired_for(job.id);
+    ASSERT_EQ(infos.size(), 1u) << "job " << job.id;
+    const JobInfo& info = infos.front();
+    EXPECT_EQ(info.state, job.state) << "job " << job.id;
+    EXPECT_EQ(info.report_context.seed, job.seed) << "job " << job.id;
+    EXPECT_EQ(info.report_context.repetitions, job.repetitions)
+        << "job " << job.id;
+    EXPECT_EQ(info.report_context.num_qubits, job.num_qubits)
+        << "job " << job.id;
+  }
+  EXPECT_FALSE(fired_for(done).front().from_cache);
+  EXPECT_TRUE(fired_for(hit).front().from_cache);
+  EXPECT_EQ(fired_for(timed_out).front().start_order, 0u);
+  EXPECT_TRUE(fired_for(shutdown_running).empty());
+  EXPECT_TRUE(fired_for(shutdown_queued).empty());
 }
 
 #if BGLS_TELEMETRY

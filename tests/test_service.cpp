@@ -25,8 +25,10 @@
 #include "service/client.h"
 #include "service/daemon.h"
 #include "service/fleet.h"
+#include "service/journal.h"
 #include "service/line_server.h"
 #include "service/report.h"
+#include "service/result_cache.h"
 
 namespace bgls {
 namespace {
@@ -74,6 +76,23 @@ std::string unique_socket_path() {
   static std::atomic<int> counter{0};
   return "/tmp/bgls_test_" + std::to_string(::getpid()) + "_" +
          std::to_string(counter.fetch_add(1)) + ".sock";
+}
+
+/// A journal path private to this process and `name`, removed first.
+std::string fresh_journal_path(const std::string& name) {
+  const std::string path = "/tmp/bgls_test_journal_" +
+                           std::to_string(::getpid()) + "_" + name + ".ndjson";
+  std::remove(path.c_str());
+  return path;
+}
+
+/// Number of records of `type` in the journal at `path`.
+std::size_t journal_records(const std::string& path, const std::string& type) {
+  std::size_t count = 0;
+  for (const JsonValue& record : Journal::replay_file(path)) {
+    if (record.string_or("type", "") == type) ++count;
+  }
+  return count;
 }
 
 /// Daemon fixture: one in-process daemon per test on a unique socket.
@@ -480,9 +499,7 @@ TEST_F(TinyQueueServiceTest, AdmissionControlOverSocket) {
 }
 
 TEST(ServiceJournal, RestartReplaysTerminalJobsAndResumesIncompleteOnes) {
-  const std::string journal = "/tmp/bgls_test_journal_" +
-                              std::to_string(::getpid()) + "_svc.ndjson";
-  std::remove(journal.c_str());
+  const std::string journal = fresh_journal_path("svc");
 
   SubmitArgs finished;
   finished.qasm = kGhzQasm;
@@ -533,6 +550,91 @@ TEST(ServiceJournal, RestartReplaysTerminalJobsAndResumesIncompleteOnes) {
   EXPECT_EQ(client.wait_report(interrupted_id), direct_report(interrupted));
 
   daemon.stop();
+  std::remove(journal.c_str());
+}
+
+TEST(ServiceJournal, CacheHitJournalsTerminalRecordAndIsNotRerun) {
+  const std::string journal = fresh_journal_path("hit");
+  SubmitArgs ghz;
+  ghz.qasm = kGhzQasm;
+  ghz.repetitions = 512;
+  ghz.seed = 17;
+  DaemonOptions options;
+  options.journal_path = journal;
+  options.scheduler.result_cache = std::make_shared<ResultCache>();
+
+  std::uint64_t ran = 0;
+  std::uint64_t hit = 0;
+  {
+    options.endpoint = Endpoint::unix_socket(unique_socket_path());
+    ServiceDaemon daemon(options);
+    daemon.start();
+    ServiceClient client(daemon.endpoint());
+    ran = client.submit(ghz);
+    EXPECT_EQ(client.wait_report(ran), direct_report(ghz));
+    // The repeat is answered from the cache: born terminal inside the
+    // scheduler's submit().
+    const JsonValue response = client.roundtrip(submit_request_line(ghz));
+    hit = response.u64_or("job", 0);
+    EXPECT_TRUE(response.bool_or("from_cache", false));
+    EXPECT_EQ(client.result_report(hit), direct_report(ghz));
+    daemon.stop();
+  }  // ~ServiceDaemon joins the runners, so every hook has journaled.
+  EXPECT_EQ(journal_records(journal, "submit"), 2u);
+  EXPECT_EQ(journal_records(journal, "terminal"), 2u);
+
+  options.endpoint = Endpoint::unix_socket(unique_socket_path());
+  ServiceDaemon daemon(options);
+  daemon.start();
+  ServiceClient client(daemon.endpoint());
+  EXPECT_EQ(client.result_report(ran), direct_report(ghz));
+  EXPECT_EQ(client.result_report(hit), direct_report(ghz));
+  // Both answer from the journal; neither is run again.
+  EXPECT_EQ(daemon.scheduler().stats().submitted, 0u);
+  daemon.stop();
+  std::remove(journal.c_str());
+}
+
+TEST(ServiceJournal, ReplayKeepsOnlyTheNewestRetainedTerminalJobs) {
+  const std::string journal = fresh_journal_path("retain");
+  SubmitArgs args;
+  args.qasm = kX0Qasm;
+  args.repetitions = 16;
+  const std::string report = direct_report(args);
+  DaemonOptions options;
+  options.journal_path = journal;
+  options.scheduler.max_retained_jobs = 2;
+
+  // Four lives of two finished jobs each, every life replaying the
+  // journal of the one before.
+  std::vector<std::uint64_t> ids;
+  for (int life = 0; life < 4; ++life) {
+    options.endpoint = Endpoint::unix_socket(unique_socket_path());
+    ServiceDaemon daemon(options);
+    daemon.start();
+    EXPECT_LE(journal_records(journal, "terminal"), 2u) << "life " << life;
+    ServiceClient client(daemon.endpoint());
+    if (life > 0) {
+      // The previous life's two jobs are the newest: both answer.
+      EXPECT_EQ(client.result_report(ids[ids.size() - 2]), report);
+      EXPECT_EQ(client.result_report(ids.back()), report);
+    }
+    if (life > 1) {
+      try {
+        (void)client.result_report(ids.front());
+        FAIL() << "job " << ids.front() << " outlived the retention bound";
+      } catch (const ServiceError& e) {
+        EXPECT_EQ(e.code(), "bad_request");  // the daemon's unknown-id slug
+        EXPECT_NE(std::string(e.what()).find("unknown job id"),
+                  std::string::npos);
+      }
+    }
+    for (int i = 0; i < 2; ++i) {
+      ids.push_back(client.submit(args));
+      EXPECT_EQ(client.wait_report(ids.back()), report);
+    }
+    daemon.stop();
+  }
   std::remove(journal.c_str());
 }
 
