@@ -7,12 +7,15 @@
 ///
 /// Two execution paths, both over the runtime API:
 ///  1. Session::run_batch — the whole depth sweep as one mixed-depth
-///     batch through the engine (kAuto routes every circuit; the noise
-///     channels force per-trajectory sampling, whose shards fan out
-///     across the pool);
+///     batch (kAuto routes every circuit; the circuits fan out across
+///     the pool, and the noise channels force per-trajectory sampling);
 ///  2. the service JobScheduler — the same circuits as queued jobs with
 ///     depth-dependent priorities and per-job streaming, i.e. the
 ///     heterogeneous-traffic shape bgls_serve multiplexes.
+///
+/// Circuit i of the batch runs under seed mix_key(7, i), so job i gets
+/// that seed too, and the example exits 1 unless every job's histogram
+/// equals the batch's.
 ///
 ///   $ ./randomized_benchmarking
 
@@ -135,7 +138,7 @@ int main() {
     jobs.push_back(scheduler.submit(RunRequest()
                                         .with_circuit(circuits[i])
                                         .with_repetitions(reps)
-                                        .with_seed(7)
+                                        .with_seed(mix_key(7, i))
                                         .with_priority(-depths[i])
                                         .with_progress(reps / 4, nullptr)));
   }
@@ -153,7 +156,14 @@ int main() {
               << ", " << info.progress_updates << " progress updates, P(00)="
               << ConsoleTable::num(survival(info.result->measurements), 4)
               << "\n";
+    if (info.result->measurements.histogram("rb") !=
+        batch[i].measurements.histogram("rb")) {
+      std::cerr << "job " << jobs[i] << " (depth " << depths[i]
+                << ") differs from batch circuit " << i << "\n";
+      return 1;
+    }
   }
+  std::cout << "\nEvery job's histogram equals its batch circuit's.\n";
   const service::SchedulerStats stats = scheduler.stats();
   std::cout << "\nscheduler: " << stats.completed << " jobs completed, "
             << stats.failed + stats.cancelled + stats.timed_out

@@ -2,11 +2,11 @@
 /// bgls::Backend adapters over the four shipped state representations.
 ///
 /// StateBackend<State> is the bridge between the erased interface and
-/// the zero-overhead templated core: its run()/run_batch() construct an
-/// ordinary Simulator<State> with the request's options and delegate,
-/// so a Session run is bit-identical to the corresponding direct
-/// templated run for the same seed — the erased layer adds one virtual
-/// dispatch per *request*, never per gate. The type-erased triple
+/// the zero-overhead templated core: its run() constructs an ordinary
+/// Simulator<State> with the request's options and delegates, so a
+/// Session run is bit-identical to the corresponding direct templated
+/// run for the same seed — the erased layer adds one virtual dispatch
+/// per *request*, never per gate. The type-erased triple
 /// (create_state/apply_op/compute_probability) and collapse route to
 /// each backend's native hooks.
 ///
@@ -29,7 +29,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "api/backend.h"
 #include "core/simulator.h"
@@ -49,9 +48,9 @@ class StateBackend : public Backend {
  public:
   // --- Type-erased triple + collapse ------------------------------------
 
-  [[nodiscard]] AnyState create_state(const RunRequest& request,
+  [[nodiscard]] AnyState create_state(const RunRequest& /*request*/,
                                       int num_qubits) const override {
-    return AnyState(make_state(request, num_qubits));
+    return AnyState(make_state(num_qubits));
   }
 
   void apply_op(const Operation& op, AnyState& state,
@@ -76,10 +75,10 @@ class StateBackend : public Backend {
     }
   }
 
-  // --- Bulk entry points -------------------------------------------------
+  // --- Bulk entry point --------------------------------------------------
 
   [[nodiscard]] RunResult run(const RunRequest& request) const override {
-    require_runnable(request.circuit, "");
+    require_runnable(request.circuit);
     Simulator<State> simulator = make_simulator(request, request.circuit);
     RunResult out;
     out.backend_id = id();
@@ -91,33 +90,6 @@ class StateBackend : public Backend {
         simulator.run(request.circuit, request.repetitions, request.seed);
     out.stats = simulator.last_run_stats();
     return out;
-  }
-
-  [[nodiscard]] std::vector<RunResult> run_batch(
-      std::span<const Circuit> circuits,
-      const RunRequest& request) const override {
-    std::vector<RunResult> results;
-    if (circuits.empty()) return results;
-    for (std::size_t i = 0; i < circuits.size(); ++i) {
-      require_runnable(circuits[i],
-                       " (batch circuit #" + std::to_string(i) + ")");
-    }
-    Simulator<State> simulator = make_batch_simulator(request, circuits);
-    Rng rng(request.seed);
-    std::vector<Result> merged =
-        simulator.run_batch(circuits, request.repetitions, rng);
-    results.reserve(merged.size());
-    for (Result& result : merged) {
-      RunResult out;
-      out.backend_id = id();
-      out.backend_name = name();
-      out.measurements = std::move(result);
-      // Engine counters are merged across the whole batch; every
-      // result of the batch shares them.
-      out.stats = simulator.last_run_stats();
-      results.push_back(std::move(out));
-    }
-    return results;
   }
 
   [[nodiscard]] bool can_run(const Circuit& circuit,
@@ -164,24 +136,15 @@ class StateBackend : public Backend {
   }
 
  protected:
-  /// A fresh |request.initial_state⟩ of this representation.
-  [[nodiscard]] virtual State make_state(const RunRequest& request,
-                                         int num_qubits) const = 0;
+  /// A fresh |0…0⟩ of this representation.
+  [[nodiscard]] virtual State make_state(int num_qubits) const = 0;
 
   /// The simulator a run of `circuit` dispatches into; the default uses
   /// the backend's native ADL hooks and the request's options verbatim.
   [[nodiscard]] virtual Simulator<State> make_simulator(
       const RunRequest& request, const Circuit& circuit) const {
-    return Simulator<State>(
-        make_state(request, std::max(1, circuit.num_qubits())),
-        request.simulator_options());
-  }
-
-  /// The prototype simulator for a run_batch (one simulator serves the
-  /// whole batch, so hook choices must be valid for every circuit).
-  [[nodiscard]] virtual Simulator<State> make_batch_simulator(
-      const RunRequest& request, std::span<const Circuit> circuits) const {
-    return make_simulator(request, circuits.front());
+    return Simulator<State>(make_state(std::max(1, circuit.num_qubits())),
+                            request.simulator_options());
   }
 
   /// The type-erased apply_op ingredient; defaults to the native hook.
@@ -201,13 +164,11 @@ class StateBackend : public Backend {
   }
 
   /// Throws UnsupportedOperationError with the can_run reason.
-  void require_runnable(const Circuit& circuit,
-                        const std::string& context) const {
+  void require_runnable(const Circuit& circuit) const {
     std::string reason;
     if (!can_run(circuit, &reason)) {
       detail::throw_error<UnsupportedOperationError>(
-          "backend '", name(), "' cannot run this circuit", context, ": ",
-          reason);
+          "backend '", name(), "' cannot run this circuit: ", reason);
     }
   }
 };
@@ -230,9 +191,8 @@ class StateVectorBackend : public StateBackend<StateVectorState> {
   }
 
  protected:
-  [[nodiscard]] StateVectorState make_state(const RunRequest& request,
-                                            int num_qubits) const override {
-    return StateVectorState(num_qubits, request.initial_state);
+  [[nodiscard]] StateVectorState make_state(int num_qubits) const override {
+    return StateVectorState(num_qubits);
   }
 };
 
@@ -254,9 +214,8 @@ class DensityMatrixBackend : public StateBackend<DensityMatrixState> {
   }
 
  protected:
-  [[nodiscard]] DensityMatrixState make_state(const RunRequest& request,
-                                              int num_qubits) const override {
-    return DensityMatrixState(num_qubits, request.initial_state);
+  [[nodiscard]] DensityMatrixState make_state(int num_qubits) const override {
+    return DensityMatrixState(num_qubits);
   }
 };
 
@@ -293,9 +252,8 @@ class StabilizerBackend : public StateBackend<CHState> {
   }
 
  protected:
-  [[nodiscard]] CHState make_state(const RunRequest& request,
-                                   int num_qubits) const override {
-    return CHState(num_qubits, request.initial_state);
+  [[nodiscard]] CHState make_state(int num_qubits) const override {
+    return CHState(num_qubits);
   }
 
   [[nodiscard]] Simulator<CHState> make_simulator(
@@ -303,24 +261,18 @@ class StabilizerBackend : public StateBackend<CHState> {
     if (is_pure_clifford(circuit)) {
       return StateBackend<CHState>::make_simulator(request, circuit);
     }
-    return make_near_clifford_simulator(request,
-                                        std::max(1, circuit.num_qubits()));
-  }
-
-  [[nodiscard]] Simulator<CHState> make_batch_simulator(
-      const RunRequest& request,
-      std::span<const Circuit> circuits) const override {
-    // One prototype serves the whole batch: the near-Clifford hooks are
-    // needed as soon as any circuit carries a non-Clifford rotation
-    // (they apply Clifford gates exactly, so mixing is still correct).
-    const bool all_clifford =
-        std::all_of(circuits.begin(), circuits.end(),
-                    [](const Circuit& c) { return is_pure_clifford(c); });
-    if (all_clifford) {
-      return StateBackend<CHState>::make_simulator(request, circuits.front());
-    }
-    return make_near_clifford_simulator(
-        request, std::max(1, circuits.front().num_qubits()));
+    SimulatorOptions options = request.simulator_options();
+    // Every repetition must explore a fresh stochastic Clifford branch;
+    // the dictionary-batched path would evolve (and freeze) a single
+    // branch for all samples, so it is forced off here.
+    options.disable_sample_parallelization = true;
+    return Simulator<CHState>(
+        make_state(std::max(1, circuit.num_qubits())),
+        [](const Operation& op, CHState& state, Rng& rng) {
+          act_on_near_clifford(op, state, rng);
+        },
+        [](const CHState& state, Bitstring b) { return state.probability(b); },
+        options);
   }
 
   void apply_erased(const Operation& op, CHState& state,
@@ -337,27 +289,10 @@ class StabilizerBackend : public StateBackend<CHState> {
     }
     return false;
   }
-
- private:
-  [[nodiscard]] Simulator<CHState> make_near_clifford_simulator(
-      const RunRequest& request, int num_qubits) const {
-    SimulatorOptions options = request.simulator_options();
-    // Every repetition must explore a fresh stochastic Clifford branch;
-    // the dictionary-batched path would evolve (and freeze) a single
-    // branch for all samples, so it is forced off here.
-    options.disable_sample_parallelization = true;
-    return Simulator<CHState>(
-        make_state(request, num_qubits),
-        [](const Operation& op, CHState& state, Rng& rng) {
-          act_on_near_clifford(op, state, rng);
-        },
-        [](const CHState& state, Bitstring b) { return state.probability(b); },
-        options);
-  }
 };
 
-/// Matrix-product-state adapter (mps/state.h); honors
-/// RunRequest::mps_options for bond truncation.
+/// Matrix-product-state adapter (mps/state.h) with the default
+/// MPSOptions (no bond cap).
 class MpsBackend : public StateBackend<MPSState> {
  public:
   [[nodiscard]] std::string name() const override { return "mps"; }
@@ -373,9 +308,8 @@ class MpsBackend : public StateBackend<MPSState> {
   }
 
  protected:
-  [[nodiscard]] MPSState make_state(const RunRequest& request,
-                                    int num_qubits) const override {
-    return MPSState(num_qubits, request.mps_options, request.initial_state);
+  [[nodiscard]] MPSState make_state(int num_qubits) const override {
+    return MPSState(num_qubits);
   }
 };
 

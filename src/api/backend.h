@@ -13,10 +13,11 @@
 ///  - AnyState: a copyable type-erased state handle;
 ///  - Backend: the abstract strategy — the BGLS triple (create state,
 ///    apply op, compute probability) plus measurement collapse,
-///    capability flags for routing, and bulk run()/run_batch() entry
-///    points that dispatch *into* the zero-overhead templated
-///    Simulator, so the erased layer costs one virtual call per
-///    request, not per gate.
+///    capability flags for routing, and one bulk run() entry point
+///    that dispatches *into* the zero-overhead templated Simulator, so
+///    the erased layer costs one virtual call per request, not per
+///    gate. Session::run is its one caller; batches and async jobs go
+///    through Session::run too.
 ///
 /// Library adapters for the four shipped representations live in
 /// api/adapters.h; user code can subclass Backend (or an adapter)
@@ -30,7 +31,6 @@
 #include <span>
 #include <string>
 #include <typeinfo>
-#include <vector>
 
 #include "api/run_types.h"
 #include "util/error.h"
@@ -110,9 +110,9 @@ class AnyState {
 };
 
 /// Abstract simulation strategy. Instances are stateless and
-/// thread-safe: every method is const, and run()/run_batch() build a
-/// fresh templated simulator per call, so one Backend instance may
-/// serve concurrent requests (the registry hands out shared_ptrs).
+/// thread-safe: every method is const, and run() builds a fresh
+/// templated simulator per call, so one Backend instance may serve
+/// concurrent requests (the registry hands out shared_ptrs).
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -128,8 +128,8 @@ class Backend {
 
   // --- The type-erased BGLS triple (paper Sec. 3.1) + collapse ----------
 
-  /// A fresh initial state |request.initial_state⟩ on num_qubits
-  /// qubits, honoring backend-specific request knobs (MPS truncation).
+  /// A fresh |0…0⟩ state on num_qubits qubits. The adapters ignore
+  /// `request`; a user backend may read its knobs.
   [[nodiscard]] virtual AnyState create_state(const RunRequest& request,
                                               int num_qubits) const = 0;
 
@@ -147,7 +147,7 @@ class Backend {
   virtual void collapse(AnyState& state, std::span<const Qubit> qubits,
                         Bitstring bits) const = 0;
 
-  // --- Bulk entry points -------------------------------------------------
+  // --- Bulk entry point --------------------------------------------------
 
   /// Samples request.circuit end to end by dispatching into the
   /// templated core. Bit-identical to a direct
@@ -156,13 +156,6 @@ class Backend {
   /// for the adapter backends. repetitions == 0 still validates and
   /// returns an empty well-formed result.
   [[nodiscard]] virtual RunResult run(const RunRequest& request) const = 0;
-
-  /// Samples every circuit for request.repetitions through one
-  /// Simulator::run_batch (results in input order; circuits must share
-  /// one qubit count). Bit-identical to a direct
-  /// Simulator<State>::run_batch with the same options and seed.
-  [[nodiscard]] virtual std::vector<RunResult> run_batch(
-      std::span<const Circuit> circuits, const RunRequest& request) const = 0;
 
   /// True when this backend can execute `circuit`; otherwise false
   /// with a human-readable explanation in *reason (when non-null).

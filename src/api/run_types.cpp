@@ -31,7 +31,6 @@ std::string_view backend_id_name(BackendId id) {
 
 SimulatorOptions RunRequest::simulator_options() const {
   SimulatorOptions options;
-  options.skip_diagonal_updates = skip_diagonal_updates;
   options.disable_sample_parallelization = disable_sample_parallelization;
   options.num_threads = num_threads;
   options.cancel_token = cancel_token;

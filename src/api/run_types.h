@@ -23,7 +23,6 @@
 #include "core/progress.h"
 #include "core/result.h"
 #include "core/simulator.h"
-#include "mps/state.h"
 #include "util/cancellation.h"
 
 namespace bgls {
@@ -103,20 +102,15 @@ struct RunRequest {
   /// Registry lookup by name (custom backends); wins over `backend`
   /// when non-empty.
   std::string backend_name;
-  /// Initial computational-basis state |initial⟩ (default |0...0⟩).
-  Bitstring initial_state = 0;
   /// Worker threads (SimulatorOptions::num_threads: 0 auto); never
   /// changes the sampled records.
   int num_threads = 1;
-  /// SimulatorOptions passthroughs (see core/simulator.h).
-  bool skip_diagonal_updates = false;
+  /// SimulatorOptions passthrough (see core/simulator.h).
   bool disable_sample_parallelization = false;
   /// Run optimize_for_bgls on the circuit before backend selection and
   /// sampling (fusion may change which backend is eligible: fused
   /// matrix gates are not Clifford).
   bool optimize_circuit = false;
-  /// Truncation knobs forwarded to the MPS backend.
-  MPSOptions mps_options;
   /// Scheduling priority for queued execution (service JobScheduler):
   /// higher runs first, ties run in submission order. Ignored by
   /// direct Session runs.
@@ -125,10 +119,10 @@ struct RunRequest {
   /// ("" = the anonymous default tenant). Never affects sampled results
   /// — scheduling-only, excluded from the result cache key.
   std::string tenant;
-  /// Wall-clock budget in milliseconds; 0 = none. Session::run/
-  /// run_async arm it on entry, the service scheduler at submit (so
-  /// queue wait counts against it). An exceeded deadline aborts the run
-  /// with DeadlineExceededError / a `timeout` job state.
+  /// Wall-clock budget in milliseconds; 0 = none. Session::run,
+  /// run_async and run_batch arm it on entry, the service scheduler at
+  /// submit (so queue wait counts against it). An exceeded deadline
+  /// aborts the run with DeadlineExceededError / a `timeout` job state.
   std::uint64_t deadline_ms = 0;
   /// Cooperative cancellation handle (util/cancellation.h); inert by
   /// default. Callers keep a copy and cancel() it to abort the run
@@ -137,8 +131,8 @@ struct RunRequest {
   CancellationToken cancel_token;
   /// Streaming partial histograms (core/progress.h): run() emits
   /// cumulative per-key histograms every `progress.every` completed
-  /// repetitions, deterministically for a fixed seed. run_batch
-  /// ignores it.
+  /// repetitions, deterministically for a fixed seed.
+  /// Session::run_batch clears it.
   ProgressOptions progress;
   /// Optional telemetry trace (obs/trace.h) this run records shard and
   /// phase spans into; non-owning, must outlive the run. The service
@@ -186,16 +180,8 @@ struct RunRequest {
     backend_name = std::move(name);
     return *this;
   }
-  RunRequest& with_initial_state(Bitstring bits) {
-    initial_state = bits;
-    return *this;
-  }
   RunRequest& with_threads(int threads) {
     num_threads = threads;
-    return *this;
-  }
-  RunRequest& with_skip_diagonal_updates(bool skip = true) {
-    skip_diagonal_updates = skip;
     return *this;
   }
   RunRequest& with_sample_parallelization(bool enabled) {
@@ -204,10 +190,6 @@ struct RunRequest {
   }
   RunRequest& with_optimization(bool optimize = true) {
     optimize_circuit = optimize;
-    return *this;
-  }
-  RunRequest& with_mps_options(MPSOptions options) {
-    mps_options = options;
     return *this;
   }
   RunRequest& with_priority(int p) {
@@ -262,8 +244,8 @@ struct RunRequest {
 struct RunResult {
   /// Measurement records keyed by measurement key (cirq.Result shape).
   Result measurements;
-  /// The executing simulator's counters (merged across shards on
-  /// engine runs; shared by the whole batch for run_batch results).
+  /// The executing simulator's counters (merged across its shards; a
+  /// run_batch result carries its own circuit's).
   RunStats stats;
   /// Resolved backend (never kAuto; kCustom for named registrations).
   BackendId backend_id = BackendId::kStateVector;

@@ -1,13 +1,13 @@
 #include "api/session.h"
 
 #include <chrono>
-#include <map>
 #include <utility>
 
 #include "core/optimize.h"
-#include "engine/thread_pool.h"
+#include "engine/context.h"
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace bgls {
 namespace {
@@ -69,12 +69,12 @@ Session::Resolution Session::resolve_backend(const Circuit& circuit,
   return {registry_->require(selection.id), std::move(selection.reason)};
 }
 
-Session::Resolution Session::resolve_checked(const Circuit& circuit,
-                                             const RunRequest& request) const {
-  // Used by run_async only: submission must fail *now*, not from the
-  // future, so the extra up-front capability scan is worth paying
-  // there (the synchronous paths validate once, inside the dispatch).
-  Resolution resolution = resolve_backend(circuit, request);
+void Session::resolve_checked(const Circuit& circuit,
+                              const RunRequest& request) const {
+  // Used by run_async and run_batch: submission must fail *now*, before
+  // any sampling, so the extra up-front capability scan is worth paying
+  // there (run() validates once, inside the dispatch).
+  const Resolution resolution = resolve_backend(circuit, request);
   std::string reason;
   if (!resolution.backend->can_run(circuit, &reason)) {
     detail::throw_error<UnsupportedOperationError>(
@@ -86,20 +86,6 @@ Session::Resolution Session::resolve_checked(const Circuit& circuit,
   // (before any future is handed out) instead of inside the dispatch.
   BGLS_REQUIRE(circuit.has_measurements(),
                "circuit has no measurements to sample; append measure()");
-  return resolution;
-}
-
-std::shared_ptr<EngineContext> Session::ensure_context(int num_threads) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!context_ || context_->num_threads() != num_threads) {
-    context_ = EngineContext::shared(num_threads);
-  }
-  return context_;
-}
-
-std::shared_ptr<EngineContext> Session::engine_context() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return context_;
 }
 
 RunResult Session::run(RunRequest request) {
@@ -120,8 +106,6 @@ RunResult Session::run(RunRequest request) {
     optimize_seconds = seconds_since(optimize_start);
   }
   arm_cancellation(request);
-  const int resolved = ThreadPool::resolve_num_threads(request.num_threads);
-  if (resolved > 1) ensure_context(resolved);
   const auto start = std::chrono::steady_clock::now();
   RunResult out;
   {
@@ -149,40 +133,23 @@ RunResult Session::run(Circuit circuit, std::uint64_t repetitions,
 }
 
 std::future<RunResult> Session::run_async(RunRequest request) {
-  Resolution resolution = resolve_checked(request.circuit, request);
-  double optimize_seconds = 0.0;
-  if (request.optimize_circuit) {
-    request.optimize_circuit = false;
-    const auto optimize_start = std::chrono::steady_clock::now();
-    obs::TraceSpan span(request.trace, "optimize");
-    apply_optimization(request.circuit, *resolution.backend);
-    optimize_seconds = seconds_since(optimize_start);
-  }
+  resolve_checked(request.circuit, request);
   // Armed at submission: a job that waits out its whole budget in the
-  // pool queue times out without sampling (the service contract).
+  // pool queue times out without sampling (the service contract). The
+  // deadline is then zeroed, as JobScheduler::submit does, so run()
+  // does not restart the clock at execution.
   arm_cancellation(request);
+  request.deadline_ms = 0;
   // The job runs on the immortal shared pool (a job may hold its
   // pool's last reference, which must never tear the pool down from one
   // of its own workers). Pool choice is scheduling-only, so the records
   // match the synchronous run bit for bit.
-  const int resolved = ThreadPool::resolve_num_threads(request.num_threads);
-  std::shared_ptr<EngineContext> context = ensure_context(resolved);
+  const std::shared_ptr<EngineContext> context = EngineContext::shared(
+      ThreadPool::resolve_num_threads(request.num_threads));
   auto task = std::make_shared<std::packaged_task<RunResult()>>(
-      [backend = resolution.backend, reason = std::move(resolution.reason),
-       request = std::move(request), optimize_seconds]() {
+      [session = *this, request = std::move(request)]() mutable {
         request.cancel_token.throw_if_stopped();
-        const auto start = std::chrono::steady_clock::now();
-        RunResult out;
-        {
-          obs::TraceSpan span(request.trace, "sample");
-          out = backend->run(request);
-        }
-        out.wall_seconds = seconds_since(start);
-        out.stats.optimize_ms = optimize_seconds * 1000.0;
-        out.stats.sample_ms = out.wall_seconds * 1000.0;
-        out.stats.selection_reason = reason;
-        out.selection_reason = reason;
-        return out;
+        return session.run(std::move(request));
       });
   std::future<RunResult> future = task->get_future();
   context->pool().submit([task] { (*task)(); });
@@ -191,74 +158,30 @@ std::future<RunResult> Session::run_async(RunRequest request) {
 
 std::vector<RunResult> Session::run_batch(std::span<const Circuit> circuits,
                                           RunRequest request) {
-  std::vector<RunResult> results(circuits.size());
-  if (circuits.empty()) return results;
+  for (const Circuit& circuit : circuits) {
+    resolve_checked(circuit, request);
+  }
   // One deadline/token covers the whole batch (it is one submission).
   arm_cancellation(request);
-
-  // Route every circuit (on its unoptimized form, exactly like run()),
-  // then group by (backend, width) so each group runs through one
-  // Simulator::run_batch (one prototype state per group) while kAuto
-  // still routes heterogeneous traffic per circuit. Per-circuit
-  // capability validation happens once, inside each group's
-  // Backend::run_batch.
-  struct Group {
-    std::shared_ptr<Backend> backend;
-    std::vector<std::size_t> indices;
-  };
-  std::vector<Group> groups;
-  std::map<std::pair<const Backend*, int>, std::size_t> group_index;
-  std::vector<std::string> reasons(circuits.size());
-  // Filled per circuit only when optimization is requested (and the
-  // resolved backend accepts the fused form); untouched inputs run in
-  // place with no copies.
-  std::vector<Circuit> optimized;
-  if (request.optimize_circuit) {
-    optimized.assign(circuits.begin(), circuits.end());
-  }
-  const bool optimize = request.optimize_circuit;
-  request.optimize_circuit = false;
-  for (std::size_t i = 0; i < circuits.size(); ++i) {
-    Resolution resolution = resolve_backend(circuits[i], request);
-    reasons[i] = std::move(resolution.reason);
-    if (optimize) apply_optimization(optimized[i], *resolution.backend);
-    const Circuit& effective = optimize ? optimized[i] : circuits[i];
-    const std::pair<const Backend*, int> key{
-        resolution.backend.get(), std::max(1, effective.num_qubits())};
-    const auto [it, inserted] = group_index.try_emplace(key, groups.size());
-    if (inserted) groups.push_back({std::move(resolution.backend), {}});
-    groups[it->second].indices.push_back(i);
-  }
-
-  const int resolved = ThreadPool::resolve_num_threads(request.num_threads);
-  if (resolved > 1) ensure_context(resolved);
-
-  for (const Group& group : groups) {
-    std::vector<RunResult> group_results;
-    if (!optimize && group.indices.size() == circuits.size()) {
-      // Single homogeneous group: run the caller's span directly.
-      group_results = group.backend->run_batch(circuits, request);
-    } else {
-      std::vector<Circuit> group_circuits;
-      group_circuits.reserve(group.indices.size());
-      for (const std::size_t i : group.indices) {
-        // Each index lands in exactly one group, so the optimized
-        // copies can be moved out instead of re-copied.
-        group_circuits.push_back(optimize ? std::move(optimized[i])
-                                          : circuits[i]);
-      }
-      group_results = group.backend->run_batch(group_circuits, request);
-    }
-    for (std::size_t j = 0; j < group.indices.size(); ++j) {
-      const std::size_t i = group.indices[j];
-      results[i] = std::move(group_results[j]);
-      // Per-job reason in both places: RunResult for callers, RunStats
-      // so kAuto routing decisions survive into stats aggregation
-      // (engine counters are shared by the group, the reason is not).
-      results[i].selection_reason = reasons[i];
-      results[i].stats.selection_reason = reasons[i];
-    }
-  }
+  request.deadline_ms = 0;
+  // request.circuit is ignored, and per-circuit observation does not
+  // apply: one sink would interleave the circuits' updates, and their
+  // spans would collide in one trace.
+  request.circuit = {};
+  request.progress = {};
+  request.checkpoint = {};
+  request.resume = nullptr;
+  request.trace = nullptr;
+  std::vector<RunResult> results(circuits.size());
+  const int threads = ThreadPool::resolve_num_threads(request.num_threads);
+  const std::shared_ptr<EngineContext> context =
+      threads > 1 ? EngineContext::shared(threads) : nullptr;
+  run_indexed(context.get(), circuits.size(), [&](std::size_t i) {
+    RunRequest one = request;
+    one.circuit = circuits[i];
+    one.seed = mix_key(request.seed, i);
+    results[i] = run(std::move(one));
+  });
   return results;
 }
 

@@ -1,10 +1,8 @@
 /// \file session.h
 /// bgls::Session — the runtime front door of the library.
 ///
-/// A Session owns the long-lived execution context (the engine's
-/// persistent thread pool), a backend registry reference, and a
-/// BackendSelector, and exposes the whole sampling surface over
-/// type-erased circuits:
+/// A Session holds a backend registry reference and a BackendSelector,
+/// and exposes the whole sampling surface over type-erased circuits:
 ///
 ///   Session session;
 ///   RunResult result = session.run(RunRequest()
@@ -20,23 +18,22 @@
 /// corresponding direct Simulator<State> run with the same options and
 /// seed.
 ///
-/// run_async() schedules the whole request on the persistent pool and
-/// returns a future; run_batch() fans many circuits out through
-/// Simulator::run_batch, routing each circuit to its own backend under
-/// kAuto (grouped so every group still gets engine-level sharding).
+/// run() is the one call into Backend::run. run_async() validates at
+/// submission and runs run() on the process-wide pool
+/// (EngineContext::shared); run_batch() validates every circuit, then
+/// runs run() of circuit i under seed mix_key(seed, i) across that pool.
+/// So every result carries its own RunStats and selection reason.
 
 #pragma once
 
 #include <future>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "api/registry.h"
 #include "api/run_types.h"
 #include "api/selector.h"
-#include "engine/context.h"
 #include "obs/metrics.h"
 
 namespace bgls {
@@ -53,9 +50,10 @@ struct SessionOptions {
   service::CostModel cost_model{};
 };
 
-/// Runtime facade over registry + selector + engine context.
-/// Thread-safe: concurrent run()/run_async()/run_batch() calls are
-/// allowed (each dispatch builds its own templated simulator).
+/// Runtime facade over registry + selector. Thread-safe: concurrent
+/// run()/run_async()/run_batch() calls are allowed (each dispatch
+/// builds its own templated simulator). Copyable: an async job holds
+/// its own copy, so it may outlive the Session that submitted it.
 class Session {
  public:
   explicit Session(SessionOptions options = {});
@@ -74,19 +72,24 @@ class Session {
   [[nodiscard]] RunResult run(Circuit circuit, std::uint64_t repetitions = 1,
                               std::uint64_t seed = 0);
 
-  /// Schedules run(request) as a job on the persistent pool and
-  /// returns immediately. Backend resolution and capability validation
-  /// happen *now* (errors throw at submission); sampling errors inside
-  /// the job surface from future::get(). Bit-identical to the
-  /// synchronous run() for the same request.
+  /// Schedules run(request) as a job on the shared pool for the
+  /// request's thread count and returns immediately. Backend resolution
+  /// and capability validation happen *now* (errors throw at
+  /// submission), and so does deadline arming, so pool wait counts
+  /// against the deadline; sampling errors inside the job surface from
+  /// future::get(). Bit-identical to the synchronous run() for the same
+  /// request. The job copies this Session, so the registry must
+  /// outlive the job.
   [[nodiscard]] std::future<RunResult> run_async(RunRequest request);
 
   /// Samples every circuit for request.repetitions (request.circuit is
-  /// ignored). Under kAuto each circuit is routed independently;
-  /// circuits landing on the same (backend, qubit count) are batched
-  /// through one Simulator::run_batch so they share engine-level
-  /// sharding — mixed widths are fine, each width gets its own
-  /// prototype state. Results come back in input order.
+  /// ignored) and returns the results in input order. Every circuit is
+  /// validated first, at 0 repetitions too, so one bad circuit fails the
+  /// batch before any sampling. Result i is run() of the request with
+  /// circuit i and seed mix_key(request.seed, i), routed on its own
+  /// under kAuto; the circuits fan out across the shared pool. One
+  /// cancellation token and deadline cover the whole batch. Progress,
+  /// checkpoint, resume and trace are not applied.
   [[nodiscard]] std::vector<RunResult> run_batch(
       std::span<const Circuit> circuits, RunRequest request);
 
@@ -100,12 +103,6 @@ class Session {
 
   /// The automatic-selection rules in force.
   [[nodiscard]] const BackendSelector& selector() const { return selector_; }
-
-  /// The engine context the session has pinned (null until a run
-  /// needed worker threads). Runs with the same resolved thread count
-  /// reuse it; the process-wide cache makes it the same pool the
-  /// templated core resolves internally.
-  [[nodiscard]] std::shared_ptr<EngineContext> engine_context() const;
 
   /// Point-in-time copy of the process-wide telemetry series
   /// (obs/metrics.h): kernel apply counts/timings, engine shard
@@ -126,16 +123,11 @@ class Session {
   static void apply_optimization(Circuit& circuit, const Backend& backend);
 
   /// Resolution + capability validation; throws with the reason.
-  [[nodiscard]] Resolution resolve_checked(const Circuit& circuit,
-                                           const RunRequest& request) const;
-
-  /// Pins the shared context for `num_threads` (> 1) workers.
-  std::shared_ptr<EngineContext> ensure_context(int num_threads);
+  void resolve_checked(const Circuit& circuit,
+                       const RunRequest& request) const;
 
   BackendRegistry* registry_;
   BackendSelector selector_;
-  mutable std::mutex mutex_;
-  std::shared_ptr<EngineContext> context_;
 };
 
 }  // namespace bgls

@@ -6,20 +6,22 @@
 ///  - bgls::Session / bgls::RunRequest / bgls::RunResult — the runtime
 ///    front door: pick a backend per request (or Backend kAuto for the
 ///    circuit analyzer), run/run_async/run_batch over type-erased
-///    circuits (api/session.h); bgls::Backend / bgls::BackendRegistry /
-///    bgls::BackendSelector for custom backends and routing
-///    (api/backend.h, api/registry.h, api/selector.h);
+///    circuits, where run_async and run_batch go through run
+///    (api/session.h); bgls::Backend / bgls::BackendRegistry /
+///    bgls::BackendSelector for custom backends, whose one bulk entry
+///    point is Backend::run, and routing (api/backend.h,
+///    api/registry.h, api/selector.h);
 ///  - bgls::Circuit / bgls::Gate / free operation builders (h, cnot,
 ///    measure, ...) — circuit construction (circuit/*.h);
 ///  - bgls::Simulator<State> — the gate-by-gate sampler, one loop per
 ///    path whose trajectory shards fan out on a long-lived pool at
-///    SimulatorOptions::num_threads, plus run_batch() for many-circuit
-///    sweeps; every draw is keyed to its repetition or dictionary
-///    entry, so results never depend on the thread count
-///    (core/simulator.h);
+///    SimulatorOptions::num_threads; every draw is keyed to its
+///    repetition or dictionary entry, so results never depend on the
+///    thread count (core/simulator.h);
 ///  - bgls::EngineContext / bgls::ThreadPool — the shared pools behind
 ///    every run (engine/context.h); async runs go through
-///    Session::run_async;
+///    Session::run_async, many-circuit sweeps through
+///    Session::run_batch;
 ///  - state backends: bgls::StateVectorState, bgls::DensityMatrixState,
 ///    bgls::CHState (+ act_on_near_clifford), bgls::MPSState;
 ///  - bgls::optimize_for_bgls — circuit fusion for the sampler;

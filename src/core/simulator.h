@@ -56,8 +56,7 @@
 /// split fixes where trace spans, progress prefixes and checkpoint
 /// cursors fall, but no draw depends on it, on the thread count or on
 /// execution order. So one seed gives the same records, counters,
-/// progress sequence and span tree at every thread count. run_batch()
-/// runs many circuits across the pool, circuit i under its own key.
+/// progress sequence and span tree at every thread count.
 
 #pragma once
 
@@ -123,8 +122,8 @@ struct RunStats {
   /// Per-shard counters in shard order (see file comment).
   std::vector<ShardStats> per_shard;
   /// Why the runtime layer routed this run to its backend — filled by
-  /// Session for kAuto requests, including every job of a run_batch, so
-  /// per-job routing decisions survive into stats reporting (the
+  /// Session for kAuto requests, batched circuits included, so per-job
+  /// routing decisions survive into stats reporting (the
   /// service daemon's stats endpoint). Empty for direct templated runs
   /// and explicit backend picks.
   std::string selection_reason;
@@ -170,11 +169,10 @@ struct SimulatorOptions {
   /// Force-disable the dictionary batching of Sec. 3.2.3 even when the
   /// circuit allows it (used by the Fig. 2 ablation).
   bool disable_sample_parallelization = false;
-  /// Worker threads a trajectory run's shards (and run_batch()'s
-  /// circuits) fan out on: 1 (default) runs them on the calling thread,
-  /// 0 auto-detects hardware concurrency, N > 1 uses a cached
-  /// process-wide pool (engine/context.h). Never changes what a run
-  /// samples.
+  /// Worker threads a trajectory run's shards fan out on: 1 (default)
+  /// runs them on the calling thread, 0 auto-detects hardware
+  /// concurrency, N > 1 uses the process-wide pool for N
+  /// (EngineContext::shared). Never changes what a run samples.
   int num_threads = 1;
   /// Cooperative stop handle, polled at bounded intervals (per gate and
   /// per shard). Inert by default. Scheduling-only: an aborted run
@@ -184,7 +182,7 @@ struct SimulatorOptions {
   CancellationToken cancel_token{};
   /// Streaming partial histograms (core/progress.h): run() emits
   /// cumulative per-key histograms every `progress.every` completed
-  /// repetitions of the canonical order. sample()/run_batch() ignore it.
+  /// repetitions of the canonical order. sample() ignores it.
   /// Observation-only: never changes the sampled records.
   ProgressOptions progress{};
   /// Optional telemetry trace (obs/trace.h) run()/sample() record shard
@@ -195,8 +193,8 @@ struct SimulatorOptions {
   /// Checkpoint capture (core/checkpoint.h): run() emits resumable
   /// RunCheckpoint snapshots every `checkpoint.every` completed
   /// repetitions within a shard plus at shard completion.
-  /// sample()/run_batch() ignore it. Observation-only: capture never
-  /// changes the sampled records.
+  /// sample() ignores it. Observation-only: capture never changes the
+  /// sampled records.
   CheckpointOptions checkpoint{};
   /// Resume a previous run from its checkpoint: run() validates the
   /// checkpoint against this request's shape (mode, run key, totals,
@@ -263,8 +261,27 @@ class Simulator {
   Result run(const Circuit& circuit, std::uint64_t repetitions, Rng& rng) {
     check_runnable(circuit, /*require_measurements=*/true);
     const RunScope scope = begin_run(rng, shard_count(circuit, repetitions),
-                                     options_.trace, /*observed=*/true);
-    return run_scoped(circuit, repetitions, scope, stats_);
+                                     /*observed=*/true);
+    const bool dictionary = can_parallelize(circuit);
+    Result result;
+    if (dictionary) {
+      result = run_dictionary(circuit, repetitions, scope, stats_);
+    } else {
+      declare_measurement_keys(circuit, result);
+      for (const Result& shard :
+           run_trajectories<Result>(circuit, repetitions, scope, stats_)) {
+        result.append(shard);
+      }
+    }
+    // The dictionary path completes every repetition at the final gate,
+    // and a resumed run streamed its prefix before the interruption:
+    // both owe only the final update.
+    if (options_.progress.enabled() &&
+        (dictionary || options_.resume != nullptr)) {
+      options_.progress.sink(ProgressUpdate{repetitions, repetitions, true,
+                                            key_histograms(result)});
+    }
+    return result;
   }
 
   /// Convenience overload with a seed instead of an engine.
@@ -280,7 +297,7 @@ class Simulator {
   Counts sample(const Circuit& circuit, std::uint64_t repetitions, Rng& rng) {
     check_runnable(circuit, /*require_measurements=*/false);
     const RunScope scope = begin_run(rng, shard_count(circuit, repetitions),
-                                     options_.trace, /*observed=*/false);
+                                     /*observed=*/false);
     if (can_parallelize(circuit)) {
       const Dictionary dictionary =
           sample_dictionary(circuit, repetitions, scope, stats_);
@@ -294,51 +311,7 @@ class Simulator {
     return counts;
   }
 
-  /// Runs every circuit for `repetitions` and returns the per-circuit
-  /// results in input order (QAOA parameter sweeps, randomized
-  /// benchmarking). Circuit i is one run() under the key mix_key(batch
-  /// key, i), the batch key being one draw from `rng`; circuits fan out
-  /// across the pool and each circuit's trajectory shards fan out again
-  /// inside it. Progress, checkpoints, resume and trace are not applied.
-  /// last_run_stats() sums the circuits' counters (per_shard
-  /// concatenated in input order).
-  std::vector<Result> run_batch(std::span<const Circuit> circuits,
-                                std::uint64_t repetitions, Rng& rng) {
-    // Validate up front, so one bad circuit fails the batch before any
-    // sampling.
-    for (const Circuit& circuit : circuits) {
-      check_runnable(circuit, /*require_measurements=*/true);
-    }
-    const RunScope scope =
-        begin_run(rng, circuits.size() * shard_count(repetitions), nullptr,
-                  /*observed=*/false);
-    std::vector<Result> results(circuits.size());
-    std::vector<RunStats> stats(circuits.size());
-    run_indexed(scope.pool, circuits.size(), [&](std::size_t i) {
-      RunScope circuit_scope = scope;
-      circuit_scope.key = mix_key(scope.key, i);
-      // Counters go to a local first: run_scoped updates them per gate,
-      // and adjacent slots of `stats` share cache lines.
-      RunStats local;
-      results[i] = run_scoped(circuits[i], repetitions, circuit_scope, local);
-      stats[i] = std::move(local);
-    });
-    for (const RunStats& run : stats) {
-      stats_.state_applications += run.state_applications;
-      stats_.probability_evaluations += run.probability_evaluations;
-      stats_.max_dictionary_size =
-          std::max(stats_.max_dictionary_size, run.max_dictionary_size);
-      stats_.trajectories += run.trajectories;
-      stats_.used_sample_parallelization |= run.used_sample_parallelization;
-      stats_.diagonal_updates_skipped += run.diagonal_updates_skipped;
-      stats_.evolve_ms += run.evolve_ms;
-      stats_.per_shard.insert(stats_.per_shard.end(), run.per_shard.begin(),
-                              run.per_shard.end());
-    }
-    return results;
-  }
-
-  /// Counters from the most recent run()/sample()/run_batch() call.
+  /// Counters from the most recent run()/sample() call.
   [[nodiscard]] const RunStats& last_run_stats() const { return stats_; }
 
   /// Current tuning knobs.
@@ -351,12 +324,6 @@ class Simulator {
   /// channels take the exact joint branch update (custom hooks route
   /// channels through `apply` plus a standard candidate update).
   [[nodiscard]] bool hooks_are_native() const { return hooks_are_native_; }
-
-  /// The lazily acquired engine context (null until a multi-threaded
-  /// run first needs a pool). Copies of this simulator share it.
-  [[nodiscard]] const std::shared_ptr<EngineContext>& engine_context() const {
-    return engine_context_;
-  }
 
   /// Throws unless `circuit` is runnable (parameters resolved, and
   /// measured when `require_measurements`).
@@ -373,13 +340,12 @@ class Simulator {
   using Dictionary = std::vector<std::pair<Bitstring, std::uint64_t>>;
 
   /// A run's fixed inputs besides the circuit: its key, the pool its
-  /// shards fan out on (null = the calling thread), the trace its spans
-  /// go to, and whether progress, checkpoints and resume apply (run()
-  /// only; sample() and run_batch() leave them off).
+  /// shards fan out on (null = the calling thread), and whether
+  /// progress, checkpoints and resume apply (run() only; sample()
+  /// leaves them off).
   struct RunScope {
     std::uint64_t key = 0;
     EngineContext* pool = nullptr;
-    obs::Trace* trace = nullptr;
     bool observed = false;
   };
 
@@ -408,21 +374,18 @@ class Simulator {
   /// Shared preamble of every run: the cancellation check, the run key
   /// (one draw from `rng`), fresh counters, and the pool, taken when
   /// more than one thread is configured and `jobs` (the run's parallel
-  /// width) exceeds one.
-  RunScope begin_run(Rng& rng, std::uint64_t jobs, obs::Trace* trace,
-                     bool observed) {
+  /// width) exceeds one. Shared pools live for the whole process, so
+  /// the scope may hold a raw pointer to one.
+  RunScope begin_run(Rng& rng, std::uint64_t jobs, bool observed) {
     options_.cancel_token.throw_if_stopped();
     engine_detail::count_engine_run();
     const int threads = ThreadPool::resolve_num_threads(options_.num_threads);
     stats_ = RunStats{};
     stats_.threads_used = static_cast<std::size_t>(std::min<std::uint64_t>(
         static_cast<std::uint64_t>(threads), std::max<std::uint64_t>(jobs, 1)));
-    RunScope scope{rng(), nullptr, trace, observed};
+    RunScope scope{rng(), nullptr, observed};
     if (stats_.threads_used > 1) {
-      if (!engine_context_ || engine_context_->num_threads() != threads) {
-        engine_context_ = EngineContext::shared(threads);
-      }
-      scope.pool = engine_context_.get();
+      scope.pool = EngineContext::shared(threads).get();
     }
     return scope;
   }
@@ -449,32 +412,6 @@ class Simulator {
       packed = with_bit(packed, static_cast<int>(j), get_bit(b, qubits[j]));
     }
     return packed;
-  }
-
-  /// run()'s body under an explicit scope, filling `stats` (run_batch()
-  /// runs each circuit of a batch through it concurrently).
-  Result run_scoped(const Circuit& circuit, std::uint64_t repetitions,
-                    const RunScope& scope, RunStats& stats) const {
-    const bool dictionary = can_parallelize(circuit);
-    Result result;
-    if (dictionary) {
-      result = run_dictionary(circuit, repetitions, scope, stats);
-    } else {
-      declare_measurement_keys(circuit, result);
-      for (const Result& shard :
-           run_trajectories<Result>(circuit, repetitions, scope, stats)) {
-        result.append(shard);
-      }
-    }
-    // The dictionary path completes every repetition at the final gate,
-    // and a resumed run streamed its prefix before the interruption:
-    // both owe only the final update.
-    if (scope.observed && options_.progress.enabled() &&
-        (dictionary || options_.resume != nullptr)) {
-      options_.progress.sink(ProgressUpdate{repetitions, repetitions, true,
-                                            key_histograms(result)});
-    }
-    return result;
   }
 
   /// The trajectory path (Sec. 3.2.1): shard i runs its contiguous
@@ -563,7 +500,7 @@ class Simulator {
       // kRoot: a shard runs inline at 1 thread but on a pool thread
       // otherwise; pinning its parent to the trace root keeps the span
       // tree byte-stable across thread counts.
-      const obs::TraceSpan span(scope.trace, "shard", i,
+      const obs::TraceSpan span(options_.trace, "shard", i,
                                 obs::TraceSpan::Nest::kRoot);
       while (done < size) {
         // Walk the union of the progress and checkpoint schedules.
@@ -747,13 +684,14 @@ class Simulator {
       if (stats.probability_evaluations > 0) {
         engine_detail::observe_shard(resample_seconds);
       }
-      if (scope.trace != nullptr && obs::enabled()) {
-        scope.trace->record(obs::SpanRecord{
-            obs::Trace::span_id(scope.trace->id(), "shard", 0),
-            scope.trace->root(), "shard", 0, resample_seconds});
-        scope.trace->record(obs::SpanRecord{
-            obs::Trace::span_id(scope.trace->id(), "evolve", 0),
-            scope.trace->root(), "evolve", 0, evolve_seconds});
+      obs::Trace* trace = options_.trace;
+      if (trace != nullptr && obs::enabled()) {
+        trace->record(obs::SpanRecord{
+            obs::Trace::span_id(trace->id(), "shard", 0), trace->root(),
+            "shard", 0, resample_seconds});
+        trace->record(obs::SpanRecord{
+            obs::Trace::span_id(trace->id(), "evolve", 0), trace->root(),
+            "evolve", 0, evolve_seconds});
       }
     }
     return dictionary;
@@ -959,9 +897,6 @@ class Simulator {
   ProbabilityFn compute_probability_;
   bool hooks_are_native_ = true;
   RunStats stats_;
-  /// Lazily acquired shared engine context (pool). Copying the
-  /// simulator copies the pointer, so copies share one pool.
-  std::shared_ptr<EngineContext> engine_context_;
 };
 
 }  // namespace bgls

@@ -53,8 +53,9 @@ struct EngineMetrics {
 
   EngineMetrics() {
     auto& registry = obs::MetricsRegistry::global();
-    runs = registry.counter("bgls_engine_runs_total",
-                            "Sampling runs (run/sample/run_batch)");
+    runs = registry.counter(
+        "bgls_engine_runs_total",
+        "Sampling runs (run/sample; a batch counts one per circuit)");
     shards = registry.counter("bgls_engine_shards_total",
                               "Sampling shards executed");
     shard_seconds = registry.histogram(

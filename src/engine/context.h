@@ -3,12 +3,11 @@
 ///
 /// A run fans its shards out over a thread pool (core/simulator.h).
 /// Spawning threads per call would dominate a tight loop of small runs,
-/// so EngineContext wraps the pool behind a shared_ptr with a
-/// process-wide per-thread-count cache (the qsim-style persistent
-/// executor): every Simulator — and every copy of it, since copying a
-/// Simulator copies the shared_ptr — reuses one pool for as long as
-/// anyone holds a reference. Session::run_async schedules its jobs on
-/// the same cached pools.
+/// so EngineContext::shared keeps one pool per thread count for the
+/// life of the process (the qsim-style persistent executor). Every
+/// multi-threaded run looks its pool up there; Session::run_async
+/// schedules its jobs, and Session::run_batch its circuits, on the same
+/// pools.
 ///
 /// Also home to the shard executor (run_indexed) and the process-wide
 /// engine telemetry series the sampling loops feed.

@@ -133,10 +133,9 @@ std::optional<std::string> ResultCache::key_for(const RunRequest& request) {
 
   std::string key;
   key.reserve(256);
-  append_u64(key, 2);  // layout version
+  append_u64(key, 3);  // layout version
   append_u64(key, request.repetitions);
   append_u64(key, request.seed);
-  append_u64(key, request.initial_state);
   // Backend addressing: name wins over id (the Session's resolution
   // order). Two spellings of the same backend ("sv" vs "statevector")
   // key apart — a spurious miss, never a wrong hit.
@@ -146,10 +145,7 @@ std::optional<std::string> ResultCache::key_for(const RunRequest& request) {
   // Thread count is deliberately excluded: reports are pinned
   // byte-identical across thread counts.
   append_u64(key, (request.optimize_circuit ? 1u : 0u) |
-                      (request.disable_sample_parallelization ? 2u : 0u) |
-                      (request.skip_diagonal_updates ? 4u : 0u));
-  append_u64(key, request.mps_options.max_bond_dim);
-  append_f64(key, request.mps_options.cutoff);
+                      (request.disable_sample_parallelization ? 2u : 0u));
 
   append_u64(key, static_cast<std::uint64_t>(request.circuit.num_qubits()));
   for (const auto& moment : request.circuit.moments()) {

@@ -310,10 +310,6 @@ class JobScheduler {
   /// Aggregate counters.
   [[nodiscard]] SchedulerStats stats() const;
 
-  /// The session jobs run through (for direct, unqueued runs — the
-  /// daemon's synchronous endpoints — and for tests comparing results).
-  [[nodiscard]] Session& session() { return session_; }
-
  private:
   struct Job;
   using JobPtr = std::shared_ptr<Job>;

@@ -173,7 +173,7 @@ TEST(SessionCancellation, RunAsyncCancelSurfacesThroughFuture) {
   token.cancel();
   EXPECT_THROW((void)future.get(), CancelledError);
 
-  // The session (and its pinned pool) keeps serving identical results.
+  // The session (and the shared pool) keeps serving identical results.
   const RunRequest small = RunRequest()
                                .with_circuit(trajectory_workload(3, 0.05))
                                .with_repetitions(512)

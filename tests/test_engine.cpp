@@ -1,6 +1,7 @@
-// Tests for the sampler's parallel shards and run_batch: bit-exact
-// determinism across thread counts on both sampler paths, statistical
-// correctness, the many-circuit batch API, and the per-shard counters.
+// Tests for the sampler's parallel shards: bit-exact determinism across
+// thread counts on both sampler paths, statistical correctness, and the
+// per-shard counters. Many-circuit batches (Session::run_batch) are
+// tested in test_session.cpp.
 
 #include "core/simulator.h"
 
@@ -149,45 +150,6 @@ TEST(BatchEngine, TrajectoryHistogramMatchesSerialDistribution) {
       sim.run(circuit, reps, engine_rng).distribution("m");
 
   EXPECT_LT(total_variation_distance(serial_dist, engine_dist), 0.05);
-}
-
-TEST(BatchEngine, RunBatchIsDeterministicAndOrdered) {
-  const int n = 3;
-  std::vector<Circuit> circuits;
-  circuits.push_back(with_terminal_measurement(ghz_circuit(n), n, "m"));
-  circuits.push_back(batched_workload(n));
-  circuits.push_back(trajectory_workload(n));
-
-  std::vector<Counts> reference;
-  for (const int threads : {1, 4}) {
-    Simulator<StateVectorState> sim = make_simulator(n, threads);
-    Rng rng(kSeed);
-    const std::vector<Result> results = sim.run_batch(circuits, 500, rng);
-    ASSERT_EQ(results.size(), circuits.size());
-    std::vector<Counts> histograms;
-    for (const Result& result : results) {
-      EXPECT_EQ(result.repetitions(), 500u);
-      histograms.push_back(result.histogram("m"));
-    }
-    if (threads == 1) {
-      reference = histograms;
-    } else {
-      EXPECT_EQ(histograms, reference);
-    }
-  }
-}
-
-TEST(BatchEngine, RunBatchValidatesEvenWithZeroRepetitions) {
-  // Zero-repetition shards never reach a per-shard Simulator::run, so
-  // run_batch must validate up front: an unrunnable circuit has to
-  // throw, not silently come back as an empty Result.
-  const int n = 2;
-  std::vector<Circuit> circuits;
-  circuits.push_back(ghz_circuit(n));  // no measurements
-  Simulator<StateVectorState> sim = make_simulator(n, 2);
-  Rng rng(kSeed);
-  EXPECT_THROW(sim.run_batch(circuits, 0, rng), ValueError);
-  EXPECT_THROW(sim.run_batch(circuits, 100, rng), ValueError);
 }
 
 TEST(BatchEngine, PerStreamStatsSumToTotals) {

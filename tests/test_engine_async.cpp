@@ -2,7 +2,7 @@
 // pools): futures resolve with the synchronous run's records and stats,
 // concurrent submission from many threads is race-free, exceptions from
 // a run's shards propagate through the future (not std::terminate), and
-// the pool behind it all is genuinely shared and long-lived.
+// EngineContext::shared keeps one pool per thread count.
 
 #include <gtest/gtest.h>
 
@@ -62,10 +62,6 @@ RunRequest sv_request(const Circuit& circuit, std::uint64_t reps,
       .with_threads(threads);
 }
 
-Simulator<StateVectorState> make_simulator(int n, int num_threads) {
-  return testing::make_sv_simulator(n, num_threads);
-}
-
 /// A statevector backend whose apply hook (or, with `in_probability`,
 /// whose probability hook) always throws: every shard fails.
 class ThrowingBackend final : public StateVectorBackend {
@@ -82,7 +78,7 @@ class ThrowingBackend final : public StateVectorBackend {
       const RunRequest& request, const Circuit& circuit) const override {
     const bool in_probability = in_probability_;
     return Simulator<StateVectorState>{
-        make_state(request, std::max(1, circuit.num_qubits())),
+        make_state(std::max(1, circuit.num_qubits())),
         [in_probability](const Operation& op, StateVectorState& state,
                          Rng& rng) {
           if (!in_probability) throw std::runtime_error("shard exploded");
@@ -230,7 +226,7 @@ TEST(BatchEngineAsync, JobOutlivesTheEngineThatSubmittedIt) {
     Session session;
     sync = session.run(sv_request(circuit, 150, 2)).measurements.histogram("m");
     future = session.run_async(sv_request(circuit, 150, 2));
-    // The session dies here; the job holds its backend and the pool.
+    // The session dies here; the job holds its own copy of it.
   }
   EXPECT_EQ(future.get().measurements.histogram("m"), sync);
 }
@@ -293,27 +289,6 @@ TEST(EngineContext, SharedCacheReturnsOnePoolPerThreadCount) {
   // num_threads - 1 workers; the synchronous caller is the +1.
   EXPECT_EQ(a->pool().size(), 2);
   EXPECT_EQ(EngineContext::shared(1)->pool().size(), 1);
-}
-
-TEST(EngineContext, SimulatorCachesAndSharesItsContext) {
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
-  Simulator<StateVectorState> sim = make_simulator(n, 2);
-  EXPECT_EQ(sim.engine_context(), nullptr);
-  Rng rng(kSeed);
-  sim.run(circuit, 40, rng);
-  const std::shared_ptr<EngineContext> context = sim.engine_context();
-  ASSERT_NE(context, nullptr);
-  EXPECT_EQ(context, EngineContext::shared(2));
-
-  // A second run reuses the same pool instead of building a new one.
-  Rng rng2(kSeed);
-  sim.run(circuit, 40, rng2);
-  EXPECT_EQ(sim.engine_context(), context);
-
-  // Copies share the context — the copy/move story for the cached pool.
-  Simulator<StateVectorState> copy = sim;
-  EXPECT_EQ(copy.engine_context(), context);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // merged histogram must be bit-identical across every execution
 // configuration — thread count (1, 2 and 8, no exceptions), sync vs
 // async submission, seed vs Rng entry points, native vs custom hooks,
-// and run_batch. This pins the core invariant (every draw is
+// and Session::run_batch. This pins the core invariant (every draw is
 // keyed to its repetition or dictionary entry; threads only decide
 // *where* a shard runs, never *what* it computes).
 
@@ -185,19 +185,21 @@ TEST(EngineDeterminism, RunBatchIdenticalAcrossShardingLevelsAndThreads) {
   circuits.push_back(
       with_terminal_measurement(ghz_circuit(3), 3, "m"));
 
+  Session session;
   std::vector<std::uint64_t> reference;
   bool first = true;
   for (const int threads : {1, 2, 8}) {
-    SimulatorOptions options;
-    options.num_threads = threads;
-    Simulator<StateVectorState> sim{StateVectorState(3), options};
-    Rng rng(kSeed);
-    const std::vector<Result> results = sim.run_batch(circuits, 400, rng);
+    const std::vector<RunResult> results = session.run_batch(
+        circuits, RunRequest()
+                      .with_repetitions(400)
+                      .with_seed(kSeed)
+                      .with_backend(BackendId::kStateVector)
+                      .with_threads(threads));
     ASSERT_EQ(results.size(), circuits.size());
     std::vector<std::uint64_t> hashes;
-    for (const Result& result : results) {
-      EXPECT_EQ(result.repetitions(), 400u);
-      hashes.push_back(histogram_hash(result.histogram("m")));
+    for (const RunResult& result : results) {
+      EXPECT_EQ(result.measurements.repetitions(), 400u);
+      hashes.push_back(histogram_hash(result.measurements.histogram("m")));
     }
     if (first) {
       reference = hashes;

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "api/adapters.h"
@@ -242,10 +245,6 @@ TEST(SessionDifferential, EnginePathMatchesDirectEngineRuns) {
   EXPECT_EQ(session.run(request_for(noisy)).measurements.histogram("m"),
             direct_histogram(noisy, StateVectorState(3), 20000, 77,
                              options));
-
-  // Session pinned the 4-thread context.
-  ASSERT_NE(session.engine_context(), nullptr);
-  EXPECT_EQ(session.engine_context()->num_threads(), 4);
 }
 
 TEST(SessionDifferential, SampledDistributionsMatchGroundTruth) {
@@ -325,8 +324,8 @@ TEST(SessionDifferential, OptimizationSkipsPureCliffordUnderAutoRouting) {
 }
 
 TEST(Session, RunBatchHandlesMixedWidths) {
-  // Circuits of different widths on one backend land in separate
-  // (backend, width) groups, each with its own prototype state.
+  // Circuits of different widths on one backend each run on a state of
+  // their own width.
   Rng rng(91);
   const Circuit wide = testing::with_terminal_measurement(
       random_clifford_circuit(5, 8, rng), 5);
@@ -514,47 +513,116 @@ TEST(Session, RunAsyncValidatesAtSubmission) {
                ValueError);
 }
 
+/// The batch contract at 1, 2 and 8 threads: run_batch(circuits,
+/// request)[i] is run() of the request with circuit i and seed
+/// mix_key(request.seed, i) — same backend, reason, histogram and
+/// report counters. Returns the batch at 1 thread.
+std::vector<RunResult> expect_batch_matches_runs(
+    Session& session, const std::vector<Circuit>& circuits,
+    RunRequest request) {
+  std::vector<RunResult> first;
+  for (const int threads : {1, 2, 8}) {
+    request.with_threads(threads);
+    std::vector<RunResult> batch = session.run_batch(circuits, request);
+    EXPECT_EQ(batch.size(), circuits.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      RunRequest one = request;
+      const RunResult run = session.run(
+          one.with_circuit(circuits[i]).with_seed(mix_key(request.seed, i)));
+      const RunResult& got = batch[i];
+      SCOPED_TRACE("circuit " + std::to_string(i) + " at " +
+                   std::to_string(threads) + " threads");
+      EXPECT_EQ(got.backend_id, run.backend_id);
+      EXPECT_EQ(got.selection_reason, run.selection_reason);
+      EXPECT_EQ(got.measurements.histogram("m"),
+                run.measurements.histogram("m"));
+      EXPECT_EQ(got.stats.state_applications, run.stats.state_applications);
+      EXPECT_EQ(got.stats.probability_evaluations,
+                run.stats.probability_evaluations);
+      EXPECT_EQ(got.stats.max_dictionary_size, run.stats.max_dictionary_size);
+      EXPECT_EQ(got.stats.trajectories, run.stats.trajectories);
+      EXPECT_EQ(got.stats.used_sample_parallelization,
+                run.stats.used_sample_parallelization);
+    }
+    if (threads == 1) first = std::move(batch);
+  }
+  return first;
+}
+
 TEST(Session, RunBatchRoutesPerCircuitAndPreservesOrder) {
   // Mixed traffic: circuits 0 and 2 are pure Clifford (stabilizer),
-  // circuit 1 is Clifford+T (statevector). Auto routing groups them by
-  // backend; outputs come back in input order and match the direct
-  // engine runs of each group bit for bit.
+  // circuit 1 is Clifford+T (statevector). Auto routing routes each on
+  // its own; outputs come back in input order.
   Rng rng_a(61), rng_c(67);
-  const Circuit clifford_a = testing::with_terminal_measurement(
-      random_clifford_circuit(4, 10, rng_a), 4);
-  const Circuit dense_b = dense_workload();
-  const Circuit clifford_c = testing::with_terminal_measurement(
-      random_clifford_circuit(4, 14, rng_c), 4);
-  const std::vector<Circuit> circuits{clifford_a, dense_b, clifford_c};
-
+  const std::vector<Circuit> circuits{
+      testing::with_terminal_measurement(random_clifford_circuit(4, 10, rng_a),
+                                         4),
+      dense_workload(),
+      testing::with_terminal_measurement(random_clifford_circuit(4, 14, rng_c),
+                                         4)};
   Session session;
-  RunRequest config = RunRequest().with_repetitions(4000).with_seed(71);
-  const std::vector<RunResult> results = session.run_batch(circuits, config);
+  const std::vector<RunResult> results = expect_batch_matches_runs(
+      session, circuits, RunRequest().with_repetitions(4000).with_seed(71));
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].backend_id, BackendId::kStabilizer);
   EXPECT_EQ(results[1].backend_id, BackendId::kStateVector);
   EXPECT_EQ(results[2].backend_id, BackendId::kStabilizer);
+  EXPECT_FALSE(results[0].selection_reason.empty());
 
-  // Direct comparison: the stabilizer group ran {a, c} through one
-  // engine batch, the statevector group ran {b}.
-  SimulatorOptions options;  // request defaults: 1 thread
-  Simulator<CHState> ch_engine{CHState(4), options};
-  Rng ch_rng(71);
-  const std::vector<Circuit> ch_group{clifford_a, clifford_c};
-  const std::vector<Result> ch_direct =
-      ch_engine.run_batch(ch_group, 4000, ch_rng);
-  EXPECT_EQ(results[0].measurements.histogram("m"),
-            ch_direct[0].histogram("m"));
-  EXPECT_EQ(results[2].measurements.histogram("m"),
-            ch_direct[1].histogram("m"));
+  // An explicit stabilizer request for GHZ beside Clifford+T: each
+  // circuit gets the hooks it needs, so GHZ runs the exact dictionary
+  // path (4 state applications) and Clifford+T the per-trajectory
+  // near-Clifford hooks.
+  const std::vector<Circuit> pair{
+      testing::with_terminal_measurement(ghz_circuit(4), 4), dense_workload()};
+  const std::vector<RunResult> stabilizer = expect_batch_matches_runs(
+      session, pair,
+      RunRequest().with_repetitions(2000).with_seed(5).with_backend(
+          std::string("stabilizer")));
+  ASSERT_EQ(stabilizer.size(), 2u);
+  EXPECT_TRUE(stabilizer[0].stats.used_sample_parallelization);
+  EXPECT_EQ(stabilizer[0].stats.state_applications, 4u);
+  EXPECT_FALSE(stabilizer[1].stats.used_sample_parallelization);
+  EXPECT_EQ(stabilizer[1].stats.trajectories, 2000u);
+}
 
-  Simulator<StateVectorState> sv_engine{StateVectorState(4), options};
-  Rng sv_rng(71);
-  const std::vector<Circuit> sv_group{dense_b};
-  const std::vector<Result> sv_direct =
-      sv_engine.run_batch(sv_group, 4000, sv_rng);
-  EXPECT_EQ(results[1].measurements.histogram("m"),
-            sv_direct[0].histogram("m"));
+/// The statevector adapter, counting the runs that reach it.
+class CountingSvBackend final : public StateVectorBackend {
+ public:
+  [[nodiscard]] std::string name() const override { return "counting-sv"; }
+  [[nodiscard]] BackendId id() const override { return BackendId::kCustom; }
+  [[nodiscard]] RunResult run(const RunRequest& request) const override {
+    ++runs;
+    return StateVectorBackend::run(request);
+  }
+  mutable std::atomic<int> runs{0};
+};
+
+TEST(Session, RunBatchValidatesBeforeSampling) {
+  // A measurement-less circuit anywhere in a batch fails the whole
+  // batch before any circuit reaches its backend, at 0 repetitions too.
+  BackendRegistry registry;
+  const auto counting = std::make_shared<CountingSvBackend>();
+  registry.register_backend(counting);
+  SessionOptions options;
+  options.registry = &registry;
+  Session session(options);
+  const Circuit good = dense_workload();
+  const Circuit unmeasured{h(0), cnot(0, 1)};
+  for (const std::uint64_t reps : {0u, 100u}) {
+    for (std::size_t bad = 0; bad < 3; ++bad) {
+      std::vector<Circuit> circuits(3, good);
+      circuits[bad] = unmeasured;
+      EXPECT_THROW((void)session.run_batch(circuits,
+                                           RunRequest()
+                                               .with_repetitions(reps)
+                                               .with_threads(2)
+                                               .with_backend("counting-sv")),
+                   ValueError)
+          << "bad circuit #" << bad << " at " << reps << " reps";
+    }
+  }
+  EXPECT_EQ(counting->runs.load(), 0);
 }
 
 TEST(Session, NearCliffordCircuitsRunOnExplicitStabilizerRequest) {

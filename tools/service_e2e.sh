@@ -18,6 +18,12 @@
 #      fresh daemon replays the same journal, resumes the incomplete
 #      job from its checkpoint, and every job's final report is still
 #      byte-identical to bgls_run; journal/resume telemetry is scraped.
+#  7b. cache-hit crash: a journaled daemon with a result cache and no
+#      fault injection runs one GHZ spec twice, the second time as a
+#      cache hit; once its journal holds both terminal records it is
+#      kill -9'd, and a fresh daemon on that journal answers both jobs
+#      byte-identically to bgls_run without running either again
+#      (stats: submitted=0).
 #
 #   8. fleet serving (when a BGLS_FLEET binary is passed): two workers
 #      with result caches behind one bgls_fleet front; concurrent
@@ -132,10 +138,12 @@ done
 echo "ok: ${#SPECS[@]} concurrent clients byte-identical to bgls_run"
 
 # --- 1b. Engine-path job: 12 qubits (big enough for the timed kernel
-# histograms) on --threads 2, forced onto the statevector backend (GHZ
-# is pure Clifford, so auto-selection would route it to the stabilizer
-# backend and never touch the statevector kernels), so the engine and
-# kernel telemetry series scraped in section 6 are populated ---
+# histograms) as a --no-batch trajectory run on --threads 2, so its
+# shards fan out on the shared pool, forced onto the statevector
+# backend (GHZ is pure Clifford, so auto-selection would route it to the
+# stabilizer backend and never touch the statevector kernels), so the
+# engine, pool and kernel telemetry series scraped in section 6 are
+# populated ---
 {
   echo 'OPENQASM 2.0;'
   echo 'include "qelib1.inc";'
@@ -146,7 +154,7 @@ echo "ok: ${#SPECS[@]} concurrent clients byte-identical to bgls_run"
   echo 'measure q -> c;'
 } > "$WORK/ghz12.qasm"
 "$CLIENT" --connect "$CONNECT" run --reps 256 --seed 9 --threads 2 \
-  --backend sv "$WORK/ghz12.qasm" > /dev/null \
+  --no-batch --backend sv "$WORK/ghz12.qasm" > /dev/null \
   || fail "engine-path job failed"
 echo "ok: engine-path job (12 qubits, 2 threads) completed"
 
@@ -243,6 +251,9 @@ else
     'bgls_kernel_apply_seconds_count{class="dense"}')
   [ "$APPLIES" -gt 0 ] \
     || fail "no timed dense kernel applies despite the 12-qubit job"
+  POOL_TASKS=$(series_value "$WORK/metrics_end.txt" 'bgls_pool_tasks_total')
+  [ "${POOL_TASKS%.*}" -gt 0 ] \
+    || fail "no pool tasks despite the 2-thread trajectory job"
   echo "ok: metrics exposition has core series, monotonic ($MID_DONE -> $END_DONE done)"
 fi
 
@@ -370,6 +381,62 @@ fi
 wait "$JSERVE_PID" || fail "journaled daemon exited non-zero"
 JSERVE_PID=""
 rm -f "$JSOCK"
+
+# --- 8b. Cache-hit crash: finished jobs, a cache hit among them, are
+# not run again after kill -9. No fault injection, so the leg is
+# deterministic. ---
+CJOURNAL="$WORK/cache_journal.ndjson"
+rm -f "$CJOURNAL"
+start_cache_daemon() {
+  "$SERVE" --listen "$JCONNECT" --jobs 2 --cache 8 --journal "$CJOURNAL" &
+  JSERVE_PID=$!
+  wait_socket "$JSOCK" || fail "cache-journal daemon socket never appeared"
+}
+start_cache_daemon
+# One spec twice, each waited for before the next submit: the second is
+# answered from the cache.
+CACHE_IDS=()
+for _ in 1 2; do
+  ID=$("$CLIENT" --connect "$JCONNECT" submit --reps 4096 --seed 7 \
+    "$DATA/ghz.qasm") || fail "cache-journal submit failed"
+  "$CLIENT" --connect "$JCONNECT" wait "$ID" > /dev/null \
+    || fail "cache-journal wait $ID failed"
+  CACHE_IDS+=("$ID")
+done
+"$CLIENT" --connect "$JCONNECT" stats > "$WORK/cache_journal_stats.txt" \
+  || fail "cache-journal stats failed"
+grep -q "cache_hits=1" "$WORK/cache_journal_stats.txt" \
+  || fail "second submit was no cache hit: $(cat "$WORK/cache_journal_stats.txt")"
+# A terminal record can land after wait() answers: poll for both
+# complete frames before the kill.
+TERMINAL_RE='"rec":\{"type":"terminal",.*\}\}$'
+for _ in $(seq 100); do
+  [ "$(grep -Ec "$TERMINAL_RE" "$CJOURNAL")" -ge 2 ] && break
+  sleep 0.1
+done
+TERMINALS=$(grep -Ec "$TERMINAL_RE" "$CJOURNAL")
+[ "$TERMINALS" -eq 2 ] \
+  || fail "cache-journal holds $TERMINALS terminal records, want 2"
+kill -9 "$JSERVE_PID" 2>/dev/null
+wait "$JSERVE_PID" 2>/dev/null
+rm -f "$JSOCK"
+start_cache_daemon
+for ID in "${CACHE_IDS[@]}"; do
+  "$CLIENT" --connect "$JCONNECT" result "$ID" \
+    > "$WORK/cache_replayed_$ID.json" || fail "replayed result $ID failed"
+  cmp "$WORK/cache_replayed_$ID.json" "$WORK/expected_0.json" \
+    || fail "replayed cache-journal job $ID differs from bgls_run"
+done
+"$CLIENT" --connect "$JCONNECT" stats > "$WORK/cache_replay_stats.txt" \
+  || fail "restarted cache-journal stats failed"
+grep -q "^submitted=0 " "$WORK/cache_replay_stats.txt" \
+  || fail "restarted daemon ran jobs again: $(cat "$WORK/cache_replay_stats.txt")"
+"$CLIENT" --connect "$JCONNECT" shutdown > /dev/null \
+  || fail "cache-journal daemon shutdown failed"
+wait "$JSERVE_PID" || fail "cache-journal daemon exited non-zero"
+JSERVE_PID=""
+rm -f "$JSOCK"
+echo "ok: a killed daemon's finished jobs, a cache hit among them, replay without running again"
 
 # --- 9. Fleet: 2 cached workers behind one front, multi-tenant flood,
 # cache-hit byte-identity, worker failure + rejoin ---
