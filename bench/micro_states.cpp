@@ -120,15 +120,15 @@ void BM_StateVector_ApplyCz_Generic(benchmark::State& state) {
 }
 BENCHMARK(BM_StateVector_ApplyCz_Generic)->Arg(8)->Arg(16)->Arg(20);
 
+/// One-qubit gate `make(q)` cycled over the qubits of an equal
+/// superposition.
 template <bool kForceGeneric>
-void apply_t_body(benchmark::State& state) {
+void apply_1q_body(benchmark::State& state, Operation (*make)(Qubit)) {
   const kernels::ForceGenericScope scope(kForceGeneric);
   const int n = static_cast<int>(state.range(0));
   StateVectorState psi(n);
   for (int q = 0; q < n; ++q) psi.apply(h(q));
-  const std::vector<Operation> ops = per_qubit_ops(n, [](Qubit q) {
-    return t(q);
-  });
+  const std::vector<Operation> ops = per_qubit_ops(n, make);
   std::size_t q = 0;
   for (auto _ : state) {
     psi.apply(ops[q]);
@@ -139,13 +139,33 @@ void apply_t_body(benchmark::State& state) {
 // classification, now memoized on Gate): at 256 amplitudes the
 // amplitude pass is nearly free, so this is where the gate cache shows.
 void BM_StateVector_ApplyT(benchmark::State& state) {
-  apply_t_body<false>(state);
+  apply_1q_body<false>(state, [](Qubit q) { return t(q); });
 }
 BENCHMARK(BM_StateVector_ApplyT)->Arg(8)->Arg(20);
 void BM_StateVector_ApplyT_Generic(benchmark::State& state) {
-  apply_t_body<true>(state);
+  apply_1q_body<true>(state, [](Qubit q) { return t(q); });
 }
 BENCHMARK(BM_StateVector_ApplyT_Generic)->Arg(8)->Arg(20);
+
+// Y and X complete rcs_sv20's gate domain: both are one-qubit
+// permutations, Y with factors -i and i (a complex multiply per
+// amplitude) and X a pure block swap.
+void BM_StateVector_ApplyY(benchmark::State& state) {
+  apply_1q_body<false>(state, [](Qubit q) { return y(q); });
+}
+BENCHMARK(BM_StateVector_ApplyY)->Arg(8)->Arg(16)->Arg(20);
+void BM_StateVector_ApplyY_Generic(benchmark::State& state) {
+  apply_1q_body<true>(state, [](Qubit q) { return y(q); });
+}
+BENCHMARK(BM_StateVector_ApplyY_Generic)->Arg(8)->Arg(16)->Arg(20);
+void BM_StateVector_ApplyX(benchmark::State& state) {
+  apply_1q_body<false>(state, [](Qubit q) { return x(q); });
+}
+BENCHMARK(BM_StateVector_ApplyX)->Arg(8)->Arg(16)->Arg(20);
+void BM_StateVector_ApplyX_Generic(benchmark::State& state) {
+  apply_1q_body<true>(state, [](Qubit q) { return x(q); });
+}
+BENCHMARK(BM_StateVector_ApplyX_Generic)->Arg(8)->Arg(16)->Arg(20);
 
 // The gate-classification cache, measured directly: a cold compile
 // (matrix construction + structural classification, what every apply

@@ -60,8 +60,13 @@ void DensityMatrixState::apply_matrix(const Matrix& m,
   const std::size_t block = std::size_t{1} << k;
   BGLS_REQUIRE(m.rows() == block && m.cols() == block,
                "matrix dimension does not match qubit count");
-  for (const Qubit q : qubits) {
-    BGLS_REQUIRE(q >= 0 && q < num_qubits_, "qubit ", q, " out of range");
+  for (std::size_t i = 0; i < k; ++i) {
+    BGLS_REQUIRE(qubits[i] >= 0 && qubits[i] < num_qubits_, "qubit ",
+                 qubits[i], " out of range");
+    for (std::size_t j = 0; j < i; ++j) {
+      BGLS_REQUIRE(qubits[j] != qubits[i], "duplicate target qubit ",
+                   qubits[i]);
+    }
   }
   std::size_t support_mask = 0, ignored = 0;
   embed_indices(qubits, block - 1, support_mask, ignored);

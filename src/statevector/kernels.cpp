@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 
 #include "obs/metrics.h"
 
@@ -23,6 +24,11 @@ namespace {
 /// fork/join overhead dominates.
 constexpr std::size_t kParallelThreshold = std::size_t{1} << 14;
 
+/// An OpenMP task covers the group bases of this many amplitude
+/// indices, so every task of one apply touches the same number of
+/// amplitudes wherever the gate's qubits sit.
+constexpr std::size_t kTaskSpan = std::size_t{1} << 12;
+
 /// Specialized kernels cover gates up to this arity (the library's
 /// kMaxGateArity); wider matrices take the generic gather path.
 constexpr std::size_t kMaxKernelArity = 3;
@@ -35,18 +41,15 @@ bool env_force_generic() {
 
 std::atomic<bool> g_force_generic{env_force_generic()};
 
+#ifdef BGLS_HAVE_OPENMP
 /// True when a pass over `dim` amplitudes should use an OpenMP team:
 /// large enough to amortize fork/join, and more than one thread
-/// available (on a one-thread budget the plain nests are faster —
-/// outlined OpenMP regions inhibit some vectorization).
+/// available (on a one-thread budget the plain nest skips the
+/// fork/join call altogether).
 bool use_openmp(std::size_t dim) {
-#ifdef BGLS_HAVE_OPENMP
   return dim >= kParallelThreshold && omp_get_max_threads() > 1;
-#else
-  (void)dim;
-  return false;
-#endif
 }
+#endif
 
 /// Inserts a zero bit at each of the (ascending) strides, spreading the
 /// compact group index `g` into an amplitude base index.
@@ -58,8 +61,8 @@ inline std::size_t expand_index(std::size_t g,
   return g;
 }
 
-/// Ascending strides of the gate's qubits plus any control bits, used
-/// to enumerate group base indices.
+/// Strides of the gate's qubits plus any control bits, which the run
+/// helper sorts and walks around.
 struct Strides {
   std::array<std::size_t, kMaxKernelArity> values{};
   std::size_t count = 0;
@@ -91,6 +94,17 @@ struct Strides {
 };
 
 inline bool is_one(const Complex& z) { return z == Complex{1.0, 0.0}; }
+
+/// std::complex's product for finite operands, (re·re − im·im,
+/// re·im + im·re), rounded exactly as operator* rounds it. GCC compiles
+/// operator* to scalar code with a NaN test and a __muldc3 call that
+/// recovers infinities, and that call keeps every loop around it
+/// scalar. Amplitudes and gate entries are finite, so the call never
+/// changes a result, and this form vectorizes.
+inline Complex cmul(const Complex& a, const Complex& b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
 
 // --- Generic dense reference paths (pre-specialization code) ------------
 
@@ -205,89 +219,109 @@ std::array<std::size_t, 8> local_offsets(std::span<const int> qubits) {
   return offsets;
 }
 
+// --- Run helper ---------------------------------------------------------
+
+/// Calls body(start, len) on the runs of `len` = s[0] consecutive
+/// indices in [offset, offset + extent) whose bits at the strides
+/// s[0] <= s[1] <= s[2] read 0. A stride equal to `extent` stands for a
+/// bit above the range: its loop runs once.
+template <typename Len, typename Body>
+inline void run_nest(std::size_t offset, std::size_t extent,
+                     const std::array<std::size_t, kMaxKernelArity>& s,
+                     Len len, const Body& body) {
+  for (std::size_t b2 = 0; b2 < extent; b2 += 2 * s[2]) {
+    for (std::size_t b1 = b2; b1 < b2 + s[2]; b1 += 2 * s[1]) {
+      for (std::size_t b0 = b1; b0 < b1 + s[1]; b0 += 2 * len) {
+        body(offset + b0, len);
+      }
+    }
+  }
+}
+
+/// Visits every group base of a gate — an index whose bits at `strides`
+/// (its qubits and control bits) read 0 — once, as body(start, len) on
+/// runs of consecutive bases. The body reaches a group's other
+/// amplitudes at fixed offsets from its base, so every inner loop is
+/// unit-stride. The serial path is the plain loop nest over the state.
+/// The OpenMP path hands out tasks of kTaskSpan >> strides.count bases:
+/// runs longer than a task are split, shorter ones grouped. Both paths
+/// give each amplitude the same arithmetic, so no output bit depends on
+/// the thread count. Runs of one or two amplitudes (a gate or control
+/// bit on qubit 0 or 1) pass `len` as a constant, so the body's inner
+/// loop compiles to straight-line code.
+template <typename Body>
+void for_each_run(std::size_t dim, Strides strides, const Body& body) {
+  strides.sort();
+  const auto nest = [&](std::size_t offset, std::size_t extent) {
+    // Strides at or above `extent` lie outside the nest's range.
+    std::array<std::size_t, kMaxKernelArity> s{};
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      s[i] = i < strides.count ? std::min(strides.values[i], extent) : extent;
+    }
+    if (s[0] == 1) {
+      run_nest(offset, extent, s, std::integral_constant<std::size_t, 1>{},
+               body);
+    } else if (s[0] == 2) {
+      run_nest(offset, extent, s, std::integral_constant<std::size_t, 2>{},
+               body);
+    } else {
+      run_nest(offset, extent, s, s[0], body);
+    }
+  };
+#ifdef BGLS_HAVE_OPENMP
+  if (use_openmp(dim)) {
+    // A task's bases are a power-of-two block of compact indices; they
+    // span `extent` amplitude indices, one bit wider for each stride
+    // that falls inside.
+    const std::size_t task = kTaskSpan >> strides.count;
+    std::size_t extent = task;
+    for (std::size_t i = 0; i < strides.count; ++i) {
+      if (strides.values[i] < extent) extent <<= 1;
+    }
+    const std::int64_t num_tasks = static_cast<std::int64_t>(dim / kTaskSpan);
+#pragma omp parallel for schedule(static)
+    for (std::int64_t t = 0; t < num_tasks; ++t) {
+      nest(expand_index(static_cast<std::size_t>(t) * task, strides.span()),
+           extent);
+    }
+    return;
+  }
+#endif
+  nest(0, dim);
+}
+
+/// p[j] *= factor over one run.
+template <typename Len>
+inline void scale_run(Complex* p, Len len, Complex factor) {
+  for (std::size_t j = 0; j < len; ++j) p[j] = cmul(p[j], factor);
+}
+
 // --- Diagonal kernel ----------------------------------------------------
 
 void apply_diagonal(std::span<Complex> amps, std::span<const int> qubits,
                     std::span<const Complex> phases) {
-  const std::size_t dim = amps.size();
-  const std::size_t k = qubits.size();
-
-  if (k == 1) {
-    const Complex d0 = phases[0], d1 = phases[1];
-    const bool skip0 = is_one(d0), skip1 = is_one(d1);
-    if (skip0 && skip1) return;  // identity
-    const std::size_t s = std::size_t{1} << qubits[0];
-#ifdef BGLS_HAVE_OPENMP
-    if (use_openmp(dim)) {
-      const std::int64_t idim = static_cast<std::int64_t>(dim);
-#pragma omp parallel for schedule(static)
-      for (std::int64_t i = 0; i < idim; ++i) {
-        const std::size_t ii = static_cast<std::size_t>(i);
-        if (ii & s) {
-          if (!skip1) amps[ii] *= d1;
-        } else {
-          if (!skip0) amps[ii] *= d0;
-        }
-      }
-      return;
-    }
-#endif
-    // Phase-multiply over contiguous runs; halves with phase 1 are
-    // skipped outright (T, S, Rz with one trivial phase, ...).
-    for (std::size_t base = 0; base < dim; base += 2 * s) {
-      if (!skip0) {
-        for (std::size_t i = base; i < base + s; ++i) amps[i] *= d0;
-      }
-      if (!skip1) {
-        for (std::size_t i = base + s; i < base + 2 * s; ++i) amps[i] *= d1;
-      }
-    }
-    return;
-  }
-
+  // Phases equal to 1 are skipped outright: T and S touch half the
+  // amplitudes, CZ, CPhase and CCZ a quarter or an eighth.
   const std::array<std::size_t, 8> offsets = local_offsets(qubits);
-  const std::size_t block = std::size_t{1} << k;
-  std::array<std::uint8_t, 8> worklist{};
+  std::array<std::size_t, 8> work_offsets{};
+  std::array<Complex, 8> work_phases{};
   std::size_t work_count = 0;
-  for (std::size_t local = 0; local < block; ++local) {
+  for (std::size_t local = 0; local < phases.size(); ++local) {
     if (!is_one(phases[local])) {
-      worklist[work_count++] = static_cast<std::uint8_t>(local);
+      work_offsets[work_count] = offsets[local];
+      work_phases[work_count++] = phases[local];
     }
   }
   if (work_count == 0) return;  // identity
 
   Strides strides;
   for (const int q : qubits) strides.add(std::size_t{1} << q);
-  strides.sort();
-  const std::int64_t num_groups = static_cast<std::int64_t>(dim >> k);
-
-  if (work_count == 1) {
-    // Single non-trivial phase (CZ, CPhase, CCZ): touch only the
-    // indices whose support bits match that one local pattern —
-    // 2^n / 2^k amplitudes instead of 2^n.
-    const std::size_t offset = offsets[worklist[0]];
-    const Complex phase = phases[worklist[0]];
-#ifdef BGLS_HAVE_OPENMP
-#pragma omp parallel for if (use_openmp(dim)) schedule(static)
-#endif
-    for (std::int64_t g = 0; g < num_groups; ++g) {
-      amps[expand_index(static_cast<std::size_t>(g), strides.span()) |
-           offset] *= phase;
-    }
-    return;
-  }
-
-#ifdef BGLS_HAVE_OPENMP
-#pragma omp parallel for if (use_openmp(dim)) schedule(static)
-#endif
-  for (std::int64_t g = 0; g < num_groups; ++g) {
-    const std::size_t base =
-        expand_index(static_cast<std::size_t>(g), strides.span());
+  Complex* a = amps.data();
+  for_each_run(amps.size(), strides, [&](std::size_t start, auto len) {
     for (std::size_t w = 0; w < work_count; ++w) {
-      const std::size_t local = worklist[w];
-      amps[base | offsets[local]] *= phases[local];
+      scale_run(a + start + work_offsets[w], len, work_phases[w]);
     }
-  }
+  });
 }
 
 // --- Permutation kernel -------------------------------------------------
@@ -295,111 +329,65 @@ void apply_diagonal(std::span<Complex> amps, std::span<const int> qubits,
 void apply_permutation(std::span<Complex> amps, std::span<const int> qubits,
                        std::span<const std::uint8_t> perm,
                        std::span<const Complex> factors) {
-  const std::size_t dim = amps.size();
-  const std::size_t k = qubits.size();
-  const std::size_t block = std::size_t{1} << k;
-
-  if (k == 1) {
-    // perm is either identity (then it was classified diagonal) or the
-    // swap: new[i0] = f0 * old[i1], new[i1] = f1 * old[i0].
-    const Complex f0 = factors[0], f1 = factors[1];
-    const bool pure_swap = is_one(f0) && is_one(f1);
-    const std::size_t s = std::size_t{1} << qubits[0];
-#ifdef BGLS_HAVE_OPENMP
-    if (use_openmp(dim)) {
-      const std::int64_t num_pairs = static_cast<std::int64_t>(dim >> 1);
-#pragma omp parallel for schedule(static)
-      for (std::int64_t p = 0; p < num_pairs; ++p) {
-        const std::size_t pp = static_cast<std::size_t>(p);
-        const std::size_t i0 =
-            ((pp & ~(s - 1)) << 1) | (pp & (s - 1));
-        const std::size_t i1 = i0 | s;
-        const Complex a0 = amps[i0];
-        if (pure_swap) {
-          amps[i0] = amps[i1];
-          amps[i1] = a0;
-        } else {
-          amps[i0] = f0 * amps[i1];
-          amps[i1] = f1 * a0;
-        }
-      }
-      return;
-    }
-#endif
-    for (std::size_t base = 0; base < dim; base += 2 * s) {
-      if (pure_swap) {
-        // X / CX-target-style runs reduce to a block swap.
-        std::swap_ranges(amps.begin() + static_cast<std::ptrdiff_t>(base),
-                         amps.begin() + static_cast<std::ptrdiff_t>(base + s),
-                         amps.begin() + static_cast<std::ptrdiff_t>(base + s));
-      } else {
-        for (std::size_t i = base; i < base + s; ++i) {
-          const Complex a0 = amps[i];
-          amps[i] = f0 * amps[i + s];
-          amps[i + s] = f1 * a0;
-        }
-      }
-    }
-    return;
-  }
-
+  const std::size_t block = perm.size();
   const std::array<std::size_t, 8> offsets = local_offsets(qubits);
+  // A unit factor moves an amplitude without a multiply. A one-qubit
+  // swap multiplies both halves unless both of its factors are 1.
+  std::array<bool, 8> unit{};
+  for (std::size_t r = 0; r < block; ++r) unit[r] = is_one(factors[r]);
+  if (block == 2) unit[0] = unit[1] = unit[0] && unit[1];
 
-  // Decompose into cycles once; fixed points with factor 1 cost nothing
-  // (CX touches only the c=1 half, CCX only the c0=c1=1 quarter).
-  std::array<std::uint8_t, 8> scaled_fixed{};
-  std::size_t num_scaled_fixed = 0;
-  std::array<std::array<std::uint8_t, 8>, 4> cycles{};
-  std::array<std::size_t, 4> cycle_len{};
-  std::size_t num_cycles = 0;
-  std::array<bool, 8> visited{};
-  for (std::size_t start = 0; start < block; ++start) {
-    if (visited[start]) continue;
-    visited[start] = true;
-    if (perm[start] == start) {
-      if (!is_one(factors[start])) {
-        scaled_fixed[num_scaled_fixed++] = static_cast<std::uint8_t>(start);
-      }
-      continue;
-    }
-    auto& cycle = cycles[num_cycles];
-    std::size_t len = 0;
-    std::size_t current = start;
-    do {
-      cycle[len++] = static_cast<std::uint8_t>(current);
-      visited[current] = true;
-      current = perm[current];
-    } while (current != start);
-    cycle_len[num_cycles++] = len;
-  }
-
+  // One pass per cycle; fixed points with factor 1 cost nothing (CX
+  // touches only the c=1 half, CCX only the c0=c1=1 quarter), and a
+  // scaled fixed point is a cycle of length 1. Every named permutation
+  // gate is a single cycle.
   Strides strides;
   for (const int q : qubits) strides.add(std::size_t{1} << q);
-  strides.sort();
-  const std::int64_t num_groups = static_cast<std::int64_t>(dim >> k);
-#ifdef BGLS_HAVE_OPENMP
-#pragma omp parallel for if (use_openmp(dim)) schedule(static)
-#endif
-  for (std::int64_t g = 0; g < num_groups; ++g) {
-    const std::size_t base =
-        expand_index(static_cast<std::size_t>(g), strides.span());
-    for (std::size_t f = 0; f < num_scaled_fixed; ++f) {
-      const std::size_t local = scaled_fixed[f];
-      amps[base | offsets[local]] *= factors[local];
+  Complex* a = amps.data();
+  std::array<bool, 8> visited{};
+  for (std::size_t first = 0; first < block; ++first) {
+    if (visited[first] || (perm[first] == first && unit[first])) continue;
+    // new[r] = factors[r] * old[perm[r]] along the cycle.
+    std::array<std::size_t, 8> cycle{};
+    std::size_t n = 0;
+    for (std::size_t r = first; n == 0 || r != first; r = perm[r]) {
+      cycle[n++] = r;
+      visited[r] = true;
     }
-    for (std::size_t c = 0; c < num_cycles; ++c) {
-      const auto& cycle = cycles[c];
-      const std::size_t len = cycle_len[c];
-      // new[r] = factors[r] * old[perm[r]] along the cycle.
-      const Complex head = amps[base | offsets[cycle[0]]];
-      for (std::size_t t = 0; t + 1 < len; ++t) {
-        const Complex value = amps[base | offsets[cycle[t + 1]]];
-        amps[base | offsets[cycle[t]]] =
-            is_one(factors[cycle[t]]) ? value : factors[cycle[t]] * value;
-      }
-      const std::size_t tail = cycle[len - 1];
-      amps[base | offsets[tail]] =
-          is_one(factors[tail]) ? head : factors[tail] * head;
+    const std::size_t o0 = offsets[cycle[0]], o1 = offsets[cycle[1]];
+    const Complex f0 = factors[cycle[0]], f1 = factors[cycle[1]];
+    if (n == 1) {
+      for_each_run(amps.size(), strides, [=](std::size_t start, auto len) {
+        scale_run(a + start + o0, len, f0);
+      });
+    } else if (n == 2 && unit[cycle[0]] && unit[cycle[1]]) {
+      // X, CX, SWAP, CCX, CSWAP
+      for_each_run(amps.size(), strides, [=](std::size_t start, auto len) {
+        std::swap_ranges(a + start + o0, a + start + o0 + len, a + start + o1);
+      });
+    } else if (n == 2 && !unit[cycle[0]] && !unit[cycle[1]]) {
+      // Y, ISWAP, scaled flips
+      for_each_run(amps.size(), strides, [=](std::size_t start, auto len) {
+        Complex* p0 = a + start + o0;
+        Complex* p1 = a + start + o1;
+        for (std::size_t j = 0; j < len; ++j) {
+          const Complex x0 = p0[j];
+          p0[j] = cmul(f0, p1[j]);
+          p1[j] = cmul(f1, x0);
+        }
+      });
+    } else {
+      for_each_run(amps.size(), strides, [&](std::size_t start, auto len) {
+        for (std::size_t j = start; j < start + len; ++j) {
+          const Complex head = a[o0 + j];
+          for (std::size_t t = 0; t < n; ++t) {
+            const std::size_t r = cycle[t];
+            const Complex value =
+                t + 1 < n ? a[offsets[cycle[t + 1]] + j] : head;
+            a[offsets[r] + j] = unit[r] ? value : cmul(factors[r], value);
+          }
+        }
+      });
     }
   }
 }
@@ -413,36 +401,6 @@ bool matrix_is_real(const Matrix& m) {
   return true;
 }
 
-/// Runs body(base, j) over the blocked 2-level iteration space, through
-/// an OpenMP collapse(2) region when `parallel` and a plain nest
-/// otherwise. Both nests execute identical per-(base, j) arithmetic —
-/// only the outlining differs — so results are bit-identical between
-/// them (and across thread counts), while the serial nest keeps the
-/// compiler's full vectorization of the hot inner loop.
-template <typename Body>
-inline void blocked_loop(std::size_t outer_end, std::size_t outer_step,
-                         std::size_t inner_count, std::size_t inner_step,
-                         bool parallel, Body&& body) {
-#ifdef BGLS_HAVE_OPENMP
-  if (parallel) {
-#pragma omp parallel for collapse(2) schedule(static)
-    for (std::size_t base = 0; base < outer_end; base += outer_step) {
-      for (std::size_t j = 0; j < inner_count; j += inner_step) {
-        body(base, j);
-      }
-    }
-    return;
-  }
-#else
-  (void)parallel;
-#endif
-  for (std::size_t base = 0; base < outer_end; base += outer_step) {
-    for (std::size_t j = 0; j < inner_count; j += inner_step) {
-      body(base, j);
-    }
-  }
-}
-
 #if defined(BGLS_HAVE_AVX2) && defined(__AVX2__)
 /// Complex multiply of two packed complex<double> by the broadcast
 /// scalar (mr, mi): re' = re*mr - im*mi, im' = re*mi + im*mr.
@@ -452,67 +410,44 @@ inline __m256d cmul(__m256d a, __m256d mr, __m256d mi) {
 }
 #endif
 
-/// Dense 1q butterfly over [base, base + s) × [base + s, base + 2s)
-/// runs; `fixed_mask` (control bits forced to 1) restricts the space.
+/// Dense 1q butterfly between the runs at [i, i + len) and
+/// [i + s, i + s + len); `fixed_mask` (control bits forced to 1)
+/// restricts it to the controlled subspace.
 void apply_dense_1q(std::span<Complex> amps, int q, const Matrix& m,
                     std::size_t fixed_mask) {
   const std::size_t dim = amps.size();
   const std::size_t s = std::size_t{1} << q;
   const Complex m00 = m(0, 0), m01 = m(0, 1), m10 = m(1, 0), m11 = m(1, 1);
+  Strides strides;
+  strides.add(s);
+  strides.add_mask_bits(fixed_mask);
 
-  if (fixed_mask != 0) {
-    // Controlled dense: enumerate only the bases with every control 1.
-    Strides strides;
-    strides.add(s);
-    strides.add_mask_bits(fixed_mask);
-    strides.sort();
-    const std::int64_t num_groups =
-        static_cast<std::int64_t>(dim >> strides.count);
-#ifdef BGLS_HAVE_OPENMP
-#pragma omp parallel for if (use_openmp(dim)) schedule(static)
-#endif
-    for (std::int64_t g = 0; g < num_groups; ++g) {
-      const std::size_t i0 =
-          expand_index(static_cast<std::size_t>(g), strides.span()) |
-          fixed_mask;
-      const std::size_t i1 = i0 | s;
-      const Complex a0 = amps[i0];
-      const Complex a1 = amps[i1];
-      amps[i0] = m00 * a0 + m01 * a1;
-      amps[i1] = m10 * a0 + m11 * a1;
-    }
-    return;
-  }
-
-  // One loop shape per arithmetic form below, distributed by
-  // blocked_loop: every (run, offset) iteration performs identical
-  // arithmetic whatever the thread count, so OpenMP never changes a
-  // bit. (With AVX2 the FMA rounding differs from the generic path —
-  // an explicit opt-in — but stays thread-count-invariant too.)
-  const bool parallel = use_openmp(dim);
-
-  if (matrix_is_real(m)) {
+  // One arithmetic form per matrix form, whatever the loop shape, so
+  // OpenMP never changes a bit. (With AVX2 the FMA rounding differs
+  // from the generic path, an explicit opt-in, but stays
+  // thread-count-invariant too.) Controlled blocks keep the complex
+  // form.
+  if (fixed_mask == 0 && matrix_is_real(m)) {
     // Real coefficients act identically on the interleaved re/im
-    // doubles: half the flops of the complex butterfly, and a
-    // unit-stride loop the compiler vectorizes.
-    auto* d = reinterpret_cast<double*>(amps.data());
+    // doubles: half the flops of the complex butterfly.
+    double* d = reinterpret_cast<double*>(amps.data());
     const double r00 = m00.real(), r01 = m01.real();
     const double r10 = m10.real(), r11 = m11.real();
-    const std::size_t run = 2 * s;  // doubles per amplitude run
-    blocked_loop(2 * dim, 2 * run, run, 1, parallel,
-                 [=](std::size_t base, std::size_t j) {
-                   double* lo = d + base;
-                   double* hi = lo + run;
-                   const double a0 = lo[j];
-                   const double a1 = hi[j];
-                   lo[j] = r00 * a0 + r01 * a1;
-                   hi[j] = r10 * a0 + r11 * a1;
-                 });
+    for_each_run(dim, strides, [=](std::size_t start, auto len) {
+      double* lo = d + 2 * start;
+      double* hi = lo + 2 * s;
+      for (std::size_t j = 0; j < 2 * len; ++j) {
+        const double a0 = lo[j];
+        const double a1 = hi[j];
+        lo[j] = r00 * a0 + r01 * a1;
+        hi[j] = r10 * a0 + r11 * a1;
+      }
+    });
     return;
   }
 
 #if defined(BGLS_HAVE_AVX2) && defined(__AVX2__)
-  if (s >= 2) {
+  if (fixed_mask == 0 && s >= 2) {
     const __m256d m00r = _mm256_set1_pd(m00.real());
     const __m256d m00i = _mm256_set1_pd(m00.imag());
     const __m256d m01r = _mm256_set1_pd(m01.real());
@@ -521,40 +456,39 @@ void apply_dense_1q(std::span<Complex> amps, int q, const Matrix& m,
     const __m256d m10i = _mm256_set1_pd(m10.imag());
     const __m256d m11r = _mm256_set1_pd(m11.real());
     const __m256d m11i = _mm256_set1_pd(m11.imag());
-    auto* d = reinterpret_cast<double*>(amps.data());
-    const std::size_t run = 2 * s;
-    // Two complex per vector (j steps by 4 doubles).
-    blocked_loop(
-        2 * dim, 2 * run, run, 4, parallel,
-        [=](std::size_t base, std::size_t j) {
-          double* lo = d + base;
-          double* hi = lo + run;
-          const __m256d a0 = _mm256_loadu_pd(lo + j);
-          const __m256d a1 = _mm256_loadu_pd(hi + j);
-          _mm256_storeu_pd(lo + j, _mm256_add_pd(cmul(a0, m00r, m00i),
-                                                 cmul(a1, m01r, m01i)));
-          _mm256_storeu_pd(hi + j, _mm256_add_pd(cmul(a0, m10r, m10i),
-                                                 cmul(a1, m11r, m11i)));
-        });
+    double* d = reinterpret_cast<double*>(amps.data());
+    // Runs are powers of two of at least 2 amplitudes: two per vector.
+    for_each_run(dim, strides, [=](std::size_t start, auto len) {
+      double* lo = d + 2 * start;
+      double* hi = lo + 2 * s;
+      for (std::size_t j = 0; j < 2 * len; j += 4) {
+        const __m256d a0 = _mm256_loadu_pd(lo + j);
+        const __m256d a1 = _mm256_loadu_pd(hi + j);
+        _mm256_storeu_pd(lo + j, _mm256_add_pd(cmul(a0, m00r, m00i),
+                                               cmul(a1, m01r, m01i)));
+        _mm256_storeu_pd(hi + j, _mm256_add_pd(cmul(a0, m10r, m10i),
+                                               cmul(a1, m11r, m11i)));
+      }
+    });
     return;
   }
 #endif
 
-  // Complex butterfly over contiguous runs: the inner loop is
-  // unit-stride, so loads/stores stream and the entries stay hoisted.
-  Complex* a = amps.data();
-  blocked_loop(dim, 2 * s, s, 1, parallel,
-               [=](std::size_t base, std::size_t j) {
-                 const std::size_t i = base + j;
-                 const Complex a0 = a[i];
-                 const Complex a1 = a[i + s];
-                 a[i] = m00 * a0 + m01 * a1;
-                 a[i + s] = m10 * a0 + m11 * a1;
-               });
+  Complex* a = amps.data() + fixed_mask;
+  for_each_run(dim, strides, [=](std::size_t start, auto len) {
+    Complex* lo = a + start;
+    Complex* hi = lo + s;
+    for (std::size_t j = 0; j < len; ++j) {
+      const Complex a0 = lo[j];
+      const Complex a1 = hi[j];
+      lo[j] = cmul(m00, a0) + cmul(m01, a1);
+      hi[j] = cmul(m10, a0) + cmul(m11, a1);
+    }
+  });
 }
 
-/// Dense 2q update with hoisted entries and cache-blocked low/high
-/// stride iteration; `fixed_mask` restricts to the controlled subspace.
+/// Dense 2q update of the four runs at offsets 0, s1, s0 and s0 + s1
+/// from each base; `fixed_mask` restricts it to the controlled subspace.
 void apply_dense_2q(std::span<Complex> amps, int q0, int q1, const Matrix& m,
                     std::size_t fixed_mask) {
   const std::size_t dim = amps.size();
@@ -564,77 +498,52 @@ void apply_dense_2q(std::span<Complex> amps, int q0, int q1, const Matrix& m,
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 4; ++c) e[4 * r + c] = m(r, c);
   }
+  Strides strides;
+  strides.add(s0);
+  strides.add(s1);
+  strides.add_mask_bits(fixed_mask);
 
-  const auto update4 = [&](std::size_t base) {
-    const std::size_t i00 = base;
-    const std::size_t i01 = base | s1;
-    const std::size_t i10 = base | s0;
-    const std::size_t i11 = base | s0 | s1;
-    const Complex a00 = amps[i00];
-    const Complex a01 = amps[i01];
-    const Complex a10 = amps[i10];
-    const Complex a11 = amps[i11];
-    amps[i00] = e[0] * a00 + e[1] * a01 + e[2] * a10 + e[3] * a11;
-    amps[i01] = e[4] * a00 + e[5] * a01 + e[6] * a10 + e[7] * a11;
-    amps[i10] = e[8] * a00 + e[9] * a01 + e[10] * a10 + e[11] * a11;
-    amps[i11] = e[12] * a00 + e[13] * a01 + e[14] * a10 + e[15] * a11;
-  };
-
-  if (fixed_mask != 0) {
-    Strides strides;
-    strides.add(s0);
-    strides.add(s1);
-    strides.add_mask_bits(fixed_mask);
-    strides.sort();
-    const std::int64_t num_groups =
-        static_cast<std::int64_t>(dim >> strides.count);
-#ifdef BGLS_HAVE_OPENMP
-#pragma omp parallel for if (use_openmp(dim)) schedule(static)
-#endif
-    for (std::int64_t g = 0; g < num_groups; ++g) {
-      update4(expand_index(static_cast<std::size_t>(g), strides.span()) |
-              fixed_mask);
-    }
-    return;
-  }
-
-  // As in apply_dense_1q: one loop shape per arithmetic form, with the
-  // cache blocks themselves distributed by blocked_loop so thread count
-  // never changes a bit.
-  const std::size_t lo = std::min(s0, s1);
-  const std::size_t hi = std::max(s0, s1);
-  const std::size_t blocks_per_row = hi / (2 * lo);  // inner b-blocks
-  const bool parallel = use_openmp(dim);
-
-  if (matrix_is_real(m)) {
+  // As in apply_dense_1q: one arithmetic form per matrix form.
+  if (fixed_mask == 0 && matrix_is_real(m)) {
     std::array<double, 16> r;
     for (std::size_t j = 0; j < 16; ++j) r[j] = e[j].real();
-    auto* d = reinterpret_cast<double*>(amps.data());
-    const std::size_t dlo = 2 * lo, ds0 = 2 * s0, ds1 = 2 * s1;
-    blocked_loop(
-        2 * dim, 4 * hi, blocks_per_row, 1, parallel,
-        [&](std::size_t a, std::size_t block) {
-          double* p00 = d + a + block * 2 * dlo;
-          double* p01 = p00 + ds1;
-          double* p10 = p00 + ds0;
-          double* p11 = p00 + ds0 + ds1;
-          for (std::size_t j = 0; j < dlo; ++j) {
-            const double a00 = p00[j], a01 = p01[j];
-            const double a10 = p10[j], a11 = p11[j];
-            p00[j] = r[0] * a00 + r[1] * a01 + r[2] * a10 + r[3] * a11;
-            p01[j] = r[4] * a00 + r[5] * a01 + r[6] * a10 + r[7] * a11;
-            p10[j] = r[8] * a00 + r[9] * a01 + r[10] * a10 + r[11] * a11;
-            p11[j] = r[12] * a00 + r[13] * a01 + r[14] * a10 + r[15] * a11;
-          }
-        });
+    double* d = reinterpret_cast<double*>(amps.data());
+    for_each_run(dim, strides, [=](std::size_t start, auto len) {
+      double* p00 = d + 2 * start;
+      double* p01 = p00 + 2 * s1;
+      double* p10 = p00 + 2 * s0;
+      double* p11 = p10 + 2 * s1;
+      for (std::size_t j = 0; j < 2 * len; ++j) {
+        const double a00 = p00[j], a01 = p01[j];
+        const double a10 = p10[j], a11 = p11[j];
+        p00[j] = r[0] * a00 + r[1] * a01 + r[2] * a10 + r[3] * a11;
+        p01[j] = r[4] * a00 + r[5] * a01 + r[6] * a10 + r[7] * a11;
+        p10[j] = r[8] * a00 + r[9] * a01 + r[10] * a10 + r[11] * a11;
+        p11[j] = r[12] * a00 + r[13] * a01 + r[14] * a10 + r[15] * a11;
+      }
+    });
     return;
   }
 
-  blocked_loop(dim, 2 * hi, blocks_per_row, 1, parallel,
-               [&](std::size_t a, std::size_t block) {
-                 const std::size_t b = a + block * 2 * lo;
-                 for (std::size_t i = b; i < b + lo; ++i) update4(i);
-               });
+  Complex* a = amps.data() + fixed_mask;
+  for_each_run(dim, strides, [=](std::size_t start, auto len) {
+    Complex* p00 = a + start;
+    Complex* p01 = p00 + s1;
+    Complex* p10 = p00 + s0;
+    Complex* p11 = p10 + s1;
+    for (std::size_t j = 0; j < len; ++j) {
+      const Complex a00 = p00[j], a01 = p01[j];
+      const Complex a10 = p10[j], a11 = p11[j];
+      p00[j] = cmul(e[0], a00) + cmul(e[1], a01) + cmul(e[2], a10) +
+               cmul(e[3], a11);
+      p01[j] = cmul(e[4], a00) + cmul(e[5], a01) + cmul(e[6], a10) +
+               cmul(e[7], a11);
+      p10[j] = cmul(e[8], a00) + cmul(e[9], a01) + cmul(e[10], a10) +
+               cmul(e[11], a11);
+      p11[j] = cmul(e[12], a00) + cmul(e[13], a01) + cmul(e[14], a10) +
+               cmul(e[15], a11);
+    }
+  });
 }
 
 }  // namespace

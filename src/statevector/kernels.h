@@ -33,6 +33,24 @@
 /// and costs O(4^k) on a 2^k x 2^k matrix — noise next to the 2^n
 /// amplitude pass it saves.
 ///
+/// Every kernel walks the state through one run helper. A gate's group
+/// bases, the indices whose target and control bits read 0, come in
+/// runs of consecutive indices as long as its lowest stride, and each
+/// group's other amplitudes sit at fixed offsets from its base, so a
+/// kernel body is a unit-stride loop over one run. The serial path is a
+/// plain loop nest over the runs and enters no OpenMP region. The
+/// OpenMP path hands out tasks of a fixed number of bases: runs longer
+/// than a task are split and shorter ones grouped, so a gate on qubit
+/// 0 balances like one on qubit 19. The bodies multiply with
+/// std::complex's finite-value formula, (re·re − im·im, re·im + im·re),
+/// written out: GCC compiles `operator*` to scalar code with a NaN test
+/// and a `__muldc3` call that recovers infinities, and that call keeps
+/// every loop around it from vectorizing. Amplitudes and gate entries
+/// are finite, so the written-out product rounds exactly as
+/// `operator*` does and no amplitude byte changes. At 20 qubits on 4
+/// OpenMP threads (BENCH_micro_states.json, medians of 5) H takes
+/// 0.30 ms, X 0.32, Y 0.50, T 0.28, CNOT 0.21 and CZ 0.16.
+///
 /// Large passes parallelize over disjoint amplitude blocks with OpenMP
 /// (BGLS_HAVE_OPENMP, enabled by the BGLS_ENABLE_OPENMP build flag).
 /// Every kernel performs the same floating-point operations per

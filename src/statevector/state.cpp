@@ -55,8 +55,13 @@ void StateVectorState::check_targets(const Matrix& m,
   BGLS_REQUIRE(m.rows() == m.cols() &&
                    m.rows() == (std::size_t{1} << qubits.size()),
                "matrix dimension does not match qubit count");
-  for (const Qubit q : qubits) {
-    BGLS_REQUIRE(q >= 0 && q < num_qubits_, "qubit ", q, " out of range");
+  for (std::size_t i = 0; i < qubits.size(); ++i) {
+    BGLS_REQUIRE(qubits[i] >= 0 && qubits[i] < num_qubits_, "qubit ",
+                 qubits[i], " out of range");
+    for (std::size_t j = 0; j < i; ++j) {
+      BGLS_REQUIRE(qubits[j] != qubits[i], "duplicate target qubit ",
+                   qubits[i]);
+    }
   }
 }
 

@@ -143,6 +143,13 @@ TEST(DensityMatrix, SampleFollowsDiagonal) {
   EXPECT_NEAR(ones / static_cast<double>(reps), 0.3, 0.01);
 }
 
+TEST(DensityMatrix, ApplyMatrixRejectsRepeatedQubit) {
+  // A repeated target used to return p(00) = p(01) = 0.25 for H⊗H.
+  DensityMatrixState rho(2);
+  const Matrix hh = Matrix::kron(Gate::H().unitary(), Gate::H().unitary());
+  EXPECT_THROW(rho.apply_matrix(hh, std::vector<Qubit>{0, 0}), ValueError);
+}
+
 TEST(DensityMatrix, RejectsOversizedRegister) {
   EXPECT_THROW(DensityMatrixState(13), ValueError);
 }

@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #ifdef BGLS_HAVE_OPENMP
 #include <omp.h>
 #endif
 
+#include "channels/channels.h"
 #include "circuit/random.h"
 #include "core/optimize.h"
 #include "core/simulator.h"
@@ -37,9 +40,13 @@ StateVectorState random_state(int n, Rng& rng) {
 }
 
 /// Applies `m` to copies of `initial` through the specialized and the
-/// forced-generic path and returns the max amplitude difference.
-double kernel_vs_generic_diff(const StateVectorState& initial, const Matrix& m,
-                              const std::vector<Qubit>& qubits) {
+/// forced-generic path and compares the amplitudes. Without AVX2 every
+/// kernel performs the generic path's products and sums on the
+/// amplitudes it changes, so the two must agree exactly; the AVX2 dense
+/// path rounds its FMAs differently, in the last ulp.
+::testing::AssertionResult matches_generic(const StateVectorState& initial,
+                                           const Matrix& m,
+                                           const std::vector<Qubit>& qubits) {
   StateVectorState specialized = initial;
   StateVectorState generic = initial;
   {
@@ -50,7 +57,14 @@ double kernel_vs_generic_diff(const StateVectorState& initial, const Matrix& m,
     kernels::ForceGenericScope scope(true);
     generic.apply_matrix(m, qubits);
   }
-  return specialized.max_abs_diff(generic);
+  const double diff = specialized.max_abs_diff(generic);
+#ifdef BGLS_HAVE_AVX2
+  const bool ok = diff < 1e-12;
+#else
+  const bool ok = diff == 0.0;
+#endif
+  if (ok) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "max_abs_diff " << diff;
 }
 
 Matrix random_unitary_1q(Rng& rng) {
@@ -65,6 +79,20 @@ Matrix random_unitary_2q(Rng& rng) {
   u = entangler * u;
   u = Matrix::kron(random_unitary_1q(rng), random_unitary_1q(rng)) * u;
   return u;
+}
+
+/// Identity except `u` on the trailing block, where every gate-local bit
+/// above u's own reads 1: CU for a 4x4 result with a 2x2 u, CCU for an
+/// 8x8 one, and a singly controlled two-qubit u for an 8x8 with a 4x4.
+Matrix controlled_block(const Matrix& u, std::size_t dim) {
+  Matrix m = Matrix::identity(dim);
+  const std::size_t offset = dim - u.rows();
+  for (std::size_t r = 0; r < u.rows(); ++r) {
+    for (std::size_t c = 0; c < u.cols(); ++c) {
+      m(offset + r, offset + c) = u(r, c);
+    }
+  }
+  return m;
 }
 
 /// Controlled-U with the control on the first or second listed qubit
@@ -83,6 +111,75 @@ Matrix controlled_1q(const Matrix& u, bool control_is_first) {
     m(3, 3) = u(1, 1);
   }
   return m;
+}
+
+/// One matrix per kernel class and shape the run helper serves:
+/// diagonal, permutation (unit and scaled cycles), controlled dense with
+/// 1q and 2q inner blocks, complex dense 1q and 2q, and the scaled Kraus
+/// operators of a depolarizing channel.
+std::vector<std::pair<std::string, Matrix>> kernel_class_matrices() {
+  Rng rng(61);
+  const Matrix u1 = random_unitary_1q(rng);
+  const Matrix u2 = random_unitary_2q(rng);
+  std::vector<std::pair<std::string, Matrix>> out;
+  for (const Gate& gate :
+       {Gate::H(), Gate::X(), Gate::Y(), Gate::Z(), Gate::S(), Gate::T(),
+        Gate::Rx(0.7), Gate::CX(), Gate::CZ(), Gate::CPhase(0.8),
+        Gate::Swap(), Gate::ISwap(), Gate::CCX(), Gate::CCZ(),
+        Gate::CSwap()}) {
+    out.emplace_back(gate.name(), gate.unitary());
+  }
+  out.emplace_back("controlled dense 1q", controlled_block(u1, 4));
+  out.emplace_back("doubly controlled dense 1q", controlled_block(u1, 8));
+  out.emplace_back("controlled dense 2q", controlled_block(u2, 8));
+  out.emplace_back("complex dense 1q", u1);
+  out.emplace_back("complex dense 2q", u2);
+  const KrausChannel channel = depolarize(0.05);
+  for (std::size_t k = 0; k < channel.operators().size(); ++k) {
+    out.emplace_back("depolarize Kraus " + std::to_string(k),
+                     channel.operators()[k]);
+  }
+  return out;
+}
+
+/// Placements for a gate of `m`'s arity on `n` qubits: on qubits 0 and 1,
+/// whose runs hold one or two amplitudes; in the middle; and on the top
+/// qubits, whose runs at n = 15 are longer than one OpenMP task.
+std::vector<std::vector<Qubit>> run_placements(const Matrix& m, int n) {
+  switch (m.rows()) {
+    case 2:
+      return {{0}, {1}, {n / 2}, {n - 2}, {n - 1}};
+    case 4:
+      return {{0, 1}, {1, 0}, {n / 2, n / 2 + 1}, {n - 1, 0}, {n - 2, n - 1},
+              {n - 1, n - 2}};
+    default:
+      return {{0, 1, 2},
+              {2, 0, 1},
+              {n - 3, n - 2, n - 1},
+              {n - 1, n - 3, n - 2},
+              {1, n - 1, 0}};
+  }
+}
+
+/// A 15-qubit state above the kernels' OpenMP threshold, entangled
+/// across the register so that every amplitude is non-trivial.
+StateVectorState large_entangled_state() {
+  const int n = 15;
+  StateVectorState big(n);
+  for (int q = 0; q < n; ++q) big.apply(h(q));
+  for (int q = 0; q + 1 < n; ++q) big.apply(cnot(q, q + 1));
+  for (int q = 0; q < n; q += 3) big.apply(t(q));
+  return big;
+}
+
+/// OpenMP thread counts to check: one, an odd count that splits the
+/// tasks unevenly, and four.
+std::vector<int> omp_thread_counts() {
+#ifdef BGLS_HAVE_OPENMP
+  return {1, 3, 4};
+#else
+  return {1};
+#endif
 }
 
 TEST(KernelClassify, DiagonalGates) {
@@ -147,7 +244,7 @@ TEST(KernelEquivalence, NamedSingleQubitGates) {
         Gate::Ry(1.3), Gate::Rz(0.5), Gate::Phase(2.1)}) {
     const StateVectorState state = random_state(n, rng);
     for (const Qubit q : {0, 2, n - 1}) {  // low, middle, high bit
-      EXPECT_LT(kernel_vs_generic_diff(state, gate.unitary(), {q}), 1e-12)
+      EXPECT_TRUE(matches_generic(state, gate.unitary(), {q}))
           << gate.name() << " on qubit " << q;
     }
   }
@@ -162,7 +259,7 @@ TEST(KernelEquivalence, NamedTwoQubitGates) {
                            Gate::ISwap(), Gate::CPhase(0.8), Gate::ZZ(1.7)}) {
     const StateVectorState state = random_state(n, rng);
     for (const auto& qubits : placements) {
-      EXPECT_LT(kernel_vs_generic_diff(state, gate.unitary(), qubits), 1e-12)
+      EXPECT_TRUE(matches_generic(state, gate.unitary(), qubits))
           << gate.name() << " on (" << qubits[0] << ", " << qubits[1] << ")";
     }
   }
@@ -176,7 +273,7 @@ TEST(KernelEquivalence, NamedThreeQubitGates) {
   for (const Gate& gate : {Gate::CCX(), Gate::CCZ(), Gate::CSwap()}) {
     const StateVectorState state = random_state(n, rng);
     for (const auto& qubits : placements) {
-      EXPECT_LT(kernel_vs_generic_diff(state, gate.unitary(), qubits), 1e-12)
+      EXPECT_TRUE(matches_generic(state, gate.unitary(), qubits))
           << gate.name();
     }
   }
@@ -188,14 +285,11 @@ TEST(KernelEquivalence, RandomDenseMatrices) {
   for (int trial = 0; trial < 10; ++trial) {
     const StateVectorState state = random_state(n, rng);
     const Qubit q = static_cast<Qubit>(rng.uniform_int(n));
-    EXPECT_LT(kernel_vs_generic_diff(state, random_unitary_1q(rng), {q}),
-              1e-12);
+    EXPECT_TRUE(matches_generic(state, random_unitary_1q(rng), {q}));
     const Qubit q0 = static_cast<Qubit>(rng.uniform_int(n));
     Qubit q1 = static_cast<Qubit>(rng.uniform_int(n));
     if (q1 == q0) q1 = (q0 + 1) % n;
-    EXPECT_LT(
-        kernel_vs_generic_diff(state, random_unitary_2q(rng), {q0, q1}),
-        1e-12);
+    EXPECT_TRUE(matches_generic(state, random_unitary_2q(rng), {q0, q1}));
   }
 }
 
@@ -208,12 +302,8 @@ TEST(KernelEquivalence, ControlledDenseMatrices) {
     const Qubit q0 = static_cast<Qubit>(rng.uniform_int(n));
     Qubit q1 = static_cast<Qubit>(rng.uniform_int(n));
     if (q1 == q0) q1 = (q0 + 1) % n;
-    EXPECT_LT(
-        kernel_vs_generic_diff(state, controlled_1q(u, true), {q0, q1}),
-        1e-12);
-    EXPECT_LT(
-        kernel_vs_generic_diff(state, controlled_1q(u, false), {q0, q1}),
-        1e-12);
+    EXPECT_TRUE(matches_generic(state, controlled_1q(u, true), {q0, q1}));
+    EXPECT_TRUE(matches_generic(state, controlled_1q(u, false), {q0, q1}));
   }
 }
 
@@ -229,22 +319,14 @@ TEST(KernelEquivalence, ThreeQubitControlledDenseMatrices) {
     const StateVectorState state = random_state(n, rng);
 
     // Two controls, dense 1q inner: identity except u on |11x⟩.
-    Matrix ccu = Matrix::identity(8);
-    const Matrix u1 = random_unitary_1q(rng);
-    for (std::size_t r = 0; r < 2; ++r) {
-      for (std::size_t c = 0; c < 2; ++c) ccu(6 + r, 6 + c) = u1(r, c);
-    }
+    const Matrix ccu = controlled_block(random_unitary_1q(rng), 8);
     // One control, dense 2q inner: identity except u2 on |1xx⟩.
-    Matrix cu2 = Matrix::identity(8);
-    const Matrix u2 = random_unitary_2q(rng);
-    for (std::size_t r = 0; r < 4; ++r) {
-      for (std::size_t c = 0; c < 4; ++c) cu2(4 + r, 4 + c) = u2(r, c);
-    }
+    const Matrix cu2 = controlled_block(random_unitary_2q(rng), 8);
     ASSERT_EQ(kernels::classify(ccu).cls, kernels::GateClass::kControlled);
     ASSERT_EQ(kernels::classify(cu2).cls, kernels::GateClass::kControlled);
     for (const auto& qubits : placements) {
-      EXPECT_LT(kernel_vs_generic_diff(state, ccu, qubits), 1e-12);
-      EXPECT_LT(kernel_vs_generic_diff(state, cu2, qubits), 1e-12);
+      EXPECT_TRUE(matches_generic(state, ccu, qubits));
+      EXPECT_TRUE(matches_generic(state, cu2, qubits));
     }
   }
 }
@@ -261,7 +343,7 @@ TEST(KernelEquivalence, NonUnitaryKrausLikeMatrices) {
   const Matrix lowering(2, 2, {0.0, 0.6, 0.0, 0.0});
   for (const Matrix& m : {damping, scaled_flip, lowering}) {
     for (const Qubit q : {0, n - 1}) {
-      EXPECT_LT(kernel_vs_generic_diff(state, m, {q}), 1e-12);
+      EXPECT_TRUE(matches_generic(state, m, {q}));
     }
   }
 }
@@ -280,35 +362,34 @@ TEST(KernelEquivalence, FusedOptimizerMatrices) {
   for (const auto& op : optimized.all_operations()) {
     if (!op.gate().is_unitary()) continue;
     const std::vector<Qubit> qubits(op.qubits().begin(), op.qubits().end());
-    EXPECT_LT(kernel_vs_generic_diff(state, op.gate().unitary(), qubits),
-              1e-12)
+    EXPECT_TRUE(matches_generic(state, op.gate().unitary(), qubits))
         << op.to_string();
   }
 }
 
 TEST(KernelEquivalence, LargeStateAboveParallelThreshold) {
   // 2^15 amplitudes exceeds the kernels' OpenMP threshold, so this
-  // covers the parallel loop shapes when OpenMP is enabled (and the
-  // blocked serial shapes when not).
-  const int n = 15;
-  StateVectorState big(n);
-  // Entangle across the register so amplitudes are non-trivial.
-  for (int q = 0; q < n; ++q) big.apply(h(q));
-  for (int q = 0; q + 1 < n; ++q) big.apply(cnot(q, q + 1));
-  for (int q = 0; q < n; q += 3) big.apply(t(q));
-  for (const Gate& gate : {Gate::H(), Gate::X(), Gate::T(), Gate::Rx(0.7)}) {
-    for (const Qubit q : {0, 7, n - 1}) {
-      EXPECT_LT(kernel_vs_generic_diff(big, gate.unitary(), {q}), 1e-12)
-          << gate.name() << " on qubit " << q;
+  // covers the parallel tasks when OpenMP is enabled (and the serial
+  // loop nest when not), with runs shorter and longer than a task.
+#ifdef BGLS_HAVE_OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  const StateVectorState big = large_entangled_state();
+  for (const int threads : omp_thread_counts()) {
+#ifdef BGLS_HAVE_OPENMP
+    omp_set_num_threads(threads);
+#endif
+    for (const auto& [name, m] : kernel_class_matrices()) {
+      for (const auto& qubits : run_placements(m, big.num_qubits())) {
+        EXPECT_TRUE(matches_generic(big, m, qubits))
+            << name << " on qubit " << qubits[0] << " at " << threads
+            << " threads";
+      }
     }
   }
-  for (const Gate& gate : {Gate::CX(), Gate::CZ(), Gate::ISwap()}) {
-    for (const auto& qubits : std::vector<std::vector<Qubit>>{
-             {0, 1}, {n - 1, 0}, {7, 8}, {n - 2, n - 1}}) {
-      EXPECT_LT(kernel_vs_generic_diff(big, gate.unitary(), qubits), 1e-12)
-          << gate.name();
-    }
-  }
+#ifdef BGLS_HAVE_OPENMP
+  omp_set_num_threads(saved);
+#endif
 }
 
 TEST(KernelDeterminism, HistogramsBitIdenticalKernelsOnOff) {
@@ -349,25 +430,30 @@ TEST(KernelDeterminism, HistogramsBitIdenticalKernelsOnOff) {
 
 #ifdef BGLS_HAVE_OPENMP
 TEST(KernelDeterminism, AmplitudesBitIdenticalAcrossOmpThreadCounts) {
-  // Every kernel partitions the index space into disjoint blocks with
+  // Every kernel partitions the index space into disjoint runs with
   // identical per-index arithmetic, so thread count must not change a
   // single bit.
-  const int n = 15;
   const int saved = omp_get_max_threads();
   const auto evolve_with_threads = [&](int threads) {
     omp_set_num_threads(threads);
-    StateVectorState state(n);
-    for (int q = 0; q < n; ++q) state.apply(h(q));
-    for (int q = 0; q + 1 < n; ++q) state.apply(cnot(q, q + 1));
+    StateVectorState state = large_entangled_state();
+    const int n = state.num_qubits();
     for (int q = 0; q < n; ++q) state.apply(rz(0.1 * (q + 1), q));
     for (int q = 0; q + 2 < n; q += 2) state.apply(cz(q, q + 2));
     for (int q = 0; q < n; ++q) state.apply(ry(0.05 * (q + 1), q));
+    for (const auto& [name, m] : kernel_class_matrices()) {
+      for (const auto& qubits : run_placements(m, n)) {
+        state.apply_matrix(m, qubits);
+      }
+    }
     return state;
   };
   const StateVectorState serial = evolve_with_threads(1);
-  const StateVectorState parallel = evolve_with_threads(4);
+  for (const int threads : {3, 4}) {
+    EXPECT_EQ(serial.max_abs_diff(evolve_with_threads(threads)), 0.0)
+        << threads << " threads";
+  }
   omp_set_num_threads(saved);
-  EXPECT_EQ(serial.max_abs_diff(parallel), 0.0);
 }
 
 TEST(KernelDeterminism, HistogramsBitIdenticalAcrossOmpThreadCounts) {

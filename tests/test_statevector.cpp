@@ -249,6 +249,17 @@ TEST(StateVector, ApplyRejectsOutOfRangeQubit) {
   EXPECT_THROW(state.apply(h(5)), ValueError);
 }
 
+TEST(StateVector, ApplyMatrixRejectsRepeatedQubit) {
+  // A repeated target used to leave the state unchanged: the dense
+  // two-qubit loop had no blocks to visit.
+  StateVectorState state(2);
+  const Matrix hh = Matrix::kron(Gate::H().unitary(), Gate::H().unitary());
+  EXPECT_THROW(state.apply_matrix(hh, std::vector<Qubit>{0, 0}), ValueError);
+  EXPECT_THROW(state.apply_matrix(Gate::CCX().unitary(),
+                                  std::vector<Qubit>{0, 1, 0}),
+               ValueError);
+}
+
 TEST(StateVector, RejectsHugeRegister) {
   EXPECT_THROW(StateVectorState(31), ValueError);
   EXPECT_THROW(StateVectorState(0), ValueError);
