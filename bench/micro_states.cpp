@@ -411,11 +411,6 @@ int main(int argc, char** argv) {
 #else
   benchmark::AddCustomContext("bgls_openmp", "off");
 #endif
-#ifdef BGLS_HAVE_AVX2
-  benchmark::AddCustomContext("bgls_avx2", "on");
-#else
-  benchmark::AddCustomContext("bgls_avx2", "off");
-#endif
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -182,7 +182,7 @@ class StateVectorBackend : public StateBackend<StateVectorState> {
   }
   [[nodiscard]] BackendCapabilities capabilities() const override {
     BackendCapabilities caps;
-    caps.max_qubits = 30;
+    caps.max_qubits = StateVectorState::kMaxQubits;
     caps.max_gate_arity = 3;
     caps.supports_channels = true;
     caps.supports_mid_circuit_measurement = true;
@@ -231,7 +231,7 @@ class StabilizerBackend : public StateBackend<CHState> {
   [[nodiscard]] BackendId id() const override { return BackendId::kStabilizer; }
   [[nodiscard]] BackendCapabilities capabilities() const override {
     BackendCapabilities caps;
-    caps.max_qubits = 63;
+    caps.max_qubits = CHState::kMaxQubits;
     caps.max_gate_arity = 2;
     caps.supports_mid_circuit_measurement = true;
     caps.supports_classical_control = true;

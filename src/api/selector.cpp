@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "stabilizer/ch_form.h"
+#include "statevector/state.h"
 #include "util/error.h"
 
 namespace bgls {
@@ -70,7 +72,7 @@ BackendSelector::Selection BackendSelector::select(
     const CircuitProfile& p, std::uint64_t repetitions) const {
   // 1. Pure Clifford: polynomial and exact beats everything dense.
   if (p.clifford_only && !p.has_channels &&
-      p.num_qubits <= thresholds_.max_stabilizer_qubits) {
+      p.num_qubits <= CHState::kMaxQubits) {
     return {BackendId::kStabilizer,
             "pure-Clifford circuit: CH-form stabilizer simulation is exact "
             "at polynomial cost"};
@@ -80,7 +82,7 @@ BackendSelector::Selection BackendSelector::select(
   //    whichever the fitted model predicts cheaper. Ties go to the
   //    density matrix.
   if (p.has_channels) {
-    if (p.num_qubits <= thresholds_.max_statevector_qubits) {
+    if (p.num_qubits <= StateVectorState::kMaxQubits) {
       const double dm_seconds = cost_model_.predict_seconds(
           p, repetitions, BackendId::kDensityMatrix);
       const double sv_seconds = cost_model_.predict_seconds(
@@ -101,7 +103,7 @@ BackendSelector::Selection BackendSelector::select(
     }
   }
   // 3. Too wide for dense amplitudes: tensor networks or nothing.
-  if (p.num_qubits > thresholds_.max_statevector_qubits) {
+  if (p.num_qubits > StateVectorState::kMaxQubits) {
     if (!p.has_channels && p.max_gate_arity <= 2) {
       return {BackendId::kMps,
               "register too wide for dense amplitudes: matrix product "

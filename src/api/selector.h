@@ -21,7 +21,8 @@
 ///     predicts its n·χ³ contractions cheaper than 2^n amplitudes;
 ///  5. everything else                        → statevector.
 ///
-/// Rules 1 and 3 are structural (capability limits); rules 2 and 4 are
+/// Rules 1 and 3 are structural: the register limits of CHState and
+/// StateVectorState, which the adapters also report. Rules 2 and 4 are
 /// the former hard-coded qubit cutoffs (max_density_matrix_qubits,
 /// min_mps_qubits, entangling-density ceiling) replaced by predicted-
 /// cost comparisons fitted from the BENCH artifacts (service/cost.h).
@@ -74,17 +75,6 @@ struct CircuitProfile {
 /// Picks a backend for a circuit according to the rules above.
 class BackendSelector {
  public:
-  /// Structural capability limits. The former performance cutoffs
-  /// (max_density_matrix_qubits, min_mps_qubits, and the entangling-
-  /// density ceiling) are gone — those boundaries now fall out of the
-  /// CostModel's predicted-cost comparisons.
-  struct Thresholds {
-    /// Dense amplitude limit (StateVectorState supports ≤ 30).
-    int max_statevector_qubits = 30;
-    /// CH-form register limit (bit-packed rows).
-    int max_stabilizer_qubits = 63;
-  };
-
   /// The choice plus a human-readable justification (surfaced in
   /// RunResult::selection_reason).
   struct Selection {
@@ -97,11 +87,8 @@ class BackendSelector {
   static constexpr std::uint64_t kDefaultRepetitions = 1024;
 
   BackendSelector() = default;
-  explicit BackendSelector(Thresholds thresholds,
-                           service::CostModel cost_model = {})
-      : thresholds_(thresholds), cost_model_(std::move(cost_model)) {}
-
-  [[nodiscard]] const Thresholds& thresholds() const { return thresholds_; }
+  explicit BackendSelector(service::CostModel cost_model)
+      : cost_model_(std::move(cost_model)) {}
 
   /// The fitted model behind rules 2 and 4 (and cost-aware admission).
   [[nodiscard]] const service::CostModel& cost_model() const {
@@ -122,7 +109,6 @@ class BackendSelector {
       std::uint64_t repetitions = kDefaultRepetitions) const;
 
  private:
-  Thresholds thresholds_;
   service::CostModel cost_model_;
 };
 

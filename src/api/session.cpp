@@ -36,7 +36,7 @@ void arm_cancellation(RunRequest& request) {
 Session::Session(SessionOptions options)
     : registry_(options.registry != nullptr ? options.registry
                                             : &BackendRegistry::global()),
-      selector_(options.selector_thresholds, options.cost_model) {}
+      selector_(options.cost_model) {}
 
 void Session::apply_optimization(Circuit& circuit, const Backend& backend) {
   // Optimization is a performance hint, not a contract: fusion emits
@@ -117,9 +117,6 @@ RunResult Session::run(RunRequest request) {
   // never enter the byte-stable reports).
   out.stats.optimize_ms = optimize_seconds * 1000.0;
   out.stats.sample_ms = out.wall_seconds * 1000.0;
-  // Mirrored into the stats so routing decisions survive aggregation
-  // (the service daemon's stats endpoint reads RunStats, not RunResult).
-  out.stats.selection_reason = resolution.reason;
   out.selection_reason = std::move(resolution.reason);
   return out;
 }

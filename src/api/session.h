@@ -43,8 +43,6 @@ struct SessionOptions {
   /// Registry consulted for backend lookup; nullptr = the process-wide
   /// BackendRegistry::global(). The registry must outlive the session.
   BackendRegistry* registry = nullptr;
-  /// Structural routing limits for automatic selection.
-  BackendSelector::Thresholds selector_thresholds{};
   /// Fitted cost model behind the selector's predicted-cost rules
   /// (service/cost.h); the default is the committed-artifact fit.
   service::CostModel cost_model{};

@@ -1,12 +1,10 @@
 #include "core/checkpoint.h"
 
-#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <string>
 
 #include "core/result.h"
-#include "core/simulator.h"
 #include "util/error.h"
 #include "util/json_parser.h"
 #include "util/json_writer.h"
@@ -14,59 +12,10 @@
 
 namespace bgls {
 
-CheckpointStats checkpoint_stats_from(const RunStats& stats) {
-  CheckpointStats out;
-  out.state_applications = stats.state_applications;
-  out.probability_evaluations = stats.probability_evaluations;
-  out.max_dictionary_size = stats.max_dictionary_size;
-  out.trajectories = stats.trajectories;
-  out.diagonal_updates_skipped = stats.diagonal_updates_skipped;
-  return out;
-}
-
-void apply_checkpoint_stats(RunStats& stats, const CheckpointStats& prefix) {
-  stats.state_applications += prefix.state_applications;
-  stats.probability_evaluations += prefix.probability_evaluations;
-  stats.max_dictionary_size = std::max<std::size_t>(
-      stats.max_dictionary_size, prefix.max_dictionary_size);
-  stats.trajectories += prefix.trajectories;
-  stats.diagonal_updates_skipped += prefix.diagonal_updates_skipped;
-}
-
-void add_checkpoint_stats(CheckpointStats& into, const CheckpointStats& delta) {
-  into.state_applications += delta.state_applications;
-  into.probability_evaluations += delta.probability_evaluations;
-  into.max_dictionary_size =
-      std::max(into.max_dictionary_size, delta.max_dictionary_size);
-  into.trajectories += delta.trajectories;
-  into.diagonal_updates_skipped += delta.diagonal_updates_skipped;
-}
-
-std::string_view checkpoint_mode_name(CheckpointMode mode) {
-  switch (mode) {
-    case CheckpointMode::kTrajectory: return "trajectory";
-    case CheckpointMode::kDictionary: return "dictionary";
-  }
-  return "?";
-}
-
-CheckpointMode parse_checkpoint_mode(std::string_view name) {
-  if (name == "trajectory") return CheckpointMode::kTrajectory;
-  if (name == "dictionary") return CheckpointMode::kDictionary;
-  detail::throw_error<ParseError>("unknown checkpoint mode '", name, "'");
-}
-
 std::uint64_t RunCheckpoint::completed_repetitions() const {
   std::uint64_t done = 0;
   for (const ShardCheckpoint& shard : shards) done += shard.completed;
   return done;
-}
-
-bool RunCheckpoint::complete() const {
-  for (const ShardCheckpoint& shard : shards) {
-    if (shard.completed != shard.total) return false;
-  }
-  return true;
 }
 
 std::string RunCheckpoint::to_json() const {
@@ -74,7 +23,6 @@ std::string RunCheckpoint::to_json() const {
   JsonWriter json(out, JsonWriter::Style::kCompact);
   json.begin_object();
   json.key("version").value(kVersion);
-  json.key("mode").value(checkpoint_mode_name(mode));
   json.key("run_key").value(run_key);
   json.key("total").value(total_repetitions);
   json.key("stats").begin_object();
@@ -89,15 +37,8 @@ std::string RunCheckpoint::to_json() const {
     json.begin_object();
     json.key("total").value(shard.total);
     json.key("completed").value(shard.completed);
-    json.key("histograms").begin_object();
-    for (const auto& [key, counts] : shard.histograms) {
-      json.key(key).begin_object();
-      for (const auto& [bits, count] : counts) {
-        json.key(std::to_string(bits)).value(count);
-      }
-      json.end_object();
-    }
-    json.end_object();
+    json.key("histograms");
+    write_key_histograms(json, shard.histograms);
     json.end_object();
   }
   json.end_array();
@@ -107,8 +48,8 @@ std::string RunCheckpoint::to_json() const {
 
 namespace {
 
-CheckpointStats stats_from_json(const JsonValue& value) {
-  CheckpointStats stats;
+RunCounters stats_from_json(const JsonValue& value) {
+  RunCounters stats;
   stats.state_applications = value.u64_or("state_applications", 0);
   stats.probability_evaluations = value.u64_or("probability_evaluations", 0);
   stats.max_dictionary_size = value.u64_or("max_dictionary_size", 0);
@@ -131,8 +72,6 @@ std::uint64_t parse_u64_key(const std::string& text) {
 RunCheckpoint RunCheckpoint::from_json(const JsonValue& value) {
   BGLS_REQUIRE(value.kind() == JsonValue::Kind::kObject,
                "checkpoint JSON must be an object");
-  const JsonValue* mode = value.find("mode");
-  BGLS_REQUIRE(mode != nullptr, "checkpoint JSON missing 'mode'");
   const JsonValue* shards = value.find("shards");
   BGLS_REQUIRE(shards != nullptr, "checkpoint JSON missing 'shards'");
   const std::uint64_t version = value.u64_or("version", 1);
@@ -142,8 +81,16 @@ RunCheckpoint RunCheckpoint::from_json(const JsonValue& value) {
         " is not supported (this build reads version ",
         RunCheckpoint::kVersion, "); rerun the job from the start");
   }
+  // Earlier builds tagged every snapshot with its sampling path. A
+  // dictionary-path snapshot saves no work (see the file comment), so
+  // it reads as unusable and its job reruns.
+  const std::string mode = value.string_or("mode", "trajectory");
+  if (mode != "trajectory") {
+    detail::throw_error<ParseError>("checkpoint of the '", mode,
+                                    "' path cannot be resumed; rerun the "
+                                    "job from the start");
+  }
   RunCheckpoint checkpoint;
-  checkpoint.mode = parse_checkpoint_mode(mode->as_string());
   const JsonValue* run_key = value.find("run_key");
   BGLS_REQUIRE(run_key != nullptr, "checkpoint JSON missing 'run_key'");
   checkpoint.run_key = run_key->as_u64();
@@ -173,29 +120,39 @@ RunCheckpoint RunCheckpoint::parse(std::string_view text) {
   return from_json(JsonValue::parse(text));
 }
 
-void validate_resume(const RunCheckpoint& checkpoint, CheckpointMode mode,
-                     std::uint64_t total_repetitions, std::size_t shards,
-                     std::uint64_t run_key) {
-  BGLS_REQUIRE(checkpoint.mode == mode,
-               "checkpoint was produced by the '",
-               checkpoint_mode_name(checkpoint.mode),
-               "' sampling path but this run takes '",
-               checkpoint_mode_name(mode),
-               "'; resume with the same batching configuration");
+void validate_resume(const RunCheckpoint& checkpoint, std::uint64_t run_key,
+                     const std::vector<std::uint64_t>& shard_sizes) {
   BGLS_REQUIRE(checkpoint.run_key == run_key,
                "checkpoint belongs to another run (run key ",
                checkpoint.run_key, ", this run's is ", run_key,
                "); resume with the original seed");
+  std::uint64_t total_repetitions = 0;
+  for (const std::uint64_t size : shard_sizes) total_repetitions += size;
   BGLS_REQUIRE(checkpoint.total_repetitions == total_repetitions,
                "checkpoint covers ", checkpoint.total_repetitions,
                " repetitions but the run asks for ", total_repetitions);
-  BGLS_REQUIRE(checkpoint.shards.size() == shards,
+  BGLS_REQUIRE(checkpoint.shards.size() == shard_sizes.size(),
                "checkpoint has ", checkpoint.shards.size(),
-               " shards but the run splits into ", shards);
-  for (const ShardCheckpoint& shard : checkpoint.shards) {
-    BGLS_REQUIRE(shard.completed <= shard.total,
+               " shards but the run splits into ", shard_sizes.size());
+  for (std::size_t i = 0; i < shard_sizes.size(); ++i) {
+    BGLS_REQUIRE(checkpoint.shards[i].total == shard_sizes[i],
+                 "checkpoint shard sizes do not match this run's split");
+    BGLS_REQUIRE(checkpoint.shards[i].completed <= shard_sizes[i],
                  "checkpoint shard completed > total");
   }
+}
+
+void write_key_histograms(JsonWriter& json,
+                          const std::map<std::string, Counts>& histograms) {
+  json.begin_object();
+  for (const auto& [key, counts] : histograms) {
+    json.key(key).begin_object();
+    for (const auto& [bits, count] : counts) {
+      json.key(std::to_string(bits)).value(count);
+    }
+    json.end_object();
+  }
+  json.end_object();
 }
 
 void restore_result_histograms(
@@ -216,20 +173,14 @@ CheckpointCollector::CheckpointCollector(CheckpointOptions options,
 
 void CheckpointCollector::record(std::size_t shard, std::uint64_t completed,
                                  const std::map<std::string, Counts>& cumulative,
-                                 const CheckpointStats& delta) {
+                                 const RunCounters& delta) {
   const std::lock_guard<std::mutex> lock(mutex_);
   ShardCheckpoint& slot = current_.shards.at(shard);
   slot.completed = completed;
   slot.histograms = cumulative;
   deltas_.at(shard) = delta;
-  CheckpointStats stats = base_stats_;
-  for (const CheckpointStats& d : deltas_) add_checkpoint_stats(stats, d);
-  current_.stats = stats;
-  if (options_.sink) options_.sink(current_);
-}
-
-void CheckpointCollector::emit() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  current_.stats = base_stats_;
+  for (const RunCounters& d : deltas_) current_.stats += d;
   if (options_.sink) options_.sink(current_);
 }
 

@@ -57,6 +57,11 @@
 /// cursors fall, but no draw depends on it, on the thread count or on
 /// execution order. So one seed gives the same records, counters,
 /// progress sequence and span tree at every thread count.
+///
+/// Only a trajectory run checkpoints (core/checkpoint.h), each time a
+/// shard has done `checkpoint.every` more repetitions or finished. A
+/// dictionary run completes every repetition at its final gate, so it
+/// takes no checkpoint and resumes none: a rerun reproduces its bytes.
 
 #pragma once
 
@@ -87,46 +92,20 @@
 
 namespace bgls {
 
-/// One shard's counters (RunStats::per_shard).
-struct ShardStats {
-  /// Independent state evolutions executed in this shard (0 on the
-  /// dictionary path, whose one shard resamples a shared evolution).
-  std::size_t trajectories = 0;
-  /// apply_op invocations executed in this shard.
-  std::size_t state_applications = 0;
-  /// Probability evaluations in this shard (see RunStats).
-  std::size_t probability_evaluations = 0;
-};
-
-/// Instrumentation counters for the most recent run (used by the Fig. 2
-/// bench to demonstrate dictionary saturation and by the cost-model
-/// microbenches).
-struct RunStats {
-  /// Number of apply_op invocations across all trajectories.
-  std::size_t state_applications = 0;
-  /// Number of compute_probability invocations, plus one per (Kraus
-  /// branch, candidate) weight of each channel step, also where that
-  /// weight is read from the candidates' amplitudes.
-  std::size_t probability_evaluations = 0;
-  /// Peak unique-bitstring dictionary size (≤ 2^n; Sec. 3.2.3).
-  std::size_t max_dictionary_size = 0;
-  /// Number of independent state evolutions (1 on the dictionary path).
-  std::size_t trajectories = 0;
+/// Instrumentation for the most recent run (used by the Fig. 2 bench to
+/// demonstrate dictionary saturation and by the cost-model
+/// microbenches): the exact counters plus what scheduling decides.
+struct RunStats : RunCounters {
   /// Whether the dictionary path was used.
   bool used_sample_parallelization = false;
-  /// Candidate updates skipped because the gate was diagonal.
-  std::size_t diagonal_updates_skipped = 0;
   /// Worker threads available to the run: the resolved num_threads,
   /// capped at the shard count.
   std::size_t threads_used = 1;
-  /// Per-shard counters in shard order (see file comment).
-  std::vector<ShardStats> per_shard;
-  /// Why the runtime layer routed this run to its backend — filled by
-  /// Session for kAuto requests, batched circuits included, so per-job
-  /// routing decisions survive into stats reporting (the
-  /// service daemon's stats endpoint). Empty for direct templated runs
-  /// and explicit backend picks.
-  std::string selection_reason;
+  /// Per-shard counters in shard order (see file comment). A trajectory
+  /// shard counts its own evolutions; the dictionary path's one shard
+  /// counts only its probability evaluations, since its one evolution
+  /// is shared.
+  std::vector<RunCounters> per_shard;
   /// Phase wall times, milliseconds. Scheduling-dependent (unlike the
   /// counters above) and therefore excluded from the byte-stable run
   /// reports; surfaced by `bgls_run --verbose` and the daemon's status
@@ -190,17 +169,18 @@ struct SimulatorOptions {
   /// spans time existing work and never touch RNG state, so a traced
   /// run samples exactly what an untraced one does.
   obs::Trace* trace = nullptr;
-  /// Checkpoint capture (core/checkpoint.h): run() emits resumable
-  /// RunCheckpoint snapshots every `checkpoint.every` completed
-  /// repetitions within a shard plus at shard completion.
-  /// sample() ignores it. Observation-only: capture never changes the
-  /// sampled records.
+  /// Checkpoint capture (core/checkpoint.h): a trajectory run() emits
+  /// resumable RunCheckpoint snapshots every `checkpoint.every`
+  /// completed repetitions within a shard plus at shard completion.
+  /// The dictionary path and sample() take none. Observation-only:
+  /// capture never changes the sampled records.
   CheckpointOptions checkpoint{};
-  /// Resume a previous run from its checkpoint: run() validates the
-  /// checkpoint against this request's shape (mode, run key, totals,
-  /// shard count) and continues it, producing a final histogram and
-  /// report counters bit-identical to the uninterrupted run. The request
-  /// must carry the same circuit and seed as the checkpointed one.
+  /// Resume a previous trajectory run from its checkpoint: run()
+  /// validates the checkpoint against this request's shape (run key,
+  /// totals, shard split) and continues it, producing a final histogram
+  /// and report counters bit-identical to the uninterrupted run. The
+  /// request must carry the same circuit and seed as the checkpointed
+  /// one; a run on the dictionary path rejects it with ValueError.
   /// Intermediate progress updates are suppressed on a resumed run; the
   /// final update still fires.
   std::shared_ptr<const RunCheckpoint> resume{};
@@ -437,23 +417,17 @@ class Simulator {
         scope.observed ? options_.resume.get() : nullptr;
     std::unique_ptr<ProgressCollector> progress;
     std::unique_ptr<CheckpointCollector> checkpoints;
-    if (resume != nullptr) {
-      validate_resume(*resume, CheckpointMode::kTrajectory, repetitions,
-                      shards, scope.key);
-      for (std::size_t i = 0; i < shards; ++i) {
-        BGLS_REQUIRE(resume->shards[i].total == sizes[i],
-                     "checkpoint shard sizes do not match this run's split");
-      }
-    }
+    if (resume != nullptr) validate_resume(*resume, scope.key, sizes);
     if (scope.observed && options_.progress.enabled() && resume == nullptr) {
       progress = std::make_unique<ProgressCollector>(options_.progress, sizes);
     }
     if (scope.observed && options_.checkpoint.enabled()) {
+      // A fresh run's base is its key and split with nothing done; the
+      // first snapshot goes out once a shard has done some work.
       RunCheckpoint base;
       if (resume != nullptr) {
         base = *resume;
       } else {
-        base.mode = CheckpointMode::kTrajectory;
         base.run_key = scope.key;
         base.total_repetitions = repetitions;
         base.shards.resize(shards);
@@ -463,20 +437,18 @@ class Simulator {
       }
       checkpoints = std::make_unique<CheckpointCollector>(options_.checkpoint,
                                                           std::move(base));
-      // Durable initial checkpoint of a fresh run: the split and key.
-      if (resume == nullptr) checkpoints->emit();
     }
     const std::uint64_t progress_every = options_.progress.every;
     const std::uint64_t checkpoint_every = options_.checkpoint.every;
 
     std::vector<Out> outputs(shards);
-    std::vector<RunStats> shard_stats(shards);
+    std::vector<RunCounters> shard_stats(shards);
     run_indexed(scope.pool, shards, [&](std::size_t i) {
       // The shard fills locals and stores them once at its end: adjacent
       // slots of `outputs` and `shard_stats` share cache lines, and
       // per-gate counter writes from different threads would contend.
       Out out;
-      RunStats local;
+      RunCounters local;
       const std::uint64_t size = sizes[i];
       std::uint64_t done = 0;
       std::map<std::string, Counts> cumulative;
@@ -536,76 +508,41 @@ class Simulator {
           progress->report(i, done, cumulative);
         }
         if (checkpoints && (done % checkpoint_every == 0 || done == size)) {
-          checkpoints->record(i, done, cumulative,
-                              checkpoint_stats_from(local));
+          checkpoints->record(i, done, cumulative, local);
         }
       }
       outputs[i] = std::move(out);
       shard_stats[i] = local;
     });
 
-    for (const RunStats& shard : shard_stats) {
-      stats.state_applications += shard.state_applications;
-      stats.probability_evaluations += shard.probability_evaluations;
-      stats.trajectories += shard.trajectories;
-      stats.diagonal_updates_skipped += shard.diagonal_updates_skipped;
-      stats.per_shard.push_back(ShardStats{shard.trajectories,
-                                           shard.state_applications,
-                                           shard.probability_evaluations});
-    }
+    for (const RunCounters& shard : shard_stats) stats += shard;
+    stats.per_shard = std::move(shard_stats);
     // This run's counters cover its own work; fold in the resumed
     // prefix so the totals match the uninterrupted run exactly.
-    if (resume != nullptr) apply_checkpoint_stats(stats, resume->stats);
+    if (resume != nullptr) stats += resume->stats;
     return outputs;
   }
 
   /// run() on the dictionary path: the dictionary's entries become
-  /// records. Shard-atomic — every repetition completes together at the
-  /// final gate — so its checkpoints are the initial one (nothing done)
-  /// and the final one.
+  /// records. Every repetition completes at the final gate, so the path
+  /// takes no checkpoint and resumes none (see file comment).
   Result run_dictionary(const Circuit& circuit, std::uint64_t repetitions,
                         const RunScope& scope, RunStats& stats) const {
+    BGLS_REQUIRE(options_.resume == nullptr,
+                 "checkpoints resume only the per-trajectory path, and this "
+                 "run takes the dictionary path; resume with the same "
+                 "batching configuration");
     Result result;
     declare_measurement_keys(circuit, result);
-    const RunCheckpoint* resume =
-        scope.observed ? options_.resume.get() : nullptr;
-    const bool checkpointing = scope.observed && options_.checkpoint.enabled();
-    RunCheckpoint checkpoint;
-    checkpoint.mode = CheckpointMode::kDictionary;
-    checkpoint.run_key = scope.key;
-    checkpoint.total_repetitions = repetitions;
-    checkpoint.shards.resize(1);
-    checkpoint.shards[0].total = repetitions;
-    if (resume != nullptr) {
-      validate_resume(*resume, CheckpointMode::kDictionary, repetitions, 1,
-                      scope.key);
-    }
-    if (resume != nullptr && resume->complete() && repetitions > 0) {
-      // Already finished: rebuild the result and counters from the
-      // checkpoint without sampling.
-      restore_result_histograms(result, resume->shards[0].histograms);
-      apply_checkpoint_stats(stats, resume->stats);
-      stats.used_sample_parallelization = true;
-    } else {
-      if (resume == nullptr && checkpointing) {
-        options_.checkpoint.sink(checkpoint);
-      }
-      const Dictionary dictionary =
-          sample_dictionary(circuit, repetitions, scope, stats);
-      for (const Moment& moment : circuit.moments()) {
-        for (const Operation& op : moment.operations()) {
-          if (!op.gate().is_measurement()) continue;
-          for (const auto& [bits, count] : dictionary) {
-            result.add_records(op.gate().measurement_key(),
-                               pack_key_bits(bits, op.qubits()), count);
-          }
+    const Dictionary dictionary =
+        sample_dictionary(circuit, repetitions, scope, stats);
+    for (const Moment& moment : circuit.moments()) {
+      for (const Operation& op : moment.operations()) {
+        if (!op.gate().is_measurement()) continue;
+        for (const auto& [bits, count] : dictionary) {
+          result.add_records(op.gate().measurement_key(),
+                             pack_key_bits(bits, op.qubits()), count);
         }
-      }
-      if (checkpointing) {
-        checkpoint.shards[0].completed = repetitions;
-        checkpoint.shards[0].histograms = key_histograms(result);
-        checkpoint.stats = checkpoint_stats_from(stats);
-        options_.checkpoint.sink(checkpoint);
       }
     }
     return result;
@@ -677,7 +614,8 @@ class Simulator {
     }
 
     stats.evolve_ms = evolve_seconds * 1000.0;
-    stats.per_shard.assign(1, ShardStats{0, 0, stats.probability_evaluations});
+    stats.per_shard.assign(
+        1, RunCounters{.probability_evaluations = stats.probability_evaluations});
     if constexpr (obs::kTelemetryCompiled) {
       // The one shard's resample time as an observation and a span, and
       // an "evolve" span for the shared evolution.
@@ -728,7 +666,7 @@ class Simulator {
   /// One candidate-resampling step: draws the new bitstring for a single
   /// trajectory.
   Bitstring update_bits(const State& state, Bitstring b, const Operation& op,
-                        Rng& rng, RunStats& stats) const {
+                        Rng& rng, RunCounters& stats) const {
     const CandidateList candidates = expand_candidates(b, op.qubits());
     std::array<double, (1u << kMaxGateArity)> weights{};
     for (int i = 0; i < candidates.count; ++i) {
@@ -749,7 +687,7 @@ class Simulator {
   /// i inner); the drawn operator is applied and the state renormalized.
   template <KrausBranching S>
   Bitstring apply_channel_jointly(const Operation& op, S& state, Bitstring b,
-                                  Rng& rng, RunStats& stats) const {
+                                  Rng& rng, RunCounters& stats) const {
     const auto& kraus = op.gate().channel().operators();
     const std::span<const Qubit> qubits = op.qubits();
     const CandidateList candidates = expand_candidates(b, qubits);
@@ -831,7 +769,7 @@ class Simulator {
   /// operations); returns the final bitstring and (optionally) appends
   /// measurement records.
   Bitstring trajectory(const std::vector<Operation>& ops, Rng& rng,
-                       Result* result, RunStats& stats) const {
+                       Result* result, RunCounters& stats) const {
     State state = initial_state_;
     Bitstring b = 0;
     // Per-trajectory classical record, read by classically-controlled

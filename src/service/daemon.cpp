@@ -455,7 +455,7 @@ void ServiceDaemon::handle_stream(const Request& r) {
         json.key("total").value(update.total_repetitions);
         json.key("final").value(update.final);
         json.key("histograms");
-        write_progress_histograms(json, update);
+        write_key_histograms(json, update.histograms);
       }));
     }
     const JobInfo info = scheduler_.info(id);

@@ -166,17 +166,4 @@ std::vector<obs::SpanRecord> parse_spans(const JsonValue& response) {
   return spans;
 }
 
-void write_progress_histograms(JsonWriter& json,
-                               const ProgressUpdate& update) {
-  json.begin_object();
-  for (const auto& [key, counts] : update.histograms) {
-    json.key(key).begin_object();
-    for (const auto& [bits, count] : counts) {
-      json.key(std::to_string(bits)).value(count);
-    }
-    json.end_object();
-  }
-  json.end_object();
-}
-
 }  // namespace bgls::service

@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "api/run_types.h"
-#include "core/progress.h"
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/json_parser.h"
@@ -124,10 +123,6 @@ struct SubmitArgs {
 /// (parses the embedded QASM). Throws ParseError/ValueError with the
 /// offending field.
 [[nodiscard]] RunRequest parse_submit(const JsonValue& message);
-
-/// Serializes a ProgressUpdate's histograms as an object keyed by
-/// measurement key, each value an object of decimal-bitstring → count.
-void write_progress_histograms(JsonWriter& json, const ProgressUpdate& update);
 
 /// Serializes spans as an array value (caller writes the "spans" key):
 /// [{"id":...,"parent":...,"name":"...","index":...,"seconds":...}].

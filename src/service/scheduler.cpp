@@ -176,6 +176,23 @@ struct SchedulerMetrics {
   }
 };
 
+/// One admission rejection: counts it (in `rejected`, the total series
+/// and its reason's `series`), warn-logs the reason, the tenant and
+/// `field`, then throws E with `message`.
+template <typename E, typename... Message>
+[[noreturn]] void reject(std::uint64_t& rejected, obs::Counter& series,
+                         std::string_view reason, const std::string& tenant,
+                         obs::LogField field, std::uint64_t trace_id,
+                         Message&&... message) {
+  ++rejected;
+  SchedulerMetrics::instance().rejected.add();
+  series.add();
+  obs::log(obs::LogLevel::kWarn, "scheduler", "admission rejected",
+           {{"reason", reason}, {"tenant", tenant}, std::move(field)},
+           trace_id);
+  detail::throw_error<E>(std::forward<Message>(message)...);
+}
+
 /// Tenant names become metric label values; keep the exposition text
 /// parseable whatever arrives on the wire.
 std::string metric_safe_label(const std::string& name) {
@@ -198,7 +215,7 @@ bool JobScheduler::dispatch_less(const JobPtr& a, const JobPtr& b) {
 }
 
 JobScheduler::JobScheduler(SchedulerOptions options)
-    : options_(options), session_(options.session) {
+    : options_(options) {
   const int runners = std::max(1, options_.max_concurrent_jobs);
   runners_.reserve(static_cast<std::size_t>(runners));
   for (int i = 0; i < runners; ++i) {
@@ -242,6 +259,17 @@ JobScheduler::~JobScheduler() {
 }
 
 std::uint64_t JobScheduler::submit(RunRequest request) {
+  const std::uint64_t every = request.progress.every;
+  if (every > 0) {
+    const std::uint64_t updates =
+        request.repetitions / every + (request.repetitions % every != 0);
+    if (updates > kMaxProgressUpdates) {
+      detail::throw_error<ValueError>(
+          "progress every ", every, " repetitions of ", request.repetitions,
+          " asks for ", updates, " updates; a job keeps at most ",
+          kMaxProgressUpdates, ": raise progress_every");
+    }
+  }
   return submit_impl(std::move(request), 0);
 }
 
@@ -311,47 +339,29 @@ std::uint64_t JobScheduler::submit_impl(RunRequest request,
       // unboundedly past max_queue_depth.
       const std::size_t backlog = queue_.size() + delayed_.size();
       if (backlog >= options_.max_queue_depth) {
-        ++stats_.rejected;
-        metrics.rejected.add();
-        metrics.rejected_queue_full.add();
-        obs::log(obs::LogLevel::kWarn, "scheduler", "admission rejected",
-                 {{"reason", "queue_full"},
-                  {"tenant", job->tenant},
-                  {"backlog", static_cast<std::uint64_t>(backlog)}},
-                 request.trace_id);
-        detail::throw_error<QueueFullError>(
-            "job rejected: queue is full (", backlog, " of ",
-            options_.max_queue_depth,
+        reject<QueueFullError>(
+            stats_.rejected, metrics.rejected_queue_full, "queue_full",
+            job->tenant, {"backlog", static_cast<std::uint64_t>(backlog)},
+            request.trace_id, "job rejected: queue is full (", backlog,
+            " of ", options_.max_queue_depth,
             " slots, retry-delayed jobs included); retry later or raise "
             "max_queue_depth");
       }
       TenantState& tenant = tenant_locked(job->tenant);
       if (tenant.quota.max_queued > 0 &&
           tenant.queued >= tenant.quota.max_queued) {
-        ++stats_.rejected;
-        metrics.rejected.add();
-        metrics.rejected_tenant_quota.add();
-        obs::log(obs::LogLevel::kWarn, "scheduler", "admission rejected",
-                 {{"reason", "tenant_quota"},
-                  {"tenant", job->tenant},
-                  {"queued", tenant.queued}},
-                 request.trace_id);
-        detail::throw_error<TenantQuotaError>(
+        reject<TenantQuotaError>(
+            stats_.rejected, metrics.rejected_tenant_quota, "tenant_quota",
+            job->tenant, {"queued", tenant.queued}, request.trace_id,
             "job rejected: tenant '", metric_safe_label(job->tenant),
             "' is at its queued-job quota (", tenant.queued, " of ",
             tenant.quota.max_queued, "); retry later");
       }
       if (predicted >= 0.0 && options_.max_job_seconds > 0.0 &&
           predicted > options_.max_job_seconds) {
-        ++stats_.rejected;
-        metrics.rejected.add();
-        metrics.rejected_over_budget.add();
-        obs::log(obs::LogLevel::kWarn, "scheduler", "admission rejected",
-                 {{"reason", "over_budget"},
-                  {"tenant", job->tenant},
-                  {"predicted_seconds", predicted}},
-                 request.trace_id);
-        detail::throw_error<CostBudgetError>(
+        reject<CostBudgetError>(
+            stats_.rejected, metrics.rejected_over_budget, "over_budget",
+            job->tenant, {"predicted_seconds", predicted}, request.trace_id,
             "job rejected: predicted cost ", predicted,
             " s exceeds the per-job budget of ", options_.max_job_seconds,
             " s; shrink the circuit or repetitions");
@@ -359,16 +369,10 @@ std::uint64_t JobScheduler::submit_impl(RunRequest request,
       if (predicted >= 0.0 && options_.max_queue_seconds > 0.0 &&
           predicted_backlog_seconds_ + predicted >
               options_.max_queue_seconds) {
-        ++stats_.rejected;
-        metrics.rejected.add();
-        metrics.rejected_backlog.add();
-        obs::log(obs::LogLevel::kWarn, "scheduler", "admission rejected",
-                 {{"reason", "backlog"},
-                  {"tenant", job->tenant},
-                  {"backlog_seconds", predicted_backlog_seconds_ + predicted}},
-                 request.trace_id);
-        detail::throw_error<CostBudgetError>(
-            "job rejected: predicted backlog of ",
+        reject<CostBudgetError>(
+            stats_.rejected, metrics.rejected_backlog, "backlog", job->tenant,
+            {"backlog_seconds", predicted_backlog_seconds_ + predicted},
+            request.trace_id, "job rejected: predicted backlog of ",
             predicted_backlog_seconds_ + predicted,
             " s exceeds the queue budget of ", options_.max_queue_seconds,
             " s; retry once the backlog drains");
@@ -959,7 +963,7 @@ JobScheduler::TenantState& JobScheduler::tenant_locked(
   TenantState state;
   const auto quota = options_.tenant_quotas.find(tenant);
   state.quota = quota != options_.tenant_quotas.end() ? quota->second
-                                                      : options_.default_quota;
+                                                      : TenantQuota{};
   // Per-tenant series, registered on first sight (the registry
   // deduplicates by name, so several schedulers share them).
   auto& registry = obs::MetricsRegistry::global();

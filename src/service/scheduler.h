@@ -166,7 +166,7 @@ struct SchedulerStats {
   /// submitted/completed).
   std::uint64_t cache_hits = 0;
   /// Completed jobs per executing backend name — the routing decisions
-  /// (RunStats::selection_reason carries the per-job why).
+  /// (RunResult::selection_reason carries the per-job why).
   std::map<std::string, std::uint64_t> completed_per_backend;
   /// Completed jobs (cache hits included) per tenant name.
   std::map<std::string, std::uint64_t> completed_per_tenant;
@@ -195,11 +195,9 @@ struct SchedulerOptions {
   /// Admission bound on queued (not yet running) jobs, counting both
   /// the ready heap and retry-backoff jobs waiting in delayed_.
   std::size_t max_queue_depth = 64;
-  /// Explicit per-tenant quotas; tenants not listed get default_quota.
+  /// Explicit per-tenant quotas; tenants not listed (the anonymous ""
+  /// tenant included) get a default TenantQuota.
   std::map<std::string, TenantQuota> tenant_quotas;
-  /// Quota for tenants without an explicit entry (including the
-  /// anonymous "" tenant).
-  TenantQuota default_quota{};
   /// Cost-aware admission budgets, applied to the CostModel estimate
   /// (the Session's selector model, so routing and admission agree).
   /// 0 disables the respective budget. Jobs whose backend has no
@@ -217,8 +215,6 @@ struct SchedulerOptions {
   /// before then). Keeps a long-lived daemon's memory bounded — live
   /// (queued/running) jobs are never evicted.
   std::size_t max_retained_jobs = 1024;
-  /// Forwarded to the owned Session.
-  SessionOptions session{};
   /// Checkpoint cadence installed on every job (repetitions between
   /// resumable snapshots; 0 = off). A job's own checkpoint cadence, if
   /// set, wins. Checkpoints feed the retry/preemption resume path and
@@ -263,12 +259,18 @@ class JobScheduler {
   JobScheduler(const JobScheduler&) = delete;
   JobScheduler& operator=(const JobScheduler&) = delete;
 
+  /// Cap on the progress updates one job may ask for,
+  /// ceil(repetitions / progress.every): the scheduler keeps every
+  /// update, cumulative histograms included, until the job is evicted.
+  static constexpr std::uint64_t kMaxProgressUpdates = 1024;
+
   /// Enqueues `request` and returns its job id. Uses request.priority,
   /// arms request.deadline_ms on the job's cancellation token *now*
   /// (queue wait counts), and records request.progress updates for
   /// progress_since() — a caller-supplied progress sink still receives
-  /// every update. Throws QueueFullError when the queue is at
-  /// max_queue_depth.
+  /// every update. Throws ValueError when the progress cadence asks for
+  /// more than kMaxProgressUpdates updates, and QueueFullError when the
+  /// queue is at max_queue_depth.
   std::uint64_t submit(RunRequest request);
 
   /// submit() variant for journal replay: enqueues `request` under the

@@ -56,8 +56,9 @@ HDecompose h_decompose(int v, int y, int delta) {
 }  // namespace
 
 CHState::CHState(int num_qubits, Bitstring initial) : n_(num_qubits) {
-  BGLS_REQUIRE(num_qubits >= 1 && num_qubits <= 63,
-               "CH form supports 1..63 qubits, got ", num_qubits);
+  BGLS_REQUIRE(num_qubits >= 1 && num_qubits <= kMaxQubits,
+               "CH form supports 1..", kMaxQubits, " qubits, got ",
+               num_qubits);
   mask_ = (std::uint64_t{1} << n_) - 1;
   BGLS_REQUIRE((initial & ~mask_) == 0, "initial bitstring out of range");
   g_.resize(static_cast<std::size_t>(n_));

@@ -40,7 +40,11 @@ namespace bgls {
 /// Stabilizer state in CH form.
 class CHState {
  public:
-  /// Initializes |initial⟩ (default |0...0⟩) on num_qubits ≤ 63 qubits.
+  /// Widest register the bit-packed rows hold; the stabilizer backend's
+  /// capability and routing limit.
+  static constexpr int kMaxQubits = 63;
+
+  /// Initializes |initial⟩ (default |0...0⟩) on 1..kMaxQubits qubits.
   explicit CHState(int num_qubits, Bitstring initial = 0);
 
   [[nodiscard]] int num_qubits() const { return n_; }

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <type_traits>
 
@@ -12,9 +11,6 @@
 
 #ifdef BGLS_HAVE_OPENMP
 #include <omp.h>
-#endif
-#if defined(BGLS_HAVE_AVX2) && defined(__AVX2__)
-#include <immintrin.h>
 #endif
 
 namespace bgls::kernels {
@@ -33,13 +29,12 @@ constexpr std::size_t kTaskSpan = std::size_t{1} << 12;
 /// kMaxGateArity); wider matrices take the generic gather path.
 constexpr std::size_t kMaxKernelArity = 3;
 
-bool env_force_generic() {
-  const char* value = std::getenv("BGLS_FORCE_GENERIC_KERNELS");
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
+/// Set while a ForceGenericScope routes every apply to the generic path.
+std::atomic<bool> g_force_generic{false};
 
-std::atomic<bool> g_force_generic{env_force_generic()};
+bool force_generic() {
+  return g_force_generic.load(std::memory_order_relaxed);
+}
 
 #ifdef BGLS_HAVE_OPENMP
 /// True when a pass over `dim` amplitudes should use an OpenMP team:
@@ -401,15 +396,6 @@ bool matrix_is_real(const Matrix& m) {
   return true;
 }
 
-#if defined(BGLS_HAVE_AVX2) && defined(__AVX2__)
-/// Complex multiply of two packed complex<double> by the broadcast
-/// scalar (mr, mi): re' = re*mr - im*mi, im' = re*mi + im*mr.
-inline __m256d cmul(__m256d a, __m256d mr, __m256d mi) {
-  const __m256d swapped = _mm256_permute_pd(a, 0x5);
-  return _mm256_fmaddsub_pd(a, mr, _mm256_mul_pd(swapped, mi));
-}
-#endif
-
 /// Dense 1q butterfly between the runs at [i, i + len) and
 /// [i + s, i + s + len); `fixed_mask` (control bits forced to 1)
 /// restricts it to the controlled subspace.
@@ -423,9 +409,7 @@ void apply_dense_1q(std::span<Complex> amps, int q, const Matrix& m,
   strides.add_mask_bits(fixed_mask);
 
   // One arithmetic form per matrix form, whatever the loop shape, so
-  // OpenMP never changes a bit. (With AVX2 the FMA rounding differs
-  // from the generic path, an explicit opt-in, but stays
-  // thread-count-invariant too.) Controlled blocks keep the complex
+  // OpenMP never changes a bit. Controlled blocks keep the complex
   // form.
   if (fixed_mask == 0 && matrix_is_real(m)) {
     // Real coefficients act identically on the interleaved re/im
@@ -445,34 +429,6 @@ void apply_dense_1q(std::span<Complex> amps, int q, const Matrix& m,
     });
     return;
   }
-
-#if defined(BGLS_HAVE_AVX2) && defined(__AVX2__)
-  if (fixed_mask == 0 && s >= 2) {
-    const __m256d m00r = _mm256_set1_pd(m00.real());
-    const __m256d m00i = _mm256_set1_pd(m00.imag());
-    const __m256d m01r = _mm256_set1_pd(m01.real());
-    const __m256d m01i = _mm256_set1_pd(m01.imag());
-    const __m256d m10r = _mm256_set1_pd(m10.real());
-    const __m256d m10i = _mm256_set1_pd(m10.imag());
-    const __m256d m11r = _mm256_set1_pd(m11.real());
-    const __m256d m11i = _mm256_set1_pd(m11.imag());
-    double* d = reinterpret_cast<double*>(amps.data());
-    // Runs are powers of two of at least 2 amplitudes: two per vector.
-    for_each_run(dim, strides, [=](std::size_t start, auto len) {
-      double* lo = d + 2 * start;
-      double* hi = lo + 2 * s;
-      for (std::size_t j = 0; j < 2 * len; j += 4) {
-        const __m256d a0 = _mm256_loadu_pd(lo + j);
-        const __m256d a1 = _mm256_loadu_pd(hi + j);
-        _mm256_storeu_pd(lo + j, _mm256_add_pd(cmul(a0, m00r, m00i),
-                                               cmul(a1, m01r, m01i)));
-        _mm256_storeu_pd(hi + j, _mm256_add_pd(cmul(a0, m10r, m10i),
-                                               cmul(a1, m11r, m11i)));
-      }
-    });
-    return;
-  }
-#endif
 
   Complex* a = amps.data() + fixed_mask;
   for_each_run(dim, strides, [=](std::size_t start, auto len) {
@@ -848,18 +804,11 @@ void apply_matrix(std::span<Complex> amplitudes, int num_qubits,
                       qubits);
 }
 
-bool force_generic() {
-  return g_force_generic.load(std::memory_order_relaxed);
-}
+ForceGenericScope::ForceGenericScope(bool force)
+    : previous_(g_force_generic.exchange(force, std::memory_order_relaxed)) {}
 
-void set_force_generic(bool force) {
-  g_force_generic.store(force, std::memory_order_relaxed);
+ForceGenericScope::~ForceGenericScope() {
+  g_force_generic.store(previous_, std::memory_order_relaxed);
 }
-
-ForceGenericScope::ForceGenericScope(bool force) : previous_(force_generic()) {
-  set_force_generic(force);
-}
-
-ForceGenericScope::~ForceGenericScope() { set_force_generic(previous_); }
 
 }  // namespace bgls::kernels

@@ -25,8 +25,7 @@
 ///                      into registers, cache-blocked iteration over
 ///                      contiguous low-stride runs so the compiler can
 ///                      vectorize, with an all-real fast path (H, Ry,
-///                      real fused products) and an optional AVX2+FMA
-///                      path (BGLS_ENABLE_AVX2).
+///                      real fused products).
 ///
 /// Classification is structural, not name-based: it works equally for
 /// named gates, fused matrix gates, and (non-unitary) Kraus operators,
@@ -58,10 +57,9 @@
 /// across kernels on/off (for exact-zero-structured matrices), thread
 /// counts, and loop shapes — the determinism the engine's tests pin.
 ///
-/// The `force_generic` escape hatch (env BGLS_FORCE_GENERIC_KERNELS or
-/// `kernels::set_force_generic`) routes everything through the
-/// pre-specialization dense paths; tests and benches use it as the
-/// reference implementation.
+/// A ForceGenericScope routes everything through the pre-specialization
+/// dense paths; tests and benches use them as the reference
+/// implementation.
 
 #pragma once
 
@@ -124,18 +122,16 @@ void apply_matrix(std::span<Complex> amplitudes, int num_qubits,
 
 /// Same, but reuses the precomputed classification (identical dispatch
 /// and arithmetic, so results are bit-identical to the classifying
-/// overload; force_generic() is still honored).
+/// overload; a ForceGenericScope is still honored).
 void apply_matrix(std::span<Complex> amplitudes, int num_qubits,
                   const CompiledMatrix& compiled,
                   std::span<const int> qubits);
 
-/// True when specialized kernels are disabled and every apply takes the
-/// generic dense path. Initialized from the BGLS_FORCE_GENERIC_KERNELS
-/// environment variable ("", "0" = off); settable at runtime.
-[[nodiscard]] bool force_generic();
-void set_force_generic(bool force);
-
-/// RAII toggle for tests/benches comparing the two paths.
+/// RAII toggle for tests/benches comparing the two paths: while alive,
+/// every apply takes the generic dense path (`force`) or the
+/// specialized kernels (`!force`); the previous setting comes back on
+/// exit. Process-wide, so scopes on different threads must not
+/// overlap.
 class ForceGenericScope {
  public:
   explicit ForceGenericScope(bool force);

@@ -17,8 +17,9 @@ constexpr std::size_t kParallelThreshold = std::size_t{1} << 14;
 
 StateVectorState::StateVectorState(int num_qubits, Bitstring initial)
     : num_qubits_(num_qubits) {
-  BGLS_REQUIRE(num_qubits >= 1 && num_qubits < 31,
-               "statevector supports 1..30 qubits, got ", num_qubits);
+  BGLS_REQUIRE(num_qubits >= 1 && num_qubits <= kMaxQubits,
+               "statevector supports 1..", kMaxQubits, " qubits, got ",
+               num_qubits);
   amplitudes_.assign(std::size_t{1} << num_qubits, Complex{0.0, 0.0});
   BGLS_REQUIRE(initial < amplitudes_.size(), "initial bitstring out of range");
   amplitudes_[initial] = Complex{1.0, 0.0};

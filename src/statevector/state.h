@@ -35,7 +35,11 @@ namespace bgls {
 /// Dense 2^n-amplitude pure state.
 class StateVectorState {
  public:
-  /// Initializes |initial⟩ on num_qubits qubits (default |0...0⟩).
+  /// Widest register a dense amplitude vector holds (2^30 amplitudes,
+  /// 16 GiB); the statevector backend's capability and routing limit.
+  static constexpr int kMaxQubits = 30;
+
+  /// Initializes |initial⟩ on 1..kMaxQubits qubits (default |0...0⟩).
   explicit StateVectorState(int num_qubits, Bitstring initial = 0);
 
   [[nodiscard]] int num_qubits() const { return num_qubits_; }

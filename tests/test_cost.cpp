@@ -83,7 +83,7 @@ TEST(CostModel, SelectorUsesCrossoverForChannelCircuits) {
   }
   CostCoefficients cheap_dm;
   cheap_dm.dm_seconds_per_element = cheap_dm.sv_seconds_per_element / 512;
-  const BackendSelector tuned({}, CostModel(cheap_dm));
+  const BackendSelector tuned{CostModel(cheap_dm)};
   for (const std::uint64_t reps : {16u, 1024u}) {
     EXPECT_EQ(tuned.select(channel_circuit(8), reps).id,
               BackendId::kDensityMatrix)

@@ -162,7 +162,7 @@ TEST(BatchEngine, PerStreamStatsSumToTotals) {
   EXPECT_EQ(stats.threads_used, 2u);
   ASSERT_EQ(stats.per_shard.size(), 16u);
   std::size_t trajectories = 0, applications = 0;
-  for (const ShardStats& shard : stats.per_shard) {
+  for (const RunCounters& shard : stats.per_shard) {
     trajectories += shard.trajectories;
     applications += shard.state_applications;
   }

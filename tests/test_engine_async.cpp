@@ -123,8 +123,8 @@ TEST(BatchEngineAsync, SubmitResolvesWithSyncResultAndPerStreamStats) {
   ASSERT_EQ(async.stats.per_shard.size(), sync.stats.per_shard.size());
   std::size_t trajectories = 0;
   for (std::size_t i = 0; i < async.stats.per_shard.size(); ++i) {
-    const ShardStats& async_shard = async.stats.per_shard[i];
-    const ShardStats& sync_shard = sync.stats.per_shard[i];
+    const RunCounters& async_shard = async.stats.per_shard[i];
+    const RunCounters& sync_shard = sync.stats.per_shard[i];
     EXPECT_EQ(async_shard.trajectories, sync_shard.trajectories);
     EXPECT_EQ(async_shard.state_applications, sync_shard.state_applications);
     EXPECT_EQ(async_shard.probability_evaluations,
@@ -148,7 +148,7 @@ TEST(BatchEngineAsync, BatchedPathPerStreamCarriesProbabilityEvaluations) {
   EXPECT_EQ(outcome.stats.threads_used, 1u);
   EXPECT_EQ(outcome.stats.trajectories, 1u);
   std::size_t evaluations = 0;
-  for (const ShardStats& shard : outcome.stats.per_shard) {
+  for (const RunCounters& shard : outcome.stats.per_shard) {
     evaluations += shard.probability_evaluations;
   }
   EXPECT_EQ(evaluations, outcome.stats.probability_evaluations);

@@ -3,7 +3,8 @@
 /// append/replay round trips, torn-record tolerance (the kill -9
 /// case), compaction, the "journal_write" fault-injection path that
 /// tears an append on purpose, and daemon replay of a journal holding
-/// a version-1 checkpoint (warn, then rerun from scratch).
+/// a version-1 checkpoint (warn, then rerun from scratch) or a
+/// dictionary-path checkpoint (rerun from scratch).
 
 #include <gtest/gtest.h>
 
@@ -253,6 +254,59 @@ TEST_F(JournalTest, ReplayRerunsVersionOneCheckpointFromScratch) {
     }
     EXPECT_TRUE(warned);
   }
+}
+
+TEST_F(JournalTest, ReplayRerunsDictionaryModeCheckpointFromScratch) {
+  // A journal left by a build that checkpointed the dictionary path: one
+  // batched job plus the snapshot such a build wrote first (its key and
+  // split with nothing done). This build reads a dictionary-path
+  // snapshot as unusable, so replay reruns the job from the start, to
+  // the bytes a fresh run produces.
+  service::SubmitArgs args;
+  args.qasm =
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n"
+      "h q[0];\ncx q[0],q[1];\nmeasure q -> c;\n";
+  args.repetitions = 300;
+  args.seed = 23;
+  std::string line = service::submit_request_line(args);
+  line.pop_back();  // the trailing newline
+  {
+    std::ostringstream submit;
+    JsonWriter json(submit, JsonWriter::Style::kCompact);
+    json.begin_object();
+    json.key("type").value("submit");
+    json.key("job").value(std::uint64_t{1});
+    json.key("line").value(line);
+    json.end_object();
+    Journal journal;
+    journal.open(path_);
+    journal.append(submit.str());
+    journal.append(
+        R"({"type":"checkpoint","job":1,"data":{"version":2,)"
+        R"("mode":"dictionary","run_key":7707246786203363646,"total":300,)"
+        R"("stats":{"state_applications":0,"probability_evaluations":0,)"
+        R"("max_dictionary_size":0,"trajectories":0,)"
+        R"("diagonal_updates_skipped":0},"shards":[{"total":300,)"
+        R"("completed":0,"histograms":{}}]}})");
+  }
+
+  service::DaemonOptions options;
+  options.endpoint = service::Endpoint::unix_socket(path_ + ".sock");
+  options.journal_path = path_;
+  service::ServiceDaemon daemon(options);
+  daemon.start();
+  service::ServiceClient client(daemon.endpoint());
+  const std::string report = client.wait_report(1);
+  EXPECT_EQ(daemon.scheduler().stats().resumed, 0u);
+  daemon.stop();
+  std::remove((path_ + ".sock").c_str());
+
+  const RunRequest request = service::parse_submit(JsonValue::parse(line));
+  Session session;
+  EXPECT_EQ(report, service::run_report_string(
+                        service::report_context(request,
+                                                request.circuit.num_qubits()),
+                        session.run(request)));
 }
 
 TEST_F(JournalTest, AppendOnClosedJournalThrows) {

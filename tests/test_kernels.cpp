@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,10 +41,9 @@ StateVectorState random_state(int n, Rng& rng) {
 }
 
 /// Applies `m` to copies of `initial` through the specialized and the
-/// forced-generic path and compares the amplitudes. Without AVX2 every
-/// kernel performs the generic path's products and sums on the
-/// amplitudes it changes, so the two must agree exactly; the AVX2 dense
-/// path rounds its FMAs differently, in the last ulp.
+/// forced-generic path and compares the amplitudes. Every kernel
+/// performs the generic path's products and sums on the amplitudes it
+/// changes, so the two must agree exactly.
 ::testing::AssertionResult matches_generic(const StateVectorState& initial,
                                            const Matrix& m,
                                            const std::vector<Qubit>& qubits) {
@@ -58,12 +58,7 @@ StateVectorState random_state(int n, Rng& rng) {
     generic.apply_matrix(m, qubits);
   }
   const double diff = specialized.max_abs_diff(generic);
-#ifdef BGLS_HAVE_AVX2
-  const bool ok = diff < 1e-12;
-#else
-  const bool ok = diff == 0.0;
-#endif
-  if (ok) return ::testing::AssertionSuccess();
+  if (diff == 0.0) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure() << "max_abs_diff " << diff;
 }
 
@@ -411,21 +406,10 @@ TEST(KernelDeterminism, HistogramsBitIdenticalKernelsOnOff) {
     Rng rng(47);
     generic = sim.sample(circuit, 5000, rng);
   }
-#ifdef BGLS_HAVE_AVX2
-  // The AVX2 path is an explicit opt-in whose FMA rounding differs
-  // from the generic butterfly in the last ulp, so bitwise equality
-  // against the generic path cannot hold; the distributions still must
-  // agree closely. (Thread-count bit-identity holds even with AVX2 —
-  // see the OmpThreadCounts tests.)
-  EXPECT_LT(total_variation_distance(normalize(specialized),
-                                     normalize(generic)),
-            0.05);
-#else
   // The specialized kernels perform magnitude-identical arithmetic, so
   // with a fixed seed the sampled histogram must match the generic
   // path's exactly — not just statistically.
   EXPECT_EQ(specialized, generic);
-#endif
 }
 
 #ifdef BGLS_HAVE_OPENMP
@@ -514,18 +498,32 @@ TEST(KernelEquivalence, SamplingIdenticalThroughGateCacheAndRawMatrices) {
             raw.run(circuit, 2000, 5).histogram("m"));
 }
 
+/// Whether applies take the generic path, read off its arithmetic: the
+/// generic product multiplies every entry of Z, so its off-diagonal
+/// zero times an infinite amplitude writes NaN into the other entry;
+/// the diagonal kernel multiplies that entry by its own phase only.
+bool applies_take_generic_path() {
+  std::vector<Complex> amplitudes{
+      {std::numeric_limits<double>::infinity(), 0.0}, {0.0, 0.0}};
+  const Matrix z(2, 2, {1.0, 0.0, 0.0, -1.0});
+  const std::vector<int> qubit{0};
+  kernels::apply_matrix(amplitudes, 1, z, qubit);
+  return std::isnan(amplitudes[1].real());
+}
+
 TEST(Kernels, ForceGenericScopeRestoresState) {
-  const bool before = kernels::force_generic();
+  const bool before = applies_take_generic_path();
+  EXPECT_FALSE(before);
   {
     kernels::ForceGenericScope outer(true);
-    EXPECT_TRUE(kernels::force_generic());
+    EXPECT_TRUE(applies_take_generic_path());
     {
       kernels::ForceGenericScope inner(false);
-      EXPECT_FALSE(kernels::force_generic());
+      EXPECT_FALSE(applies_take_generic_path());
     }
-    EXPECT_TRUE(kernels::force_generic());
+    EXPECT_TRUE(applies_take_generic_path());
   }
-  EXPECT_EQ(kernels::force_generic(), before);
+  EXPECT_EQ(applies_take_generic_path(), before);
 }
 
 }  // namespace

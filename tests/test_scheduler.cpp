@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -66,9 +67,9 @@ TEST(JobScheduler, SubmitMatchesDirectSessionRun) {
   EXPECT_EQ(info.result->measurements.histogram("m"),
             direct.measurements.histogram("m"));
   EXPECT_EQ(info.result->backend_name, direct.backend_name);
-  // The satellite contract: routing reasons survive into RunStats.
-  EXPECT_FALSE(info.result->stats.selection_reason.empty());
-  EXPECT_EQ(info.result->stats.selection_reason, direct.selection_reason);
+  // Routing reasons survive into the job's result.
+  EXPECT_FALSE(info.result->selection_reason.empty());
+  EXPECT_EQ(info.result->selection_reason, direct.selection_reason);
 }
 
 TEST(JobScheduler, PriorityOrdersQueuedJobs) {
@@ -208,6 +209,25 @@ TEST(JobScheduler, ProgressRecordedAndReplayable) {
       }));
   scheduler.wait(with_sink);
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{50, 100, 150, 200}));
+}
+
+TEST(JobScheduler, ProgressCadenceOverTheUpdateCapIsRejected) {
+  // The scheduler keeps every progress update until the job is
+  // evicted, so a cadence asking for more than the cap is refused
+  // before admission; one at the cap runs.
+  JobScheduler scheduler;
+  const std::uint64_t cap = JobScheduler::kMaxProgressUpdates;
+  EXPECT_THROW(
+      (void)scheduler.submit(small_job(7, 2 * cap + 1).with_progress(2, nullptr)),
+      ValueError);
+  EXPECT_THROW(
+      (void)scheduler.submit(small_job(7, 100'000).with_progress(1, nullptr)),
+      ValueError);
+  EXPECT_EQ(scheduler.stats().submitted, 0u);
+  const JobInfo info = scheduler.wait(
+      scheduler.submit(small_job(7, 2 * cap).with_progress(2, nullptr)));
+  EXPECT_EQ(info.state, JobState::kDone);
+  EXPECT_EQ(info.progress_updates, cap);
 }
 
 TEST(JobScheduler, StatsAggregateAndRouteByBackend) {
@@ -418,14 +438,14 @@ TEST(JobScheduler, PreemptionCheckpointsResumesAndStaysCorrect) {
   options.checkpoint_every = 50;
   JobScheduler scheduler(options);
 
-  // A low-priority job big enough to be mid-run (and past several
-  // checkpoint boundaries) when the high-priority one arrives.
-  const RunRequest low_request = small_job(31, 20'000).with_priority(-1);
-  const std::uint64_t low = scheduler.submit(low_request);
-  while (scheduler.info(low).state == JobState::kQueued) {
-    std::this_thread::sleep_for(1ms);
-  }
-  std::this_thread::sleep_for(10ms);
+  // A low-priority job big enough to be mid-run (and past a checkpoint
+  // boundary: a run takes its first snapshot once a shard has done
+  // some work) when the high-priority one arrives.
+  std::atomic<bool> checkpointed{false};
+  const std::uint64_t low = scheduler.submit(
+      small_job(31, 20'000).with_priority(-1).with_checkpoint(
+          50, [&](const RunCheckpoint&) { checkpointed = true; }));
+  while (!checkpointed) std::this_thread::sleep_for(1ms);
 
   const std::uint64_t high = scheduler.submit(small_job(4).with_priority(9));
   EXPECT_EQ(scheduler.wait(high).state, JobState::kDone);

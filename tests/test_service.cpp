@@ -346,6 +346,26 @@ TEST_F(ServiceTest, StreamDeliversDeterministicPrefixes) {
   EXPECT_EQ(reports[0], direct_report(args));
 }
 
+TEST_F(ServiceTest, ProgressCadenceOverTheUpdateCapIsBadRequest) {
+  // One progress update per repetition of a 100,000-repetition job
+  // would keep 100,000 histogram snapshots on the worker.
+  ServiceClient client(daemon_->endpoint());
+  SubmitArgs args;
+  args.qasm = kGhzQasm;
+  args.repetitions = 100'000;
+  args.no_batch = true;
+  args.progress_every = 1;
+  std::string code;
+  try {
+    (void)client.submit(args);
+  } catch (const ServiceError& e) {
+    code = e.code();
+  }
+  EXPECT_EQ(code, "bad_request");
+  EXPECT_EQ(client.stats().u64_or("submitted", 0), 0u);
+  expect_serves_a_job(client);
+}
+
 TEST_F(ServiceTest, StatsEndpointCounts) {
   ServiceClient client(daemon_->endpoint());
   SubmitArgs args;
@@ -524,12 +544,22 @@ TEST(ServiceJournal, RestartReplaysTerminalJobsAndResumesIncompleteOnes) {
     finished_id = client.submit(finished);
     EXPECT_EQ(client.wait_report(finished_id), direct_report(finished));
     interrupted_id = client.submit(interrupted);
-    while (client.status(interrupted_id).string_or("state", "") == "queued") {
-      std::this_thread::sleep_for(1ms);
-    }
-    // Destroy the daemon with the job mid-run. Shutdown-cancelled jobs
+    // Wait for a journaled checkpoint of the job with work done, then
+    // destroy the daemon with the job mid-run. Shutdown-cancelled jobs
     // get no terminal journal record, so the job stays incomplete in
     // the log for the next incarnation to resume.
+    const auto has_work = [&] {
+      for (const JsonValue& record : Journal::replay_file(journal)) {
+        if (record.string_or("type", "") == "checkpoint" &&
+            record.u64_or("job", 0) == interrupted_id &&
+            RunCheckpoint::from_json(*record.find("data"))
+                    .completed_repetitions() > 0) {
+          return true;
+        }
+      }
+      return false;
+    };
+    while (!has_work()) std::this_thread::sleep_for(1ms);
   }
 
   DaemonOptions options;
@@ -545,9 +575,10 @@ TEST(ServiceJournal, RestartReplaysTerminalJobsAndResumesIncompleteOnes) {
   EXPECT_EQ(client.result_report(finished_id), direct_report(finished));
   EXPECT_EQ(client.status(finished_id).string_or("state", ""), "done");
 
-  // The interrupted job re-ran (resuming from its last checkpoint when
-  // one was journaled) to the canonical bytes.
+  // The interrupted job resumed from its last journaled checkpoint and
+  // finished with the canonical bytes.
   EXPECT_EQ(client.wait_report(interrupted_id), direct_report(interrupted));
+  EXPECT_EQ(daemon.scheduler().stats().resumed, 1u);
 
   daemon.stop();
   std::remove(journal.c_str());

@@ -16,7 +16,8 @@
 #   7. crash recovery: a daemon with --journal is kill -9'd mid-flood
 #      (with torn journal writes injected via BGLS_FAULT_INJECT), a
 #      fresh daemon replays the same journal, resumes the incomplete
-#      job from its checkpoint, and every job's final report is still
+#      job from its checkpoint (every one it journaled holds work; the
+#      batched jobs journal none), and every job's final report is still
 #      byte-identical to bgls_run; journal/resume telemetry is scraped.
 #  7b. cache-hit crash: a journaled daemon with a result cache and no
 #      fault injection runs one GHZ spec twice, the second time as a
@@ -309,11 +310,9 @@ LONG_ID=$("$CLIENT" --connect "$JCONNECT" --retries 5 --backoff-ms 50 \
 # restart genuinely resumes instead of rerunning from scratch. A fixed
 # sleep is wrong twice: sanitizer builds may not reach the first
 # checkpoint boundary in time, fast builds may finish the job outright.
-# The match must be specific twice over: batched short jobs journal
-# initial/final checkpoints immediately (any-checkpoint matching kills
-# before the long job has one), and a torn append (fault injection or
-# the kill itself) can grep-match yet fail CRC at replay — so require
-# the long job's id and the closing braces of a complete frame.
+# A torn append (fault injection or the kill itself) can grep-match yet
+# fail CRC at replay, so the match requires the long job's id and the
+# closing braces of a complete frame.
 CKPT_RE='"type":"checkpoint","job":'"$LONG_ID"',"data".*\}\}\}$'
 for _ in $(seq 300); do
   grep -Eq "$CKPT_RE" "$JOURNAL" 2>/dev/null && break
@@ -321,6 +320,17 @@ for _ in $(seq 300); do
 done
 grep -Eq "$CKPT_RE" "$JOURNAL" \
   || fail "long job never journaled a checkpoint"
+# A checkpoint saves work only once a shard has done some: every one the
+# long job journaled holds completed repetitions, and the batched short
+# jobs (done at their final gate) journal none.
+if grep -E "$CKPT_RE" "$JOURNAL" | grep -Evq '"completed":[1-9]'; then
+  fail "long job journaled a checkpoint with no work done"
+fi
+for ID in "${JOB_IDS[@]}"; do
+  if grep -q '"type":"checkpoint","job":'"$ID"',' "$JOURNAL"; then
+    fail "batched job $ID journaled a checkpoint"
+  fi
+done
 
 kill -9 "$JSERVE_PID" 2>/dev/null
 wait "$JSERVE_PID" 2>/dev/null
