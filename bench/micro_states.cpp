@@ -301,12 +301,10 @@ void BM_Mps_Amplitude(benchmark::State& state) {
 }
 BENCHMARK(BM_Mps_Amplitude)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Complexity(benchmark::oN);
 
-// Telemetry overhead pair (ISSUE acceptance: the before/after row):
-// the same n=20 H apply with the runtime switch on vs off. The on row
-// pays the kernel-class counter plus, at this dimension, the timed
-// histogram's two clock reads; the delta is the per-apply telemetry
-// cost. With -DBGLS_ENABLE_TELEMETRY=OFF both rows measure the same
-// inert code.
+// Telemetry overhead pair: the same n=20 H apply with the runtime
+// switch on vs off. The on row pays the kernel-class counter plus, at
+// this dimension, the timed histogram's two clock reads; the delta is
+// the per-apply telemetry cost.
 template <bool kTelemetryOn>
 void telemetry_apply_body(benchmark::State& state) {
   const obs::EnabledScope scope(kTelemetryOn);
@@ -333,8 +331,7 @@ BENCHMARK(BM_Telemetry_ApplyH_Disabled)->Arg(20);
 // Structured-log emit pair: one warn-level record with a typical field
 // set through the global logger's ring (no file sink), runtime switch
 // on vs off. The off row is the cost the serving hot paths pay at
-// their (never-taken) log sites; with -DBGLS_ENABLE_TELEMETRY=OFF both
-// rows measure the same compiled-out no-op.
+// their (never-taken) log sites.
 template <bool kTelemetryOn>
 void log_emit_body(benchmark::State& state) {
   const obs::EnabledScope scope(kTelemetryOn);

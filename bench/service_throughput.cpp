@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
   // scheduler/engine/kernel totals the whole bench accumulated, so the
   // BENCH file records *what ran* (applies per kernel class, shards,
   // queue waits) next to how fast it ran. Scalar series emit their
-  // value; histograms emit count + sum. Empty when compiled out.
+  // value; histograms emit count + sum.
   json.key("metrics").begin_object();
   for (const obs::SeriesSnapshot& series : Session::metrics_snapshot()) {
     switch (series.kind) {

@@ -205,7 +205,7 @@ class DensityMatrixBackend : public StateBackend<DensityMatrixState> {
   }
   [[nodiscard]] BackendCapabilities capabilities() const override {
     BackendCapabilities caps;
-    caps.max_qubits = 12;
+    caps.max_qubits = DensityMatrixState::kMaxQubits;
     caps.max_gate_arity = 3;
     caps.supports_channels = true;
     caps.supports_mid_circuit_measurement = true;
@@ -223,8 +223,7 @@ class DensityMatrixBackend : public StateBackend<DensityMatrixState> {
 /// circuits run the exact native hooks (with dictionary batching);
 /// circuits with Rz/Phase/T/T† swap in the sum-over-Cliffords hooks of
 /// Sec. 4.2, which sample one stochastic Clifford branch per repetition
-/// — approximate for non-Clifford angles, hence
-/// capabilities().exact_for_all_supported == false.
+/// — approximate for non-Clifford angles.
 class StabilizerBackend : public StateBackend<CHState> {
  public:
   [[nodiscard]] std::string name() const override { return "stabilizer"; }
@@ -235,9 +234,6 @@ class StabilizerBackend : public StateBackend<CHState> {
     caps.max_gate_arity = 2;
     caps.supports_mid_circuit_measurement = true;
     caps.supports_classical_control = true;
-    caps.clifford_gates_only = true;
-    caps.near_clifford_rotations = true;
-    caps.exact_for_all_supported = false;
     return caps;
   }
 
@@ -299,7 +295,7 @@ class MpsBackend : public StateBackend<MPSState> {
   [[nodiscard]] BackendId id() const override { return BackendId::kMps; }
   [[nodiscard]] BackendCapabilities capabilities() const override {
     BackendCapabilities caps;
-    caps.max_qubits = 63;
+    caps.max_qubits = MPSState::kMaxQubits;
     caps.max_gate_arity = 2;
     caps.supports_channels = true;
     caps.supports_mid_circuit_measurement = true;

@@ -67,15 +67,6 @@ struct BackendCapabilities {
   bool supports_mid_circuit_measurement = false;
   /// Classical feed-forward (operations conditioned on records).
   bool supports_classical_control = false;
-  /// Unitary gates must be Clifford (the stabilizer representation) —
-  /// softened by near_clifford_rotations below.
-  bool clifford_gates_only = false;
-  /// Rz/Phase/T/T† accepted via stochastic sum-over-Cliffords branches
-  /// (Sec. 4.2); sampling those circuits is approximate.
-  bool near_clifford_rotations = false;
-  /// False when some supported circuits sample approximately (the
-  /// near-Clifford channel); true for exact representations.
-  bool exact_for_all_supported = true;
 };
 
 /// One self-contained sampling request: the circuit plus every tuning

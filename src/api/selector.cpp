@@ -8,43 +8,21 @@
 #include "util/error.h"
 
 namespace bgls {
-namespace {
-
-/// True for the rotation kinds the sum-over-Cliffords channel absorbs
-/// (stabilizer/near_clifford.h): Rz, Phase, T, T†.
-bool is_near_clifford_rotation(const Gate& gate) {
-  switch (gate.kind()) {
-    case GateKind::kT:
-    case GateKind::kTdg:
-    case GateKind::kRz:
-    case GateKind::kPhase:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
 
 CircuitProfile profile_circuit(const Circuit& circuit) {
   CircuitProfile profile;
   profile.num_qubits = circuit.num_qubits();
-  profile.has_mid_circuit_measurements =
-      circuit.has_measurements() && !circuit.measurements_are_terminal();
   for (const auto& moment : circuit.moments()) {
     for (const auto& op : moment.operations()) {
       ++profile.num_operations;
-      if (op.is_classically_controlled()) profile.has_classical_control = true;
       const Gate& gate = op.gate();
       if (gate.is_measurement()) continue;
       profile.max_gate_arity = std::max(profile.max_gate_arity, gate.arity());
       if (gate.is_channel()) {
         profile.has_channels = true;
         profile.clifford_only = false;
-        profile.near_clifford = false;
       } else if (!gate.is_clifford()) {
         profile.clifford_only = false;
-        if (!is_near_clifford_rotation(gate)) profile.near_clifford = false;
       }
       if (gate.arity() >= 2) {
         ++profile.entangling_gates;

@@ -47,12 +47,7 @@ struct CircuitProfile {
   int max_gate_arity = 0;
   /// Every non-measurement gate is Clifford.
   bool clifford_only = true;
-  /// Clifford plus Rz/Phase/T/T† rotations (the sum-over-Cliffords
-  /// regime of Sec. 4.2).
-  bool near_clifford = true;
   bool has_channels = false;
-  bool has_mid_circuit_measurements = false;
-  bool has_classical_control = false;
   /// Non-measurement operations touching ≥ 2 qubits (each costs an MPS
   /// contraction + SVD and is what grows bond dimension).
   std::size_t entangling_gates = 0;

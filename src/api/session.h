@@ -106,9 +106,8 @@ class Session {
   /// (obs/metrics.h): kernel apply counts/timings, engine shard
   /// timings, pool occupancy, scheduler and daemon series when a
   /// service is running in-process. Benches record these into
-  /// BENCH_*.json; empty when telemetry is compiled out. Static — the
-  /// registry is process-wide — but exposed here because a Session is
-  /// what runtime callers already hold.
+  /// BENCH_*.json. Static — the registry is process-wide — but exposed
+  /// here because a Session is what runtime callers already hold.
   [[nodiscard]] static obs::MetricsSnapshot metrics_snapshot() {
     return obs::MetricsRegistry::global().snapshot();
   }

@@ -31,8 +31,8 @@
 ///    subsystem: process-wide counters/gauges/latency histograms over
 ///    every layer (kernels, engine, scheduler, daemon), per-job trace
 ///    spans with deterministic IDs, and Prometheus text exposition
-///    (obs/metrics.h, obs/trace.h, obs/exposition.h; compile out with
-///    -DBGLS_ENABLE_TELEMETRY=OFF);
+///    (obs/metrics.h, obs/trace.h, obs/exposition.h; switched at run
+///    time with obs::set_enabled);
 ///  - bgls::Rng / bgls::mix_key — seeded randomness for reproducible
 ///    sampling and the keyed seeds behind thread-count-free draws.
 

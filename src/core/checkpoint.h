@@ -21,8 +21,8 @@
 /// completion. Consumption: SimulatorOptions::resume /
 /// RunRequest::with_resume re-enter the same run mid-stream; a resume
 /// under another seed (another run key), or of a dictionary run, fails
-/// with ValueError. The service scheduler uses checkpoints for
-/// preemption and retry, and the daemon journals them
+/// with ValueError. The service scheduler resumes retried jobs from
+/// checkpoints, and the daemon journals them
 /// (service/journal.h) so a killed process resumes its jobs on restart.
 ///
 /// Thread count is not part of a checkpoint. Version 2 is the keyed

@@ -616,21 +616,19 @@ class Simulator {
     stats.evolve_ms = evolve_seconds * 1000.0;
     stats.per_shard.assign(
         1, RunCounters{.probability_evaluations = stats.probability_evaluations});
-    if constexpr (obs::kTelemetryCompiled) {
-      // The one shard's resample time as an observation and a span, and
-      // an "evolve" span for the shared evolution.
-      if (stats.probability_evaluations > 0) {
-        engine_detail::observe_shard(resample_seconds);
-      }
-      obs::Trace* trace = options_.trace;
-      if (trace != nullptr && obs::enabled()) {
-        trace->record(obs::SpanRecord{
-            obs::Trace::span_id(trace->id(), "shard", 0), trace->root(),
-            "shard", 0, resample_seconds});
-        trace->record(obs::SpanRecord{
-            obs::Trace::span_id(trace->id(), "evolve", 0), trace->root(),
-            "evolve", 0, evolve_seconds});
-      }
+    // The one shard's resample time as an observation and a span, and
+    // an "evolve" span for the shared evolution.
+    if (stats.probability_evaluations > 0) {
+      engine_detail::observe_shard(resample_seconds);
+    }
+    obs::Trace* trace = options_.trace;
+    if (trace != nullptr && obs::enabled()) {
+      trace->record(obs::SpanRecord{
+          obs::Trace::span_id(trace->id(), "shard", 0), trace->root(),
+          "shard", 0, resample_seconds});
+      trace->record(obs::SpanRecord{
+          obs::Trace::span_id(trace->id(), "evolve", 0), trace->root(),
+          "evolve", 0, evolve_seconds});
     }
     return dictionary;
   }

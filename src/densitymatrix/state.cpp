@@ -29,8 +29,9 @@ void embed_indices(std::span<const Qubit> qubits, std::size_t local,
 
 DensityMatrixState::DensityMatrixState(int num_qubits, Bitstring initial)
     : num_qubits_(num_qubits) {
-  BGLS_REQUIRE(num_qubits >= 1 && num_qubits < 13,
-               "density matrix supports 1..12 qubits, got ", num_qubits);
+  BGLS_REQUIRE(num_qubits >= 1 && num_qubits <= kMaxQubits,
+               "density matrix supports 1..", kMaxQubits, " qubits, got ",
+               num_qubits);
   dim_ = std::size_t{1} << num_qubits;
   rho_.assign(dim_ * dim_, Complex{0.0, 0.0});
   BGLS_REQUIRE(initial < dim_, "initial bitstring out of range");

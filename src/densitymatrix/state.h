@@ -23,7 +23,11 @@ namespace bgls {
 /// Dense density matrix on n qubits.
 class DensityMatrixState {
  public:
-  /// Initializes |initial⟩⟨initial|.
+  /// Widest register the 4^n-entry matrix is allowed (4^12 entries,
+  /// 256 MiB); the density-matrix backend's capability limit.
+  static constexpr int kMaxQubits = 12;
+
+  /// Initializes |initial⟩⟨initial| on 1..kMaxQubits qubits.
   explicit DensityMatrixState(int num_qubits, Bitstring initial = 0);
 
   [[nodiscard]] int num_qubits() const { return num_qubits_; }

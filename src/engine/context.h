@@ -19,7 +19,6 @@
 #include <utility>
 
 #include "engine/thread_pool.h"
-#include "obs/metrics.h"  // BGLS_TELEMETRY
 #include "util/timing.h"
 
 namespace bgls {
@@ -74,26 +73,22 @@ namespace engine_detail {
 
 /// Telemetry hooks (context.cpp) feeding the process-wide engine series
 /// — bgls_engine_runs_total / bgls_engine_shards_total /
-/// bgls_engine_shard_seconds. Inert when telemetry is compiled out.
+/// bgls_engine_shard_seconds.
 void count_engine_run() noexcept;
 void observe_shard(double seconds) noexcept;
 
 /// RAII shard timer: counts the shard and observes its wall time into
 /// bgls_engine_shard_seconds on destruction. Shards are coarse units
 /// (at most 16 per run), so the clock-read pair is lost in the noise.
-class [[maybe_unused]] ShardTimer {
+class ShardTimer {
  public:
   ShardTimer() = default;
-#if BGLS_TELEMETRY
   ~ShardTimer() { observe_shard(watch_.seconds()); }
-#endif
   ShardTimer(const ShardTimer&) = delete;
   ShardTimer& operator=(const ShardTimer&) = delete;
 
  private:
-#if BGLS_TELEMETRY
   Stopwatch watch_;
-#endif
 };
 
 }  // namespace engine_detail

@@ -11,7 +11,7 @@ namespace bgls {
 MPSState::MPSState(int num_qubits, MPSOptions options, Bitstring initial)
     : n_(num_qubits), options_(options) {
   BGLS_REQUIRE(num_qubits >= 1 && num_qubits <= kMaxQubits,
-               "MPS supports 1..64 qubits, got ", num_qubits);
+               "MPS supports 1..", kMaxQubits, " qubits, got ", num_qubits);
   BGLS_REQUIRE(options_.cutoff >= 0.0, "cutoff must be non-negative");
   tensors_.reserve(static_cast<std::size_t>(n_));
   for (int q = 0; q < n_; ++q) {

@@ -43,6 +43,10 @@ struct MPSOptions {
 /// Tensor-network pure state with one tensor per qubit.
 class MPSState {
  public:
+  /// Widest register a Bitstring holds (util/bits.h); the MPS backend's
+  /// capability limit.
+  static constexpr int kMaxQubits = ::bgls::kMaxQubits;
+
   explicit MPSState(int num_qubits, MPSOptions options = {},
                     Bitstring initial = 0);
 

@@ -62,10 +62,6 @@ const char* type_name(SeriesSnapshot::Kind kind) {
 
 std::string to_prometheus(const MetricsSnapshot& snapshot) {
   std::ostringstream os;
-  if (!kTelemetryCompiled) {
-    os << "# bgls telemetry compiled out (BGLS_ENABLE_TELEMETRY=OFF)\n";
-    return os.str();
-  }
   // snapshot() is name-sorted, so all series of one family (same base,
   // different labels) are adjacent: emit HELP/TYPE on base change only.
   std::string_view previous_base;
@@ -116,7 +112,6 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
 void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot) {
   JsonWriter json(os);
   json.begin_object();
-  json.key("telemetry_compiled").value(kTelemetryCompiled);
   json.key("series").begin_array();
   for (const SeriesSnapshot& series : snapshot) {
     json.begin_object();

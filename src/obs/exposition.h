@@ -16,13 +16,11 @@ namespace bgls::obs {
 /// Prometheus text exposition format, version 0.0.4: `# HELP` / `# TYPE`
 /// per metric family, `_bucket{le="..."}`/`_sum`/`_count` series per
 /// histogram, cumulative bucket counts. Families are emitted in series
-/// name order. When telemetry is compiled out the output is the single
-/// marker comment `# bgls telemetry compiled out ...` so scrapers (and
-/// service_e2e.sh) can tell "disabled" from "broken".
+/// name order.
 [[nodiscard]] std::string to_prometheus(const MetricsSnapshot& snapshot);
 
-/// The same snapshot as a pretty JSON document (schema: top-level
-/// `telemetry_compiled` flag plus a `series` array).
+/// The same snapshot as a pretty JSON document (schema: a top-level
+/// `series` array).
 void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot);
 
 }  // namespace bgls::obs

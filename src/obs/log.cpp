@@ -91,26 +91,17 @@ LogLevel Logger::level() const noexcept {
 }
 
 void Logger::set_capacity(std::size_t capacity) {
-#if BGLS_TELEMETRY
   const std::lock_guard<std::mutex> lock(mutex_);
   capacity_ = capacity == 0 ? 1 : capacity;
   while (ring_.size() > capacity_) ring_.pop_front();
-#else
-  (void)capacity;
-#endif
 }
 
 void Logger::set_stderr_sink(bool on) {
-#if BGLS_TELEMETRY
   const std::lock_guard<std::mutex> lock(mutex_);
   stderr_sink_ = on;
-#else
-  (void)on;
-#endif
 }
 
 bool Logger::open_file(const std::string& path) {
-#if BGLS_TELEMETRY
   std::FILE* file = std::fopen(path.c_str(), "a");
   if (file == nullptr) return false;
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -118,36 +109,27 @@ bool Logger::open_file(const std::string& path) {
   file_ = file;
   file_path_ = path;
   return true;
-#else
-  (void)path;
-  return true;
-#endif
 }
 
 void Logger::reopen() {
-#if BGLS_TELEMETRY
   const std::lock_guard<std::mutex> lock(mutex_);
   if (file_path_.empty()) return;
   if (file_ != nullptr) std::fclose(file_);
   // If rotation raced us out of the directory, drop the sink rather
   // than crash-loop on every line; the ring keeps collecting.
   file_ = std::fopen(file_path_.c_str(), "a");
-#endif
 }
 
 void Logger::close_file() {
-#if BGLS_TELEMETRY
   const std::lock_guard<std::mutex> lock(mutex_);
   if (file_ != nullptr) std::fclose(file_);
   file_ = nullptr;
   file_path_.clear();
-#endif
 }
 
 void Logger::log(LogLevel level, std::string_view component,
                  std::string_view message, std::vector<LogField> fields,
                  std::uint64_t trace_id, std::uint64_t job_id) noexcept {
-#if BGLS_TELEMETRY
   if (!enabled()) return;
   if (static_cast<int>(level) < level_.load(std::memory_order_relaxed)) {
     return;
@@ -192,20 +174,11 @@ void Logger::log(LogLevel level, std::string_view component,
   } catch (...) {
     // Logging must never take down the serving path.
   }
-#else
-  (void)level;
-  (void)component;
-  (void)message;
-  (void)fields;
-  (void)trace_id;
-  (void)job_id;
-#endif
 }
 
 std::vector<LogRecord> Logger::tail(std::size_t max_records, LogLevel min_level,
                                     std::uint64_t trace_id) const {
   std::vector<LogRecord> out;
-#if BGLS_TELEMETRY
   const std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = ring_.rbegin(); it != ring_.rend() && out.size() < max_records;
        ++it) {
@@ -214,25 +187,15 @@ std::vector<LogRecord> Logger::tail(std::size_t max_records, LogLevel min_level,
     out.push_back(*it);
   }
   std::reverse(out.begin(), out.end());  // chronological, newest last
-#else
-  (void)max_records;
-  (void)min_level;
-  (void)trace_id;
-#endif
   return out;
 }
 
 std::uint64_t Logger::emitted() const noexcept {
-#if BGLS_TELEMETRY
   const std::lock_guard<std::mutex> lock(mutex_);
   return emitted_;
-#else
-  return 0;
-#endif
 }
 
 void Logger::reset_for_testing() {
-#if BGLS_TELEMETRY
   const std::lock_guard<std::mutex> lock(mutex_);
   ring_.clear();
   capacity_ = 1024;
@@ -242,7 +205,6 @@ void Logger::reset_for_testing() {
   file_ = nullptr;
   file_path_.clear();
   level_.store(static_cast<int>(LogLevel::kInfo), std::memory_order_relaxed);
-#endif
 }
 
 }  // namespace bgls::obs

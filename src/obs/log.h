@@ -11,10 +11,7 @@
 ///
 /// Contract, matching the rest of src/obs/:
 ///  - observation-only: logging never reads or advances RNG state, so
-///    sampled histograms are bit-identical with logging on, off, or
-///    compiled out;
-///  - compiled out under -DBGLS_ENABLE_TELEMETRY=OFF: every method
-///    collapses to a no-op (the ring stays empty, sinks never open);
+///    sampled histograms are bit-identical with logging on or off;
 ///  - runtime-gated on obs::enabled() and the configured level, with
 ///    the level check a single relaxed atomic load on the fast path;
 ///  - never throws: a failed sink write is dropped, not propagated
@@ -35,7 +32,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.h"  // BGLS_TELEMETRY, enabled()
+#include "obs/metrics.h"  // enabled()
 
 namespace bgls::obs {
 
@@ -98,8 +95,7 @@ struct LogRecord {
 [[nodiscard]] std::string format_log_line(const LogRecord& record);
 
 /// Process-wide logger: bounded ring + optional stderr/file sinks.
-/// All methods are thread-safe; all are no-ops when telemetry is
-/// compiled out.
+/// All methods are thread-safe.
 class Logger {
  public:
   static Logger& global();
@@ -115,8 +111,7 @@ class Logger {
   void set_stderr_sink(bool on);
 
   /// Opens `path` in append mode as the file sink (closing any
-  /// previous one). Returns false if the file cannot be opened —
-  /// true when telemetry is compiled out (nothing to open).
+  /// previous one). Returns false if the file cannot be opened.
   bool open_file(const std::string& path);
 
   /// Reopens the current file-sink path, for SIGHUP-driven rotation.
@@ -161,17 +156,8 @@ class Logger {
 inline void log(LogLevel level, std::string_view component,
                 std::string_view message, std::vector<LogField> fields = {},
                 std::uint64_t trace_id = 0, std::uint64_t job_id = 0) noexcept {
-#if BGLS_TELEMETRY
   Logger::global().log(level, component, message, std::move(fields), trace_id,
                        job_id);
-#else
-  (void)level;
-  (void)component;
-  (void)message;
-  (void)fields;
-  (void)trace_id;
-  (void)job_id;
-#endif
 }
 
 }  // namespace bgls::obs

@@ -40,7 +40,6 @@ double Cell::sum() const noexcept {
 }  // namespace detail
 
 void Histogram::observe(double value) noexcept {
-#if BGLS_TELEMETRY
   if (cell_ == nullptr || !enabled()) return;
   // First bucket whose upper bound admits the value; past-the-end is
   // the overflow (+Inf) slot.
@@ -50,9 +49,6 @@ void Histogram::observe(double value) noexcept {
   cell_->buckets[slot].fetch_add(1, std::memory_order_relaxed);
   cell_->count.fetch_add(1, std::memory_order_relaxed);
   cell_->add_sum(value);
-#else
-  (void)value;
-#endif
 }
 
 const std::vector<double>& default_latency_buckets() {
@@ -70,13 +66,6 @@ MetricsRegistry& MetricsRegistry::global() {
 detail::Cell* MetricsRegistry::find_or_create(
     std::string_view name, std::string_view help, SeriesSnapshot::Kind kind,
     const std::vector<double>* bounds) {
-#if !BGLS_TELEMETRY
-  (void)name;
-  (void)help;
-  (void)kind;
-  (void)bounds;
-  return nullptr;
-#else
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = series_.find(name);
   if (it != series_.end()) {
@@ -103,7 +92,6 @@ detail::Cell* MetricsRegistry::find_or_create(
   detail::Cell* cell = series.cell.get();
   series_.emplace(std::string(name), std::move(series));
   return cell;
-#endif
 }
 
 Counter MetricsRegistry::counter(std::string_view name,

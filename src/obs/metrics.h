@@ -10,10 +10,9 @@
 ///    registry never erases), so handles are plain pointers;
 ///  - telemetry is observation-only: it never reads or advances RNG
 ///    state, so enabling it cannot perturb sampling determinism;
-///  - collection compiles out entirely with -DBGLS_ENABLE_TELEMETRY=OFF
-///    (the build defines BGLS_TELEMETRY_OFF; handles become inert) and
-///    can also be toggled at runtime via set_enabled() — the in-binary
-///    switch the overhead micro-bench uses for its before/after rows.
+///  - collection can be toggled at runtime via set_enabled() — the
+///    in-binary switch the overhead micro-bench uses for its
+///    before/after rows.
 ///
 /// Naming follows Prometheus conventions: snake_case base names with
 /// unit suffixes (`_seconds`, `_total`), optional labels appended as
@@ -31,17 +30,7 @@
 #include <string_view>
 #include <vector>
 
-#if defined(BGLS_TELEMETRY_OFF)
-#define BGLS_TELEMETRY 0
-#else
-#define BGLS_TELEMETRY 1
-#endif
-
 namespace bgls::obs {
-
-/// True when the library was built with telemetry compiled in
-/// (BGLS_ENABLE_TELEMETRY=ON, the default).
-inline constexpr bool kTelemetryCompiled = BGLS_TELEMETRY != 0;
 
 /// Runtime kill-switch (default on). Affects recording only — series
 /// already registered keep their values; handles stay valid.
@@ -84,19 +73,15 @@ struct Cell {
 }  // namespace detail
 
 /// Monotonically increasing series handle. Copyable, trivially cheap;
-/// a default-constructed (or telemetry-off) handle is inert.
+/// a default-constructed handle is inert.
 class Counter {
  public:
   Counter() = default;
 
   void add(std::uint64_t delta = 1) noexcept {
-#if BGLS_TELEMETRY
     if (cell_ != nullptr && enabled()) {
       cell_->count.fetch_add(delta, std::memory_order_relaxed);
     }
-#else
-    (void)delta;
-#endif
   }
 
   [[nodiscard]] std::uint64_t value() const noexcept {
@@ -116,25 +101,17 @@ class Gauge {
   Gauge() = default;
 
   void set(std::int64_t value) noexcept {
-#if BGLS_TELEMETRY
     if (cell_ != nullptr && enabled()) {
       cell_->count.store(static_cast<std::uint64_t>(value),
                          std::memory_order_relaxed);
     }
-#else
-    (void)value;
-#endif
   }
 
   void add(std::int64_t delta = 1) noexcept {
-#if BGLS_TELEMETRY
     if (cell_ != nullptr && enabled()) {
       cell_->count.fetch_add(static_cast<std::uint64_t>(delta),
                              std::memory_order_relaxed);
     }
-#else
-    (void)delta;
-#endif
   }
 
   void sub(std::int64_t delta = 1) noexcept { add(-delta); }
@@ -213,8 +190,7 @@ class MetricsRegistry {
 
   /// Finds or creates a series; throws bgls::ValueError when `name` is
   /// already registered with a different kind (or, for histograms,
-  /// different bounds). When telemetry is compiled out the returned
-  /// handles are inert and nothing is registered.
+  /// different bounds).
   [[nodiscard]] Counter counter(std::string_view name, std::string_view help);
   [[nodiscard]] Gauge gauge(std::string_view name, std::string_view help);
   [[nodiscard]] Histogram histogram(

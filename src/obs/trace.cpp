@@ -8,9 +8,7 @@ namespace bgls::obs {
 namespace {
 
 // Top of the current thread's open-span stack, for parent linking.
-// Unreferenced when telemetry is compiled out (TraceSpan's ctor/dtor
-// collapse to no-ops), hence maybe_unused.
-[[maybe_unused]] thread_local TraceSpan* t_current_span = nullptr;
+thread_local TraceSpan* t_current_span = nullptr;
 
 void fnv1a_mix(std::uint64_t& hash, const void* data, std::size_t size) {
   constexpr std::uint64_t kPrime = 1099511628211ULL;
@@ -54,7 +52,6 @@ std::vector<SpanRecord> Trace::spans() const {
 
 TraceSpan::TraceSpan(Trace* trace, std::string_view name, std::uint64_t index,
                      Nest nest) {
-#if BGLS_TELEMETRY
   if (trace == nullptr || !enabled()) return;
   trace_ = trace;
   name_ = std::string(name);
@@ -72,16 +69,9 @@ TraceSpan::TraceSpan(Trace* trace, std::string_view name, std::uint64_t index,
     t_current_span = this;
   }
   start_ = std::chrono::steady_clock::now();
-#else
-  (void)trace;
-  (void)name;
-  (void)index;
-  (void)nest;
-#endif
 }
 
 void TraceSpan::finish() {
-#if BGLS_TELEMETRY
   if (trace_ == nullptr) return;
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
@@ -89,7 +79,6 @@ void TraceSpan::finish() {
   if (t_current_span == this) t_current_span = enclosing_;
   trace_->record(SpanRecord{id_, parent_, std::move(name_), index_, seconds});
   trace_ = nullptr;
-#endif
 }
 
 }  // namespace bgls::obs

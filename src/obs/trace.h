@@ -26,10 +26,6 @@
 /// Cross-process propagation: a Trace constructed with a nonzero
 /// parent_span_id hangs its top-level spans under a span recorded by
 /// another process (the fleet front), so merged trees stitch cleanly.
-///
-/// With telemetry compiled out (BGLS_ENABLE_TELEMETRY=OFF) TraceSpan
-/// is inert and records nothing; Trace itself stays functional so
-/// containers holding traces need no conditional code.
 
 #pragma once
 
@@ -41,7 +37,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.h"  // BGLS_TELEMETRY
+#include "obs/metrics.h"  // enabled()
 
 namespace bgls::obs {
 
@@ -98,9 +94,9 @@ class Trace {
 };
 
 /// RAII scoped timer appending one SpanRecord to a Trace. A null trace
-/// (or telemetry compiled out / disabled at start) makes the span a
-/// no-op. `index` disambiguates sibling spans sharing a name — pass
-/// the shard/chunk ordinal; serial phases use the default 0.
+/// (or telemetry disabled at start) makes the span a no-op. `index`
+/// disambiguates sibling spans sharing a name — pass the shard/chunk
+/// ordinal; serial phases use the default 0.
 class TraceSpan {
  public:
   /// Parent selection when no enclosing same-trace span is open on this

@@ -62,9 +62,7 @@ class ServiceClient {
   JsonValue stats();
 
   /// Prometheus text exposition of the server's telemetry registry
-  /// (kernel/engine/scheduler/daemon series). When the server was built
-  /// with -DBGLS_ENABLE_TELEMETRY=OFF the text is a single marker
-  /// comment line.
+  /// (kernel/engine/scheduler/daemon series).
   std::string metrics_text();
 
   /// The job's span tree (the `trace` op): a response carrying

@@ -170,6 +170,7 @@ void ServiceDaemon::replay_journal() {
   };
   std::map<std::uint64_t, Pending> pending;
   std::uint64_t max_id = 0;
+  std::uint64_t unreadable_checkpoints = 0;
   for (const JsonValue& record : records) {
     const std::string type = record.string_or("type", "");
     const std::uint64_t id = record.u64_or("job", 0);
@@ -183,28 +184,22 @@ void ServiceDaemon::replay_journal() {
     if (type == "submit") {
       job.line = record.string_or("line", "");
     } else if (type == "checkpoint") {
-      const JsonValue* data = record.find("data");
-      if (data != nullptr &&
-          data->u64_or("version", 1) < RunCheckpoint::kVersion) {
-        // An older checkpoint format (version 1 carried per-stream RNG
-        // state) cannot continue under this build's keyed draws: drop
-        // every snapshot so far and rerun the job from scratch.
+      try {
+        const JsonValue* data = record.find("data");
+        BGLS_REQUIRE(data != nullptr, "checkpoint record without 'data'");
+        RunCheckpoint parsed = RunCheckpoint::from_json(*data);
+        job.checkpoint_json = parsed.to_json();
+        job.checkpoint =
+            std::make_shared<const RunCheckpoint>(std::move(parsed));
+      } catch (const Error& e) {
+        // Corrupt, or in a format this build cannot continue (another
+        // checkpoint version, a dictionary-path snapshot): the job
+        // resumes from its previous snapshot, or reruns from scratch —
+        // determinism makes the rerun byte-identical.
+        ++unreadable_checkpoints;
         obs::log(obs::LogLevel::kWarn, "daemon",
-                 "journal checkpoint has an old format; rerunning the job "
-                 "from scratch",
-                 {{"job", id}, {"version", data->u64_or("version", 1)}});
-        job.checkpoint = nullptr;
-        job.checkpoint_json.clear();
-      } else if (data != nullptr) {
-        try {
-          RunCheckpoint parsed = RunCheckpoint::from_json(*data);
-          job.checkpoint_json = parsed.to_json();
-          job.checkpoint =
-              std::make_shared<const RunCheckpoint>(std::move(parsed));
-        } catch (const Error&) {
-          // Unreadable snapshot: resume from the previous one (or from
-          // scratch — determinism makes the re-run byte-identical).
-        }
+                 "journal checkpoint unreadable; skipped",
+                 {{"job", id}, {"error", e.what()}});
       }
     } else if (type == "terminal") {
       job.terminal = true;
@@ -287,6 +282,7 @@ void ServiceDaemon::replay_journal() {
             {"evicted", evicted},
             {"resubmitted", resubmitted},
             {"dropped", dropped},
+            {"unreadable_checkpoints", unreadable_checkpoints},
             {"seconds", replay_seconds}});
 }
 
@@ -304,8 +300,7 @@ void ServiceDaemon::request_shutdown() { server_.request_shutdown(); }
 
 std::uint64_t ServiceDaemon::trace_of(std::uint64_t job) const {
   try {
-    const JobInfo info = scheduler_.info(job);
-    return info.trace != nullptr ? info.trace->id() : 0;
+    return scheduler_.info(job).trace->id();
   } catch (const std::exception&) {
     return 0;  // unknown/evicted job — log without correlation
   }
@@ -483,7 +478,6 @@ void ServiceDaemon::handle_stats(const Request& r) {
     json.key("timed_out").value(stats.timed_out);
     json.key("evicted").value(stats.evicted);
     json.key("retried").value(stats.retried);
-    json.key("preempted").value(stats.preempted);
     json.key("resumed").value(stats.resumed);
     json.key("queue_depth").value(
         static_cast<std::uint64_t>(stats.queue_depth));
@@ -515,17 +509,11 @@ void ServiceDaemon::handle_metrics(const Request& r) {
 void ServiceDaemon::handle_trace(const Request& r) {
   const std::uint64_t id = job_field(r.message);
   const JobInfo info = scheduler_.info(id);  // throws on unknown id
-  std::uint64_t trace_id = 0;
-  std::vector<obs::SpanRecord> spans;
-  if (info.trace != nullptr) {
-    trace_id = info.trace->id();
-    spans = info.trace->spans();  // sorted (name, index, id)
-  }
   r.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("job").value(id);
-    json.key("trace_id").value(trace_id);
+    json.key("trace_id").value(info.trace->id());
     json.key("spans");
-    write_spans(json, spans);
+    write_spans(json, info.trace->spans());  // sorted (name, index, id)
   }));
 }
 

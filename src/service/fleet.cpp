@@ -313,9 +313,7 @@ FleetDaemon::Route FleetDaemon::live_route(std::uint64_t global_id) const {
 std::uint64_t FleetDaemon::trace_of(std::uint64_t global_id) const {
   const std::lock_guard<std::mutex> lock(routes_mutex_);
   const auto it = routes_.find(global_id);
-  return it != routes_.end() && it->second.trace != nullptr
-             ? it->second.trace->id()
-             : 0;
+  return it != routes_.end() ? it->second.trace->id() : 0;
 }
 
 std::size_t FleetDaemon::pick_worker_locked() const {
@@ -362,17 +360,12 @@ void FleetDaemon::handle_submit(const Request& request) {
   // the (possibly fleet-minted) trace id and the fleet.place span as
   // parent_span_id; the worker's queue/run spans stitch under it. A
   // client-supplied parent_span_id becomes fleet.place's own parent.
-  std::shared_ptr<obs::Trace> trace;
-  std::string forward = request.line + "\n";
-  if constexpr (obs::kTelemetryCompiled) {
-    const std::uint64_t client_trace = message.u64_or("trace_id", 0);
-    const std::uint64_t client_parent = message.u64_or("parent_span_id", 0);
-    const std::uint64_t trace_id =
-        client_trace != 0 ? client_trace : global_id;
-    trace = std::make_shared<obs::Trace>(trace_id, client_parent);
-    forward = with_trace_context(
-        message, trace_id, obs::Trace::span_id(trace_id, "fleet.place", 0));
-  }
+  const std::uint64_t client_trace = message.u64_or("trace_id", 0);
+  const std::uint64_t trace_id = client_trace != 0 ? client_trace : global_id;
+  auto trace = std::make_shared<obs::Trace>(
+      trace_id, message.u64_or("parent_span_id", 0));
+  const std::string forward = with_trace_context(
+      message, trace_id, obs::Trace::span_id(trace_id, "fleet.place", 0));
 
   const Stopwatch place_watch;
   const std::string response_text = call(request.links, target, forward);
@@ -385,7 +378,7 @@ void FleetDaemon::handle_submit(const Request& request) {
     return;
   }
   const bool born_terminal = is_terminal_frame(response);
-  if (trace != nullptr && obs::enabled()) {
+  if (obs::enabled()) {
     trace->record({obs::Trace::span_id(trace->id(), "fleet.place", 0),
                    trace->parent(), "fleet.place", 0,
                    place_watch.seconds()});
@@ -438,7 +431,7 @@ void FleetDaemon::note_finished(std::uint64_t global_id,
   // Exactly one fleet.proxy span per job — recorded at the first
   // terminal frame, whatever op observed it — so the merged tree is
   // deterministic however many times the client polled.
-  if (trace != nullptr && obs::enabled()) {
+  if (obs::enabled()) {
     trace->record({obs::Trace::span_id(trace->id(), "fleet.proxy", 0),
                    trace->parent(), "fleet.proxy", 0, proxy_seconds});
   }
@@ -495,36 +488,33 @@ void FleetDaemon::handle_stats(const Request& request) {
 }
 
 void FleetDaemon::handle_metrics(const Request& request) {
+  // The fleet's own series first (no worker label — they describe the
+  // front), then each live worker's scrape with worker="N" injected
+  // into every series line. HELP/TYPE headers repeat per family name;
+  // keep the first and drop duplicates so the merged exposition stays
+  // valid.
   std::string text =
       obs::to_prometheus(obs::MetricsRegistry::global().snapshot());
-  if constexpr (obs::kTelemetryCompiled) {
-    // The fleet's own series first (no worker label — they describe
-    // the front), then each live worker's scrape with worker="N"
-    // injected into every series line. HELP/TYPE headers repeat per
-    // family name; keep the first and drop duplicates so the merged
-    // exposition stays valid. (Compiled out, the text is the marker
-    // comment alone, matching the workers' own exposition.)
-    std::set<std::string> seen_headers;
-    for (const auto& [worker, response] :
-         ask_live_workers(request.links, "metrics")) {
-      const std::string scrape = response.string_or("metrics", "");
-      std::size_t start = 0;
-      while (start < scrape.size()) {
-        const std::size_t end = scrape.find('\n', start);
-        const std::string line =
-            scrape.substr(start, end == std::string::npos ? std::string::npos
-                                                          : end - start);
-        start = end == std::string::npos ? scrape.size() : end + 1;
-        if (line.empty()) continue;
-        if (line[0] == '#') {
-          // "# HELP name ..." / "# TYPE name ..." — keyed per line
-          // text minus the worker-independent suffix is fine: the
-          // whole line is identical across workers.
-          if (seen_headers.insert(line).second) text += line + "\n";
-          continue;
-        }
-        text += with_worker_label(line, worker) + "\n";
+  std::set<std::string> seen_headers;
+  for (const auto& [worker, response] :
+       ask_live_workers(request.links, "metrics")) {
+    const std::string scrape = response.string_or("metrics", "");
+    std::size_t start = 0;
+    while (start < scrape.size()) {
+      const std::size_t end = scrape.find('\n', start);
+      const std::string line =
+          scrape.substr(start, end == std::string::npos ? std::string::npos
+                                                        : end - start);
+      start = end == std::string::npos ? scrape.size() : end + 1;
+      if (line.empty()) continue;
+      if (line[0] == '#') {
+        // "# HELP name ..." / "# TYPE name ..." — keyed per line text
+        // minus the worker-independent suffix is fine: the whole line
+        // is identical across workers.
+        if (seen_headers.insert(line).second) text += line + "\n";
+        continue;
       }
+      text += with_worker_label(line, worker) + "\n";
     }
   }
   request.socket.write_all(response_line(true, [&](JsonWriter& json) {
@@ -545,12 +535,8 @@ void FleetDaemon::handle_trace(const Request& request) {
   // trace id, re-sorted into the canonical (name, index, id) order so
   // the merged view is byte-stable.
   std::vector<obs::SpanRecord> spans = parse_spans(response);
-  std::uint64_t trace_id = response.u64_or("trace_id", 0);
-  if (route.trace != nullptr) {
-    trace_id = route.trace->id();
-    const std::vector<obs::SpanRecord> fleet_spans = route.trace->spans();
-    spans.insert(spans.end(), fleet_spans.begin(), fleet_spans.end());
-  }
+  const std::vector<obs::SpanRecord> fleet_spans = route.trace->spans();
+  spans.insert(spans.end(), fleet_spans.begin(), fleet_spans.end());
   std::sort(spans.begin(), spans.end(),
             [](const obs::SpanRecord& a, const obs::SpanRecord& b) {
               return std::tie(a.name, a.index, a.id) <
@@ -558,7 +544,7 @@ void FleetDaemon::handle_trace(const Request& request) {
             });
   request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("job").value(global_id);
-    json.key("trace_id").value(trace_id);
+    json.key("trace_id").value(route.trace->id());
     json.key("spans");
     write_spans(json, spans);
   }));

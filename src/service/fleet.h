@@ -136,7 +136,7 @@ class FleetDaemon {
     bool finished = false;
     /// The fleet side of the job's distributed trace: fleet.place /
     /// fleet.proxy spans, stitched with the worker's spans by the
-    /// `trace` op. Null when telemetry is compiled out.
+    /// `trace` op.
     std::shared_ptr<obs::Trace> trace;
   };
 

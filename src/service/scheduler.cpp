@@ -67,21 +67,13 @@ struct JobScheduler::Job {
   bool cancel_requested = false;
   std::chrono::steady_clock::time_point cancel_requested_at;
   /// Latest resumable snapshot (core/checkpoint.h), fed by the
-  /// checkpoint sink installed at submit; what retries and preemption
-  /// resume from.
+  /// checkpoint sink installed at submit; what retries resume from.
   std::shared_ptr<const RunCheckpoint> checkpoint;
-  /// Scheduler-initiated cancel (checkpoint-and-preempt): the
-  /// CancelledError it causes re-queues the job instead of ending it.
-  bool preempt_requested = false;
   /// Transient-failure retries consumed.
   std::uint64_t retries = 0;
   /// Earliest time a re-queued job may start (retry backoff).
   std::chrono::steady_clock::time_point ready_at;
-  /// Original deadline, re-armed when preemption mints a fresh token.
-  bool has_deadline = false;
-  std::chrono::steady_clock::time_point deadline_at;
-  /// The job's trace (span IDs derived from the job id); null when
-  /// telemetry is compiled out.
+  /// The job's trace (span IDs derived from the job id).
   std::shared_ptr<obs::Trace> trace;
 };
 
@@ -104,7 +96,6 @@ struct SchedulerMetrics {
   obs::Counter cancelled;
   obs::Counter timed_out;
   obs::Counter retried;
-  obs::Counter preempted;
   obs::Counter resumed;
   /// Admission rejections by reason (rejected aggregates all of them).
   obs::Counter rejected_queue_full;
@@ -148,13 +139,9 @@ struct SchedulerMetrics {
     retried = registry.counter(
         "bgls_jobs_retried_total",
         "Transiently failed jobs re-queued with backoff");
-    preempted = registry.counter(
-        "bgls_scheduler_preempted_total",
-        "Running jobs checkpoint-and-preempted by higher-priority work");
     resumed = registry.counter(
         "bgls_jobs_resumed_total",
-        "Runs started from a checkpoint (retries, preemptions, journal "
-        "replays)");
+        "Runs started from a checkpoint (retries, journal replays)");
     queue_depth = registry.gauge("bgls_scheduler_queue_depth",
                                  "Jobs currently queued (not yet running)");
     running =
@@ -316,10 +303,8 @@ std::uint64_t JobScheduler::submit_impl(RunRequest request,
   job->token = request.cancel_token.valid() ? request.cancel_token
                                             : CancellationToken::make();
   if (request.deadline_ms > 0) {
-    job->has_deadline = true;
-    job->deadline_at = job->submitted_at +
-                       std::chrono::milliseconds(request.deadline_ms);
-    job->token.set_deadline(job->deadline_at);
+    job->token.set_deadline(job->submitted_at +
+                            std::chrono::milliseconds(request.deadline_ms));
   }
   request.cancel_token = job->token;
   // Deadline already armed; Session::run must not re-arm it later
@@ -386,24 +371,21 @@ std::uint64_t JobScheduler::submit_impl(RunRequest request,
     job->id = forced_id != 0 ? forced_id : next_id_++;
     job->seq = job->id;
     job->request = std::move(request);
-    if constexpr (obs::kTelemetryCompiled) {
-      // One trace per job. A propagated context wins: span IDs then
-      // derive from the cross-process trace id and the queue/run spans
-      // hang under the caller's parent span (the fleet front's
-      // fleet.place). Otherwise the job id identifies the trace, as
-      // before — stable across runs and thread counts either way.
-      const std::uint64_t trace_id = job->request.trace_id != 0
-                                         ? job->request.trace_id
-                                         : job->id;
-      job->trace =
-          std::make_shared<obs::Trace>(trace_id, job->request.trace_parent);
-      // Session/engine spans (optimize/sample/shard/evolve) open with
-      // no enclosing span on their thread; the root fallback parents
-      // them under the job's "run" span, one deterministic tree
-      // regardless of which thread records them.
-      job->trace->set_root(obs::Trace::span_id(trace_id, "run", 0));
-      job->request.trace = job->trace.get();
-    }
+    // One trace per job. A propagated context wins: span IDs then
+    // derive from the cross-process trace id and the queue/run spans
+    // hang under the caller's parent span (the fleet front's
+    // fleet.place). Otherwise the job id identifies the trace —
+    // stable across runs and thread counts either way.
+    const std::uint64_t trace_id =
+        job->request.trace_id != 0 ? job->request.trace_id : job->id;
+    job->trace =
+        std::make_shared<obs::Trace>(trace_id, job->request.trace_parent);
+    // Session/engine spans (optimize/sample/shard/evolve) open with no
+    // enclosing span on their thread; the root fallback parents them
+    // under the job's "run" span, one deterministic tree regardless of
+    // which thread records them.
+    job->trace->set_root(obs::Trace::span_id(trace_id, "run", 0));
+    job->request.trace = job->trace.get();
 
     TenantState& tenant = tenant_locked(job->tenant);
     ++stats_.submitted;
@@ -437,9 +419,8 @@ std::uint64_t JobScheduler::submit_impl(RunRequest request,
             };
       }
 
-      // Capture resumable snapshots on the job (what retries,
-      // preemption, and the journal resume from), then forward to any
-      // caller sink.
+      // Capture resumable snapshots on the job (what retries and the
+      // journal resume from), then forward to any caller sink.
       const std::uint64_t checkpoint_every =
           raw->request.checkpoint.every > 0 ? raw->request.checkpoint.every
                                             : options_.checkpoint_every;
@@ -480,7 +461,6 @@ std::uint64_t JobScheduler::submit_impl(RunRequest request,
       queue_.push_back(job);
       metrics.queue_depth.set(
           static_cast<std::int64_t>(queue_.size() + delayed_.size()));
-      if (options_.preempt_lower_priority) maybe_preempt_locked(job);
     }
   }
   if (job->from_cache) {
@@ -489,33 +469,6 @@ std::uint64_t JobScheduler::submit_impl(RunRequest request,
     work_available_.notify_one();
   }
   return job->id;
-}
-
-void JobScheduler::maybe_preempt_locked(const JobPtr& incoming) {
-  // Only worth displacing someone when no runner will pick the new job
-  // up anyway.
-  std::size_t running = 0;
-  JobPtr victim;
-  for (const auto& [id, job] : jobs_) {
-    if (job->state != JobState::kRunning) continue;
-    ++running;
-    if (job->preempt_requested || job->cancel_requested) continue;
-    if (!victim || job->priority < victim->priority) victim = job;
-  }
-  if (running < static_cast<std::size_t>(
-                    std::max(1, options_.max_concurrent_jobs))) {
-    return;  // a runner is (or is about to be) free
-  }
-  if (!victim || victim->priority >= incoming->priority) return;
-  victim->preempt_requested = true;
-  victim->token.cancel();
-  ++stats_.preempted;
-  SchedulerMetrics::instance().preempted.add();
-  obs::log(obs::LogLevel::kInfo, "scheduler", "job preempted",
-           {{"victim_priority", victim->priority},
-            {"incoming_priority", incoming->priority},
-            {"tenant", victim->tenant}},
-           victim->trace ? victim->trace->id() : 0, victim->id);
 }
 
 bool JobScheduler::cancel(std::uint64_t id) {
@@ -688,12 +641,10 @@ void JobScheduler::runner_loop() {
           seconds_between(job->submitted_at, job->started_at);
       metrics.queue_wait.observe(queue_wait);
       metrics.running.add(1);
-      if (job->trace) {
-        // Queue wait as a manually recorded span: no scope existed while
-        // the job sat in the queue.
-        job->trace->record({obs::Trace::span_id(job->trace->id(), "queue", 0),
-                            job->trace->parent(), "queue", 0, queue_wait});
-      }
+      // Queue wait as a manually recorded span: no scope existed while
+      // the job sat in the queue.
+      job->trace->record({obs::Trace::span_id(job->trace->id(), "queue", 0),
+                          job->trace->parent(), "queue", 0, queue_wait});
     }
     job_changed_.notify_all();
     run_job(job);
@@ -752,30 +703,20 @@ void JobScheduler::run_job(const JobPtr& job) {
     options_.result_cache->insert(job->cache_key, result);
   }
 
-  bool requeued = false;
   std::optional<JobInfo> terminal;
+  bool requeued = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    SchedulerMetrics& metrics = SchedulerMetrics::instance();
-    const auto now = std::chrono::steady_clock::now();
-
-    // Checkpoint-and-preempt: the cancel was ours, not the caller's —
-    // re-queue to resume from the latest snapshot (the burned token is
-    // replaced; an armed deadline keeps its original expiry).
-    if (state == JobState::kCancelled && job->preempt_requested &&
-        !job->cancel_requested && !stopping_) {
-      metrics.running.sub(1);
-      metrics.run_seconds.observe(seconds_between(job->started_at, now));
-      requeue_locked(job, now, /*fresh_token=*/true);
-      requeued = true;
-    } else if (state == JobState::kFailed && transient && !stopping_ &&
+    requeued = state == JobState::kFailed && transient && !stopping_ &&
                !job->cancel_requested &&
-               job->retries <
-                   static_cast<std::uint64_t>(
-                       std::max(0, options_.max_retries))) {
+               job->retries < static_cast<std::uint64_t>(
+                                  std::max(0, options_.max_retries));
+    if (requeued) {
       // Transient failure with retry budget left: exponential backoff
       // with deterministic jitter (seeded by job id and attempt so
       // retry storms decorrelate without perturbing run results).
+      SchedulerMetrics& metrics = SchedulerMetrics::instance();
+      const auto now = std::chrono::steady_clock::now();
       ++job->retries;
       ++stats_.retried;
       metrics.retried.add();
@@ -792,12 +733,9 @@ void JobScheduler::run_job(const JobPtr& job) {
                {{"attempt", job->retries},
                 {"backoff_ms", backoff},
                 {"error", error}},
-               job->trace ? job->trace->id() : 0, job->id);
-      requeue_locked(job, now + std::chrono::milliseconds(backoff),
-                     /*fresh_token=*/false);
-      requeued = true;
-    }
-    if (!requeued) {
+               job->trace->id(), job->id);
+      requeue_locked(job, now + std::chrono::milliseconds(backoff));
+    } else {
       terminal = finish_locked(job, state, std::move(error), std::move(result));
     }
   }
@@ -814,22 +752,13 @@ void JobScheduler::run_job(const JobPtr& job) {
 }
 
 void JobScheduler::requeue_locked(
-    const JobPtr& job, std::chrono::steady_clock::time_point ready_at,
-    bool fresh_token) {
-  job->preempt_requested = false;
-  if (fresh_token) {
-    // The old token was cancelled to force the preemption and cannot be
-    // reset; cancel(id) keeps working through the replacement.
-    job->token = CancellationToken::make();
-    if (job->has_deadline) job->token.set_deadline(job->deadline_at);
-    job->request.cancel_token = job->token;
-  }
+    const JobPtr& job, std::chrono::steady_clock::time_point ready_at) {
   if (job->checkpoint) job->request.resume = job->checkpoint;
   job->state = JobState::kQueued;
   job->ready_at = ready_at;
   // Back from running to queued: the tenant's running slot frees up and
   // its backlog share returns. The original vtime tag is kept — the
-  // fair-share charge was paid at submission, and a preempted job
+  // fair-share charge was paid at submission, and a retried job
   // should resume ahead of work submitted after it.
   TenantState& tenant = tenant_locked(job->tenant);
   if (tenant.running > 0) --tenant.running;
@@ -882,10 +811,8 @@ std::optional<JobInfo> JobScheduler::finish_locked(
     const double run_seconds =
         seconds_between(job->started_at, job->finished_at);
     metrics.run_seconds.observe(run_seconds);
-    if (job->trace) {
-      job->trace->record({obs::Trace::span_id(job->trace->id(), "run", 0),
-                          job->trace->parent(), "run", 0, run_seconds});
-    }
+    job->trace->record({obs::Trace::span_id(job->trace->id(), "run", 0),
+                        job->trace->parent(), "run", 0, run_seconds});
   } else if (!job->from_cache) {
     // Ended in the queue: all of its life was queue wait.
     metrics.queue_wait.observe(

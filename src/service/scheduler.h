@@ -134,8 +134,7 @@ struct JobInfo {
   std::uint64_t retries = 0;
   /// The job's telemetry trace (obs/trace.h): queue/run spans from the
   /// scheduler plus shard/phase spans from the layers below, with span
-  /// IDs deterministically derived from the job id. Null when telemetry
-  /// is compiled out.
+  /// IDs deterministically derived from the job id.
   std::shared_ptr<const obs::Trace> trace;
 };
 
@@ -154,11 +153,9 @@ struct SchedulerStats {
   /// Terminal jobs forgotten by the retention bound (their ids became
   /// unknown; the counters above still include them).
   std::uint64_t evicted = 0;
-  /// Crash-safety counters: transient-failure retries, checkpoint-and-
-  /// preempt evictions of running jobs, and runs that started from a
-  /// checkpoint (retry resumes, preemption resumes, journal replays).
+  /// Crash-safety counters: transient-failure retries, and runs that
+  /// started from a checkpoint (retry resumes, journal replays).
   std::uint64_t retried = 0;
-  std::uint64_t preempted = 0;
   std::uint64_t resumed = 0;
   std::size_t queue_depth = 0;
   std::size_t running = 0;
@@ -217,8 +214,8 @@ struct SchedulerOptions {
   std::size_t max_retained_jobs = 1024;
   /// Checkpoint cadence installed on every job (repetitions between
   /// resumable snapshots; 0 = off). A job's own checkpoint cadence, if
-  /// set, wins. Checkpoints feed the retry/preemption resume path and
-  /// the on_checkpoint journal hook.
+  /// set, wins. Checkpoints feed the retry resume path and the
+  /// on_checkpoint journal hook.
   std::uint64_t checkpoint_every = 0;
   /// Transiently failed jobs (anything but invalid-request errors) are
   /// re-queued up to this many times, resuming from their latest
@@ -227,11 +224,6 @@ struct SchedulerOptions {
   /// [0, backoff_base_ms).
   int max_retries = 0;
   std::uint64_t backoff_base_ms = 100;
-  /// Checkpoint-and-preempt: when every runner is busy and a submission
-  /// outranks a running job, the lowest-priority running job is
-  /// cancelled mid-run and re-queued to resume from its latest
-  /// checkpoint once a runner frees up.
-  bool preempt_lower_priority = false;
   /// Event hooks for write-ahead journaling (service/journal.h). All
   /// are optional, invoked outside the scheduler lock (on_evict inside
   /// it — it must not call back into the scheduler), and exceptions
@@ -350,16 +342,12 @@ class JobScheduler {
   void runner_loop();
   /// Executes one dequeued job outside the lock.
   void run_job(const JobPtr& job);
-  /// Re-queues a preempted or transiently failed job to resume from its
-  /// latest checkpoint; jobs with a future `ready_at` wait in delayed_.
+  /// Re-queues a transiently failed job to resume from its latest
+  /// checkpoint; jobs with a future `ready_at` wait in delayed_.
   void requeue_locked(const JobPtr& job,
-                      std::chrono::steady_clock::time_point ready_at,
-                      bool fresh_token);
+                      std::chrono::steady_clock::time_point ready_at);
   /// Moves delayed_ jobs whose backoff has elapsed into the ready heap.
   void promote_delayed_locked();
-  /// Checkpoint-and-preempts the lowest-priority running job when
-  /// `incoming` outranks it and no runner is free.
-  void maybe_preempt_locked(const JobPtr& incoming);
   /// The one terminal transition, whichever way the job ended (cache
   /// hit, cancel or deadline while queued, end of run): state and
   /// result, per-state counters and metrics, run time and span (or

@@ -718,39 +718,30 @@ struct KernelMetrics {
 };
 
 /// Counts (always) and times (large states only) one apply.
-class [[maybe_unused]] TimedApply {
+class TimedApply {
  public:
   TimedApply(int cls, std::size_t dim) noexcept {
-#if BGLS_TELEMETRY
     cls_ = cls;
     KernelMetrics::instance().applies[cls_].add();
     if (dim >= kTimedApplyDim && obs::enabled()) {
       timed_ = true;
       start_ = std::chrono::steady_clock::now();
     }
-#else
-    (void)cls;
-    (void)dim;
-#endif
   }
 
   ~TimedApply() {
-#if BGLS_TELEMETRY
     if (timed_) {
       KernelMetrics::instance().seconds[cls_].observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start_)
               .count());
     }
-#endif
   }
 
  private:
-#if BGLS_TELEMETRY
   int cls_ = 0;
   bool timed_ = false;
   std::chrono::steady_clock::time_point start_;
-#endif
 };
 
 int class_index(GateClass cls) {

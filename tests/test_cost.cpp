@@ -26,7 +26,6 @@ CircuitProfile channel_profile(int n, std::size_t ops = 20) {
   profile.num_operations = ops;
   profile.has_channels = true;
   profile.clifford_only = false;
-  profile.near_clifford = false;
   return profile;
 }
 

@@ -3,8 +3,8 @@
 /// append/replay round trips, torn-record tolerance (the kill -9
 /// case), compaction, the "journal_write" fault-injection path that
 /// tears an append on purpose, and daemon replay of a journal holding
-/// a version-1 checkpoint (warn, then rerun from scratch) or a
-/// dictionary-path checkpoint (rerun from scratch).
+/// a version-1 or a dictionary-path checkpoint (warn, then rerun from
+/// scratch).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/session.h"
@@ -56,6 +57,27 @@ class JournalTest : public ::testing::Test {
 
   std::string path_;
 };
+
+/// True when the daemon warn-logged that it skipped job `job`'s
+/// unreadable journal checkpoint with an error naming `cause`.
+bool warned_unreadable_checkpoint(std::uint64_t job, std::string_view cause) {
+  for (const obs::LogRecord& record :
+       obs::Logger::global().tail(100, obs::LogLevel::kWarn)) {
+    if (record.component != "daemon" ||
+        record.message.find("unreadable") == std::string::npos) {
+      continue;
+    }
+    bool same_job = false;
+    bool names_cause = false;
+    for (const obs::LogField& field : record.fields) {
+      same_job |= field.key == "job" && field.uint_value == job;
+      names_cause |= field.key == "error" &&
+                     field.text.find(cause) != std::string::npos;
+    }
+    if (same_job && names_cause) return true;
+  }
+  return false;
+}
 
 TEST_F(JournalTest, Crc32KnownAnswer) {
   // The IEEE 802.3 check value for "123456789".
@@ -245,23 +267,15 @@ TEST_F(JournalTest, ReplayRerunsVersionOneCheckpointFromScratch) {
                         service::report_context(request,
                                                 request.circuit.num_qubits()),
                         session.run(request)));
-  if constexpr (obs::kTelemetryCompiled) {
-    bool warned = false;
-    for (const obs::LogRecord& record :
-         obs::Logger::global().tail(100, obs::LogLevel::kWarn)) {
-      warned |= record.component == "daemon" &&
-                record.message.find("old format") != std::string::npos;
-    }
-    EXPECT_TRUE(warned);
-  }
+  EXPECT_TRUE(warned_unreadable_checkpoint(1, "version 1"));
 }
 
 TEST_F(JournalTest, ReplayRerunsDictionaryModeCheckpointFromScratch) {
   // A journal left by a build that checkpointed the dictionary path: one
   // batched job plus the snapshot such a build wrote first (its key and
   // split with nothing done). This build reads a dictionary-path
-  // snapshot as unusable, so replay reruns the job from the start, to
-  // the bytes a fresh run produces.
+  // snapshot as unusable, so replay logs a warning and reruns the job
+  // from the start, to the bytes a fresh run produces.
   service::SubmitArgs args;
   args.qasm =
       "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n"
@@ -290,6 +304,7 @@ TEST_F(JournalTest, ReplayRerunsDictionaryModeCheckpointFromScratch) {
         R"("completed":0,"histograms":{}}]}})");
   }
 
+  obs::Logger::global().reset_for_testing();
   service::DaemonOptions options;
   options.endpoint = service::Endpoint::unix_socket(path_ + ".sock");
   options.journal_path = path_;
@@ -307,6 +322,7 @@ TEST_F(JournalTest, ReplayRerunsDictionaryModeCheckpointFromScratch) {
                         service::report_context(request,
                                                 request.circuit.num_qubits()),
                         session.run(request)));
+  EXPECT_TRUE(warned_unreadable_checkpoint(1, "'dictionary' path"));
 }
 
 TEST_F(JournalTest, AppendOnClosedJournalThrows) {

@@ -1,9 +1,8 @@
 /// \file test_log.cpp
 /// The structured logger (obs/log.h): ndjson golden lines, level
 /// parsing and filtering, ring-buffer bounds and tail filters, file
-/// sink + reopen (rotation), and compiled-out inertness. The suite
-/// runs under TSan in CI (the logger is hammered from many threads by
-/// the serving stack).
+/// sink + reopen (rotation). The suite runs under TSan in CI (the
+/// logger is hammered from many threads by the serving stack).
 
 #include <gtest/gtest.h>
 
@@ -98,8 +97,6 @@ TEST(FormatLogLine, EscapesMessageAndParsesBack) {
   EXPECT_EQ(parsed.find("fields")->string_or("endpoint", ""),
             "unix:/tmp/w0.sock");
 }
-
-#if BGLS_TELEMETRY
 
 TEST_F(LogTest, LevelGateFiltersRecords) {
   Logger& logger = Logger::global();
@@ -224,34 +221,6 @@ TEST_F(LogTest, ConcurrentEmittersLoseNothing) {
   EXPECT_EQ(logger.tail(200'000, LogLevel::kDebug).size(),
             static_cast<std::size_t>(kThreads) * kPerThread);
 }
-
-#else  // !BGLS_TELEMETRY
-
-TEST(LogCompiledOut, EverythingIsInert) {
-  Logger& logger = Logger::global();
-  logger.set_level(LogLevel::kDebug);
-  logger.log(LogLevel::kError, "t", "never stored");
-  EXPECT_EQ(logger.emitted(), 0u);
-  EXPECT_TRUE(logger.tail(100, LogLevel::kDebug).empty());
-
-  // open_file reports success but creates nothing — there is no sink
-  // to open.
-  const std::string path =
-      ::testing::TempDir() + "/bgls_log_compiled_out.ndjson";
-  std::remove(path.c_str());
-  EXPECT_TRUE(logger.open_file(path));
-  logger.log(LogLevel::kError, "t", "never written");
-  logger.close_file();
-  std::ifstream in(path);
-  EXPECT_FALSE(in.good());
-
-  // The free-function front door is equally inert (and still pays for
-  // none of its arguments' formatting).
-  obs::log(LogLevel::kError, "t", "no-op", {{"k", 1}});
-  EXPECT_EQ(logger.emitted(), 0u);
-}
-
-#endif  // BGLS_TELEMETRY
 
 }  // namespace
 }  // namespace bgls

@@ -26,8 +26,6 @@ using obs::SpanRecord;
 using obs::Trace;
 using obs::TraceSpan;
 
-#if BGLS_TELEMETRY
-
 TEST(MetricsRegistry, CounterConcurrentIncrementsAreExact) {
   MetricsRegistry registry;
   obs::Counter counter = registry.counter("t_ops_total", "ops");
@@ -170,7 +168,6 @@ TEST(Exposition, JsonDumpParses) {
   std::ostringstream os;
   obs::write_metrics_json(os, registry.snapshot());
   const JsonValue doc = JsonValue::parse(os.str());
-  EXPECT_TRUE(doc.bool_or("telemetry_compiled", false));
   const JsonValue* series = doc.find("series");
   ASSERT_NE(series, nullptr);
   ASSERT_EQ(series->items().size(), 2u);  // name-sorted: t_seconds, t_total
@@ -256,43 +253,6 @@ TEST(TraceSpans, SpanIdNeverZero) {
   EXPECT_NE(Trace::span_id(0, "", 0), 0u);
   EXPECT_NE(Trace::span_id(42, "shard", 3), 0u);
 }
-
-#else  // telemetry compiled out
-
-TEST(MetricsRegistry, CompiledOutHandlesAreInert) {
-  MetricsRegistry registry;
-  obs::Counter counter = registry.counter("t_total", "help");
-  obs::Gauge gauge = registry.gauge("t_depth", "help");
-  obs::Histogram histogram = registry.histogram("t_seconds", "help");
-  counter.add(5);
-  gauge.set(3);
-  histogram.observe(0.1);
-  EXPECT_EQ(counter.value(), 0u);
-  EXPECT_EQ(gauge.value(), 0);
-  EXPECT_EQ(histogram.count(), 0u);
-  EXPECT_TRUE(registry.snapshot().empty());
-  EXPECT_FALSE(obs::kTelemetryCompiled);
-}
-
-TEST(Exposition, CompiledOutEmitsMarker) {
-  const std::string text = obs::to_prometheus(MetricsRegistry().snapshot());
-  EXPECT_NE(text.find("telemetry compiled out"), std::string::npos);
-  std::ostringstream os;
-  obs::write_metrics_json(os, MetricsRegistry().snapshot());
-  const JsonValue doc = JsonValue::parse(os.str());
-  EXPECT_FALSE(doc.bool_or("telemetry_compiled", true));
-}
-
-TEST(TraceSpans, CompiledOutRecordsNothing) {
-  Trace trace(5);
-  {
-    TraceSpan span(&trace, "x");
-    EXPECT_EQ(span.id(), 0u);
-  }
-  EXPECT_TRUE(trace.spans().empty());
-}
-
-#endif  // BGLS_TELEMETRY
 
 }  // namespace
 }  // namespace bgls

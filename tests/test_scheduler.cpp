@@ -336,7 +336,6 @@ TEST(JobScheduler, StatsSurviveRetentionEviction) {
   EXPECT_EQ(stats.evicted, 6u);
 }
 
-#if BGLS_TELEMETRY
 TEST(JobScheduler, JobTraceRecordsQueueAndRunSpans) {
   JobScheduler scheduler;
   const std::uint64_t id = scheduler.submit(small_job(11));
@@ -362,7 +361,6 @@ TEST(JobScheduler, JobTraceRecordsQueueAndRunSpans) {
   EXPECT_TRUE(saw_queue);
   EXPECT_TRUE(saw_run);
 }
-#endif  // BGLS_TELEMETRY
 
 TEST(JobScheduler, ResultCarriesSchedulingPhaseTimes) {
   JobScheduler scheduler;
@@ -370,7 +368,7 @@ TEST(JobScheduler, ResultCarriesSchedulingPhaseTimes) {
   const JobInfo info = scheduler.wait(id);
   ASSERT_EQ(info.state, JobState::kDone);
   ASSERT_NE(info.result, nullptr);
-  // Filled regardless of the telemetry build flag (plain clock reads).
+  // Plain clock reads, filled whether or not telemetry is enabled.
   EXPECT_GE(info.result->stats.queue_wait_ms, 0.0);
   EXPECT_GT(info.result->stats.sample_ms, 0.0);
 }
@@ -431,36 +429,31 @@ TEST(JobScheduler, InvalidRequestIsNotRetried) {
   EXPECT_EQ(scheduler.stats().retried, 0u);
 }
 
-TEST(JobScheduler, PreemptionCheckpointsResumesAndStaysCorrect) {
+TEST(JobScheduler, RetryAfterACheckpointResumesFromIt) {
   SchedulerOptions options;
-  options.max_concurrent_jobs = 1;
-  options.preempt_lower_priority = true;
-  options.checkpoint_every = 50;
+  options.max_retries = 3;
+  options.backoff_base_ms = 1;
   JobScheduler scheduler(options);
 
-  // A low-priority job big enough to be mid-run (and past a checkpoint
-  // boundary: a run takes its first snapshot once a shard has done
-  // some work) when the high-priority one arrives.
-  std::atomic<bool> checkpointed{false};
-  const std::uint64_t low = scheduler.submit(
-      small_job(31, 20'000).with_priority(-1).with_checkpoint(
-          50, [&](const RunCheckpoint&) { checkpointed = true; }));
-  while (!checkpointed) std::this_thread::sleep_for(1ms);
-
-  const std::uint64_t high = scheduler.submit(small_job(4).with_priority(9));
-  EXPECT_EQ(scheduler.wait(high).state, JobState::kDone);
-
-  // The preempted job resumes from its checkpoint and still finishes
-  // with the canonical result — the determinism oracle for resume.
-  const JobInfo info = scheduler.wait(low);
+  // The job's first snapshot arms one mid-shard abort, so the first
+  // attempt fails after work was checkpointed and the retry resumes
+  // from that snapshot instead of rerunning from scratch.
+  std::atomic<bool> armed{false};
+  const std::uint64_t id = scheduler.submit(
+      small_job(43, 2'000).with_checkpoint(50, [&](const RunCheckpoint&) {
+        if (!armed.exchange(true)) fault::arm("shard_run", 1.0, 5, 1);
+      }));
+  const JobInfo info = scheduler.wait(id);
+  fault::disarm_all();
   ASSERT_EQ(info.state, JobState::kDone);
-  const SchedulerStats stats = scheduler.stats();
-  EXPECT_GE(stats.preempted, 1u);
-  EXPECT_GE(stats.resumed, 1u);
-  EXPECT_LT(scheduler.info(high).start_order, info.start_order);
+  EXPECT_EQ(info.retries, 1u);
+  EXPECT_EQ(scheduler.stats().retried, 1u);
+  EXPECT_EQ(scheduler.stats().resumed, 1u);
+
+  // Resumed or not, the result is the canonical one.
   Session session;
   EXPECT_EQ(info.result->measurements.histogram("m"),
-            session.run(small_job(31, 20'000)).measurements.histogram("m"));
+            session.run(small_job(43, 2'000)).measurements.histogram("m"));
 }
 
 TEST(JobScheduler, RetryBacklogCountsAgainstQueueDepth) {
@@ -583,7 +576,6 @@ TEST(JobScheduler, OnTerminalFiresOncePerTerminalPath) {
   EXPECT_TRUE(fired_for(shutdown_queued).empty());
 }
 
-#if BGLS_TELEMETRY
 TEST(JobScheduler, DestructorResetsQueueGaugeAndCountsCancelled) {
   // Regression: the destructor used to leave the process-wide
   // bgls_scheduler_queue_depth gauge at its last value and never folded
@@ -614,7 +606,6 @@ TEST(JobScheduler, DestructorResetsQueueGaugeAndCountsCancelled) {
   EXPECT_EQ(series(cancelled_name).count, cancelled_before + 3);
   EXPECT_EQ(series("bgls_scheduler_queue_depth").gauge, 0.0);
 }
-#endif  // BGLS_TELEMETRY
 
 TEST(JobScheduler, WaitTimeoutReturnsLiveSnapshot) {
   SchedulerOptions options;

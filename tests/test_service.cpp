@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "api/session.h"
-#include "obs/metrics.h"
 #include "qasm/qasm.h"
 #include "service/client.h"
 #include "service/daemon.h"
@@ -229,7 +228,6 @@ void expect_over_cap_line_rejected(const Endpoint& endpoint) {
 /// every op it answers, and its request-latency histogram.
 void expect_request_series(const Endpoint& endpoint, const std::string& prefix,
                            const std::vector<std::string>& ops) {
-  if constexpr (!obs::kTelemetryCompiled) GTEST_SKIP() << "telemetry off";
   const std::string text = ServiceClient(endpoint).metrics_text();
   for (const std::string& op : ops) {
     const std::string series =
@@ -427,10 +425,7 @@ TEST_F(FleetFrontTest, LinesGrownByForwardingKeepTheWorkerLive) {
     const JsonValue response = client.roundtrip(*line);
     EXPECT_FALSE(response.bool_or("ok", true));
     EXPECT_NE(response.string_or("code", ""), "worker_down");
-    if constexpr (obs::kTelemetryCompiled) {
-      // Only with telemetry does the front re-emit a submit.
-      EXPECT_EQ(response.string_or("code", ""), "line_too_long");
-    }
+    EXPECT_EQ(response.string_or("code", ""), "line_too_long");
     EXPECT_TRUE(fleet_->workers()[0].alive);
   }
   expect_serves_a_job(client);

@@ -141,7 +141,6 @@ TEST(BackendSelector, ProfileExtractsRoutingFeatures) {
 
   const CircuitProfile clifford = profile_circuit(clifford_workload());
   EXPECT_TRUE(clifford.clifford_only);
-  EXPECT_TRUE(clifford.near_clifford);
   EXPECT_FALSE(clifford.has_channels);
 }
 
@@ -217,6 +216,25 @@ TEST(SessionDifferential, AutoMpsMatchesDirectRunBitForBit) {
   EXPECT_EQ(result.backend_id, BackendId::kMps);
   EXPECT_EQ(result.measurements.histogram("m"),
             direct_histogram(circuit, MPSState(14), 20000, 45));
+}
+
+TEST(SessionDifferential, SixtyFourQubitMpsMatchesDirectRun) {
+  // A GHZ on every qubit a Bitstring holds: one wider than CH form, so
+  // kAuto routes it to the MPS, which the backend must then accept.
+  Circuit circuit{h(0)};
+  for (int q = 0; q + 1 < 64; ++q) circuit.append(cnot(q, q + 1));
+  circuit = testing::with_terminal_measurement(std::move(circuit), 64);
+  const Counts direct = direct_histogram(circuit, MPSState(64), 200, 46);
+  Session session;
+  const RunResult routed = session.run(circuit, 200, 46);
+  EXPECT_EQ(routed.backend_id, BackendId::kMps);
+  EXPECT_EQ(routed.measurements.histogram("m"), direct);
+  const RunResult named = session.run(RunRequest()
+                                          .with_circuit(circuit)
+                                          .with_repetitions(200)
+                                          .with_seed(46)
+                                          .with_backend("mps"));
+  EXPECT_EQ(named.measurements.histogram("m"), direct);
 }
 
 TEST(SessionDifferential, EnginePathMatchesDirectEngineRuns) {

@@ -71,8 +71,6 @@ std::string unique_socket_path() {
          std::to_string(counter.fetch_add(1)) + ".sock";
 }
 
-#if BGLS_TELEMETRY
-
 TEST(TracePropagation, SchedulerAdoptsPropagatedContext) {
   JobScheduler scheduler;
   const std::uint64_t id = scheduler.submit(
@@ -364,44 +362,6 @@ TEST(TraceDeterminism, HistogramsIdenticalWithTracingOnAndOff) {
   };
   EXPECT_EQ(run_once(true), run_once(false));
 }
-
-#else  // !BGLS_TELEMETRY
-
-TEST(TracePropagationCompiledOut, TraceOpReportsNoSpans) {
-  // With telemetry compiled out the propagated context is still parsed
-  // and accepted (protocol compatibility), but no trace is minted —
-  // and the trace op still answers, with trace_id 0 and no spans.
-  JobScheduler scheduler;
-  const std::uint64_t id = scheduler.submit(
-      RunRequest()
-          .with_circuit(trajectory_workload(3, 0.05))
-          .with_repetitions(200)
-          .with_seed(5)
-          .with_trace_context(kTraceId));
-  ASSERT_EQ(scheduler.wait(id).state, JobState::kDone);
-  EXPECT_EQ(scheduler.info(id).trace, nullptr);
-
-  DaemonOptions options;
-  options.endpoint = Endpoint::unix_socket(unique_socket_path());
-  ServiceDaemon daemon(options);
-  daemon.start();
-  {
-    ServiceClient client(daemon.endpoint());
-    SubmitArgs args;
-    args.qasm = kGhzQasm;
-    args.repetitions = 128;
-    args.seed = 5;
-    args.trace_id = kTraceId;
-    const std::uint64_t job = client.submit(args);
-    client.wait_report(job);
-    const JsonValue response = client.trace(job);
-    EXPECT_EQ(response.u64_or("trace_id", 1), 0u);
-    EXPECT_TRUE(response.find("spans")->items().empty());
-  }
-  daemon.stop();
-}
-
-#endif  // BGLS_TELEMETRY
 
 }  // namespace
 }  // namespace bgls

@@ -205,58 +205,54 @@ echo "ok: streaming emitted $PROGRESS_LINES progress frames"
 # --- 6. Metrics exposition: core series present and monotonic ---
 "$CLIENT" --connect "$CONNECT" metrics > "$WORK/metrics_end.txt" \
   || fail "metrics scrape failed"
-if grep -q "telemetry compiled out" "$WORK/metrics_end.txt"; then
-  echo "ok: telemetry compiled out; skipping metrics assertions"
-else
-  # Counter/gauge series land verbatim; histograms via their _count.
-  for series in \
-    'bgls_scheduler_submitted_total' \
-    'bgls_scheduler_queue_depth' \
-    'bgls_scheduler_running' \
-    'bgls_scheduler_queue_wait_seconds_count' \
-    'bgls_scheduler_run_seconds_count' \
-    'bgls_scheduler_cancel_latency_seconds_count' \
-    'bgls_scheduler_jobs_total{state="done"}' \
-    'bgls_scheduler_jobs_total{state="cancelled"}' \
-    'bgls_engine_runs_total' \
-    'bgls_engine_shards_total' \
-    'bgls_engine_shard_seconds_count' \
-    'bgls_pool_tasks_total' \
-    'bgls_pool_active_workers' \
-    'bgls_kernel_apply_total{class="dense"}' \
-    'bgls_kernel_apply_seconds_count{class="dense"}' \
-    'bgls_daemon_requests_total{op="submit"}' \
-    'bgls_daemon_requests_total{op="metrics"}' \
-    'bgls_daemon_request_seconds_count' \
-    'bgls_daemon_connections_total'; do
-    grep -q "^$series " "$WORK/metrics_end.txt" \
-      || fail "metrics missing series $series"
-  done
-  series_value() { awk -v s="$2" '$1 == s {print $2}' "$1"; }
-  MID_DONE=$(series_value "$WORK/metrics_mid.txt" \
-    'bgls_scheduler_jobs_total{state="done"}')
-  END_DONE=$(series_value "$WORK/metrics_end.txt" \
-    'bgls_scheduler_jobs_total{state="done"}')
-  [ -n "$MID_DONE" ] && [ -n "$END_DONE" ] \
-    || fail "could not read jobs_total{state=done} from the scrapes"
-  [ "$MID_DONE" -ge 5 ] || fail "mid-flood done=$MID_DONE, want >=5"
-  [ "$END_DONE" -ge "$MID_DONE" ] \
-    || fail "done went backwards: $MID_DONE -> $END_DONE"
-  MID_SUBMIT=$(series_value "$WORK/metrics_mid.txt" \
-    'bgls_daemon_requests_total{op="submit"}')
-  END_SUBMIT=$(series_value "$WORK/metrics_end.txt" \
-    'bgls_daemon_requests_total{op="submit"}')
-  [ "$END_SUBMIT" -ge "$MID_SUBMIT" ] \
-    || fail "submit requests went backwards: $MID_SUBMIT -> $END_SUBMIT"
-  APPLIES=$(series_value "$WORK/metrics_end.txt" \
-    'bgls_kernel_apply_seconds_count{class="dense"}')
-  [ "$APPLIES" -gt 0 ] \
-    || fail "no timed dense kernel applies despite the 12-qubit job"
-  POOL_TASKS=$(series_value "$WORK/metrics_end.txt" 'bgls_pool_tasks_total')
-  [ "${POOL_TASKS%.*}" -gt 0 ] \
-    || fail "no pool tasks despite the 2-thread trajectory job"
-  echo "ok: metrics exposition has core series, monotonic ($MID_DONE -> $END_DONE done)"
-fi
+# Counter/gauge series land verbatim; histograms via their _count.
+for series in \
+  'bgls_scheduler_submitted_total' \
+  'bgls_scheduler_queue_depth' \
+  'bgls_scheduler_running' \
+  'bgls_scheduler_queue_wait_seconds_count' \
+  'bgls_scheduler_run_seconds_count' \
+  'bgls_scheduler_cancel_latency_seconds_count' \
+  'bgls_scheduler_jobs_total{state="done"}' \
+  'bgls_scheduler_jobs_total{state="cancelled"}' \
+  'bgls_engine_runs_total' \
+  'bgls_engine_shards_total' \
+  'bgls_engine_shard_seconds_count' \
+  'bgls_pool_tasks_total' \
+  'bgls_pool_active_workers' \
+  'bgls_kernel_apply_total{class="dense"}' \
+  'bgls_kernel_apply_seconds_count{class="dense"}' \
+  'bgls_daemon_requests_total{op="submit"}' \
+  'bgls_daemon_requests_total{op="metrics"}' \
+  'bgls_daemon_request_seconds_count' \
+  'bgls_daemon_connections_total'; do
+  grep -q "^$series " "$WORK/metrics_end.txt" \
+    || fail "metrics missing series $series"
+done
+series_value() { awk -v s="$2" '$1 == s {print $2}' "$1"; }
+MID_DONE=$(series_value "$WORK/metrics_mid.txt" \
+  'bgls_scheduler_jobs_total{state="done"}')
+END_DONE=$(series_value "$WORK/metrics_end.txt" \
+  'bgls_scheduler_jobs_total{state="done"}')
+[ -n "$MID_DONE" ] && [ -n "$END_DONE" ] \
+  || fail "could not read jobs_total{state=done} from the scrapes"
+[ "$MID_DONE" -ge 5 ] || fail "mid-flood done=$MID_DONE, want >=5"
+[ "$END_DONE" -ge "$MID_DONE" ] \
+  || fail "done went backwards: $MID_DONE -> $END_DONE"
+MID_SUBMIT=$(series_value "$WORK/metrics_mid.txt" \
+  'bgls_daemon_requests_total{op="submit"}')
+END_SUBMIT=$(series_value "$WORK/metrics_end.txt" \
+  'bgls_daemon_requests_total{op="submit"}')
+[ "$END_SUBMIT" -ge "$MID_SUBMIT" ] \
+  || fail "submit requests went backwards: $MID_SUBMIT -> $END_SUBMIT"
+APPLIES=$(series_value "$WORK/metrics_end.txt" \
+  'bgls_kernel_apply_seconds_count{class="dense"}')
+[ "$APPLIES" -gt 0 ] \
+  || fail "no timed dense kernel applies despite the 12-qubit job"
+POOL_TASKS=$(series_value "$WORK/metrics_end.txt" 'bgls_pool_tasks_total')
+[ "${POOL_TASKS%.*}" -gt 0 ] \
+  || fail "no pool tasks despite the 2-thread trajectory job"
+echo "ok: metrics exposition has core series, monotonic ($MID_DONE -> $END_DONE done)"
 
 # --- 7. Stats + shutdown ---
 "$CLIENT" --connect "$CONNECT" stats > "$WORK/stats.txt" \
@@ -363,28 +359,24 @@ echo "ok: ${#SPECS[@]} journal-replayed + 1 checkpoint-resumed job byte-identica
 
 "$CLIENT" --connect "$JCONNECT" metrics > "$WORK/metrics_journal.txt" \
   || fail "journal metrics scrape failed"
-if ! grep -q "telemetry compiled out" "$WORK/metrics_journal.txt"; then
-  for series in \
-    'bgls_journal_records_total' \
-    'bgls_journal_replay_seconds_count' \
-    'bgls_jobs_resumed_total' \
-    'bgls_jobs_retried_total' \
-    'bgls_scheduler_preempted_total'; do
-    grep -q "^$series " "$WORK/metrics_journal.txt" \
-      || fail "metrics missing series $series"
-  done
-  series_value() { awk -v s="$2" '$1 == s {print $2}' "$1"; }
-  RECORDS=$(series_value "$WORK/metrics_journal.txt" \
-    'bgls_journal_records_total')
-  [ "${RECORDS%.*}" -gt 0 ] || fail "journal_records_total=$RECORDS, want >0"
-  REPLAYS=$(series_value "$WORK/metrics_journal.txt" \
-    'bgls_journal_replay_seconds_count')
-  [ "${REPLAYS%.*}" -ge 1 ] || fail "replay count=$REPLAYS, want >=1"
-  RESUMED=$(series_value "$WORK/metrics_journal.txt" \
-    'bgls_jobs_resumed_total')
-  [ "${RESUMED%.*}" -ge 1 ] || fail "jobs_resumed_total=$RESUMED, want >=1"
-  echo "ok: journal telemetry ($RECORDS records, $RESUMED resumed)"
-fi
+for series in \
+  'bgls_journal_records_total' \
+  'bgls_journal_replay_seconds_count' \
+  'bgls_jobs_resumed_total' \
+  'bgls_jobs_retried_total'; do
+  grep -q "^$series " "$WORK/metrics_journal.txt" \
+    || fail "metrics missing series $series"
+done
+RECORDS=$(series_value "$WORK/metrics_journal.txt" \
+  'bgls_journal_records_total')
+[ "${RECORDS%.*}" -gt 0 ] || fail "journal_records_total=$RECORDS, want >0"
+REPLAYS=$(series_value "$WORK/metrics_journal.txt" \
+  'bgls_journal_replay_seconds_count')
+[ "${REPLAYS%.*}" -ge 1 ] || fail "replay count=$REPLAYS, want >=1"
+RESUMED=$(series_value "$WORK/metrics_journal.txt" \
+  'bgls_jobs_resumed_total')
+[ "${RESUMED%.*}" -ge 1 ] || fail "jobs_resumed_total=$RESUMED, want >=1"
+echo "ok: journal telemetry ($RECORDS records, $RESUMED resumed)"
 
 "$CLIENT" --connect "$JCONNECT" shutdown > /dev/null \
   || fail "journaled daemon shutdown failed"
@@ -573,46 +565,43 @@ if [ -n "$FLEET" ]; then
   # --- 9. Distributed tracing: fixed trace id through the fleet ---
   "$CLIENT" --connect "$FCONNECT" metrics > "$WORK/fleet_metrics.txt" \
     || fail "fleet metrics scrape failed"
-  if grep -q "telemetry compiled out" "$WORK/fleet_metrics.txt"; then
-    echo "ok: telemetry compiled out; skipping tracing assertions"
-  else
-    # The fleet metrics op merges each live worker's scrape under a
-    # worker="N" label, after the fleet's own (unlabeled) series.
-    grep -q 'worker="0"' "$WORK/fleet_metrics.txt" \
-      || fail 'fleet metrics missing worker="0" series'
-    grep -q 'worker="1"' "$WORK/fleet_metrics.txt" \
-      || fail 'fleet metrics missing worker="1" series'
-    grep -q '^bgls_fleet_' "$WORK/fleet_metrics.txt" \
-      || fail "fleet metrics missing the front's own series"
-    grep -q '^bgls_fleet_requests_total{op="submit"} ' \
-      "$WORK/fleet_metrics.txt" \
-      || fail "fleet metrics missing the front's request series"
+  # The fleet metrics op merges each live worker's scrape under a
+  # worker="N" label, after the fleet's own (unlabeled) series.
+  grep -q 'worker="0"' "$WORK/fleet_metrics.txt" \
+    || fail 'fleet metrics missing worker="0" series'
+  grep -q 'worker="1"' "$WORK/fleet_metrics.txt" \
+    || fail 'fleet metrics missing worker="1" series'
+  grep -q '^bgls_fleet_' "$WORK/fleet_metrics.txt" \
+    || fail "fleet metrics missing the front's own series"
+  grep -q '^bgls_fleet_requests_total{op="submit"} ' \
+    "$WORK/fleet_metrics.txt" \
+    || fail "fleet metrics missing the front's request series"
 
-    TRACE_ID=424242
-    # A dictionary-path job, so its run records one shard span and an
-    # evolve span (the span tree is the same at any thread count); reps
-    # sized so the job takes real wall time and the blocking wait — on
-    # the worker and on the fleet proxying it — crosses the --slow-ms 1
-    # threshold (batched sampling clears ~200k reps in under a
-    # millisecond).
-    TJOB=$("$CLIENT" --connect "$FCONNECT" submit --reps 20000000 --seed 7 \
-      --threads 2 --trace-id "$TRACE_ID" "$DATA/ghz.qasm") \
-      || fail "traced submit failed"
-    "$CLIENT" --connect "$FCONNECT" wait "$TJOB" > /dev/null \
-      || fail "traced wait failed"
+  TRACE_ID=424242
+  # A dictionary-path job, so its run records one shard span and an
+  # evolve span (the span tree is the same at any thread count); reps
+  # sized so the job takes real wall time and the blocking wait — on
+  # the worker and on the fleet proxying it — crosses the --slow-ms 1
+  # threshold (batched sampling clears ~200k reps in under a
+  # millisecond).
+  TJOB=$("$CLIENT" --connect "$FCONNECT" submit --reps 20000000 --seed 7 \
+    --threads 2 --trace-id "$TRACE_ID" "$DATA/ghz.qasm") \
+    || fail "traced submit failed"
+  "$CLIENT" --connect "$FCONNECT" wait "$TJOB" > /dev/null \
+    || fail "traced wait failed"
 
-    # One merged span tree, stitched fleet -> worker -> engine, plus
-    # the Chrome trace-event export.
-    "$CLIENT" --connect "$FCONNECT" trace "$TJOB" \
-      --chrome-trace "$WORK/trace_chrome.json" > "$WORK/trace_tree.txt" \
-      || fail "trace op failed"
-    for span in 'fleet.place (' 'fleet.proxy (' 'queue (' 'run (' \
-                'sample (' 'shard (' 'evolve ('; do
-      grep -q -- "- $span" "$WORK/trace_tree.txt" \
-        || fail "trace tree missing span '$span': $(cat "$WORK/trace_tree.txt")"
-    done
-    python3 - "$WORK/trace_chrome.json" <<'PY' \
-      || fail "chrome trace export is not valid"
+  # One merged span tree, stitched fleet -> worker -> engine, plus
+  # the Chrome trace-event export.
+  "$CLIENT" --connect "$FCONNECT" trace "$TJOB" \
+    --chrome-trace "$WORK/trace_chrome.json" > "$WORK/trace_tree.txt" \
+    || fail "trace op failed"
+  for span in 'fleet.place (' 'fleet.proxy (' 'queue (' 'run (' \
+              'sample (' 'shard (' 'evolve ('; do
+    grep -q -- "- $span" "$WORK/trace_tree.txt" \
+      || fail "trace tree missing span '$span': $(cat "$WORK/trace_tree.txt")"
+  done
+  python3 - "$WORK/trace_chrome.json" <<'PY' \
+    || fail "chrome trace export is not valid"
 import json, sys
 doc = json.load(open(sys.argv[1]))
 events = doc["traceEvents"]
@@ -621,24 +610,23 @@ names = {e["name"] for e in events}
 assert "fleet.place" in names and "run" in names, sorted(names)
 assert all(e["ph"] == "X" and "dur" in e for e in events)
 PY
-    echo "ok: merged trace tree + Chrome export for trace_id=$TRACE_ID"
+  echo "ok: merged trace tree + Chrome export for trace_id=$TRACE_ID"
 
-    # The slow-request warn lines carry the propagated trace id, both
-    # over the logs op (ring tail) and in the --log-file ndjson.
-    : > "$WORK/traced_logs.txt"
-    for LSOCK in "$FCONNECT" "unix:$W1SOCK" "unix:$W2SOCK"; do
-      "$CLIENT" --connect "$LSOCK" logs --level warn \
-        --trace-id "$TRACE_ID" >> "$WORK/traced_logs.txt" \
-        || fail "logs op failed on $LSOCK"
-    done
-    grep -q "slow request" "$WORK/traced_logs.txt" \
-      || fail "no slow-request log line carries trace_id=$TRACE_ID"
-    grep -h "\"trace_id\":$TRACE_ID" \
-      "$WORK/fleet.log" "$WORK/worker1.log" "$WORK/worker2.log" \
-      2>/dev/null | grep -q "slow request" \
-      || fail "--log-file ndjson missing the traced slow-request line"
-    echo "ok: slow-request logs tagged with trace_id=$TRACE_ID"
-  fi
+  # The slow-request warn lines carry the propagated trace id, both
+  # over the logs op (ring tail) and in the --log-file ndjson.
+  : > "$WORK/traced_logs.txt"
+  for LSOCK in "$FCONNECT" "unix:$W1SOCK" "unix:$W2SOCK"; do
+    "$CLIENT" --connect "$LSOCK" logs --level warn \
+      --trace-id "$TRACE_ID" >> "$WORK/traced_logs.txt" \
+      || fail "logs op failed on $LSOCK"
+  done
+  grep -q "slow request" "$WORK/traced_logs.txt" \
+    || fail "no slow-request log line carries trace_id=$TRACE_ID"
+  grep -h "\"trace_id\":$TRACE_ID" \
+    "$WORK/fleet.log" "$WORK/worker1.log" "$WORK/worker2.log" \
+    2>/dev/null | grep -q "slow request" \
+    || fail "--log-file ndjson missing the traced slow-request line"
+  echo "ok: slow-request logs tagged with trace_id=$TRACE_ID"
 
   # --- 10. Request bounds: one worker, then the fleet front ---
   # probe_bounds SOCKET CAP: the four over-limit inputs, each answered
