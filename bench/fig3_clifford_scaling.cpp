@@ -6,7 +6,9 @@
 /// qubit sequentially with collapse). The paper's observation: both
 /// methods have the same complexity class here — the CH amplitude costs
 /// O(n²) independent of depth, so f(n, d) = O(d·n²) either way and BGLS
-/// offers no direct benefit on pure Clifford circuits.
+/// offers no direct benefit on pure Clifford circuits. With exact
+/// monomial updates (core/simulator.h) S and CX move the sample, so only
+/// the H gates evaluate amplitudes: a smaller constant, the same class.
 ///
 /// Results are also written as machine-readable JSON (BENCH_fig3.json,
 /// or the path given as argv[1]) for the perf trajectory tracking.

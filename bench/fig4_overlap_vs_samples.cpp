@@ -51,8 +51,7 @@ Counts sample_near_clifford(const Circuit& circuit, int n,
         act_on_near_clifford(op, state, inner);
       },
       [](const CHState& state, Bitstring b) { return state.probability(b); },
-      SimulatorOptions{.skip_diagonal_updates = false,
-                       .disable_sample_parallelization = true}};
+      SimulatorOptions{.disable_sample_parallelization = true}};
   return sim.sample(circuit, reps, rng);
 }
 

@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
           act_on_near_clifford(op, state, inner);
         },
         [](const CHState& state, Bitstring b) { return state.probability(b); },
-        SimulatorOptions{.skip_diagonal_updates = false,
-                         .disable_sample_parallelization = true}};
+        SimulatorOptions{.disable_sample_parallelization = true}};
     Rng rng(43);
     const Counts counts = sim.sample(circuit, reps, rng);
     const double overlap = distribution_overlap(

@@ -56,8 +56,7 @@ int main() {
           act_on_near_clifford(op, state, rng);
         },
         [](const CHState& state, Bitstring b) { return state.probability(b); },
-        SimulatorOptions{.skip_diagonal_updates = false,
-                         .disable_sample_parallelization = true}};
+        SimulatorOptions{.disable_sample_parallelization = true}};
     Rng rng(42);
     const Counts counts = sim.sample(circuit, samples, rng);
     const double overlap =

@@ -85,10 +85,14 @@ class StateBackend : public Backend {
     out.backend_name = name();
     // The seed overload constructs Rng(seed) exactly like a direct
     // templated run, so records match bit for bit. repetitions == 0
-    // still validates and yields the declared-keys empty Result.
-    out.measurements =
-        simulator.run(request.circuit, request.repetitions, request.seed);
-    out.stats = simulator.last_run_stats();
+    // still validates and yields the declared-keys empty Result. The
+    // simulator serves this one run, so the run consumes its initial
+    // state (no copy on the dictionary path); `stats` refers to the
+    // counters the run fills.
+    const RunStats& stats = simulator.last_run_stats();
+    out.measurements = std::move(simulator).run(
+        request.circuit, request.repetitions, request.seed);
+    out.stats = stats;
     return out;
   }
 

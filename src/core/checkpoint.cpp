@@ -30,7 +30,7 @@ std::string RunCheckpoint::to_json() const {
   json.key("probability_evaluations").value(stats.probability_evaluations);
   json.key("max_dictionary_size").value(stats.max_dictionary_size);
   json.key("trajectories").value(stats.trajectories);
-  json.key("diagonal_updates_skipped").value(stats.diagonal_updates_skipped);
+  json.key("monomial_moves").value(stats.monomial_moves);
   json.end_object();
   json.key("shards").begin_array();
   for (const ShardCheckpoint& shard : shards) {
@@ -54,7 +54,7 @@ RunCounters stats_from_json(const JsonValue& value) {
   stats.probability_evaluations = value.u64_or("probability_evaluations", 0);
   stats.max_dictionary_size = value.u64_or("max_dictionary_size", 0);
   stats.trajectories = value.u64_or("trajectories", 0);
-  stats.diagonal_updates_skipped = value.u64_or("diagonal_updates_skipped", 0);
+  stats.monomial_moves = value.u64_or("monomial_moves", 0);
   return stats;
 }
 
@@ -80,15 +80,6 @@ RunCheckpoint RunCheckpoint::from_json(const JsonValue& value) {
         "checkpoint version ", version,
         " is not supported (this build reads version ",
         RunCheckpoint::kVersion, "); rerun the job from the start");
-  }
-  // Earlier builds tagged every snapshot with its sampling path. A
-  // dictionary-path snapshot saves no work (see the file comment), so
-  // it reads as unusable and its job reruns.
-  const std::string mode = value.string_or("mode", "trajectory");
-  if (mode != "trajectory") {
-    detail::throw_error<ParseError>("checkpoint of the '", mode,
-                                    "' path cannot be resumed; rerun the "
-                                    "job from the start");
   }
   RunCheckpoint checkpoint;
   const JsonValue* run_key = value.find("run_key");

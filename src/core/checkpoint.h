@@ -25,10 +25,14 @@
 /// checkpoints, and the daemon journals them
 /// (service/journal.h) so a killed process resumes its jobs on restart.
 ///
-/// Thread count is not part of a checkpoint. Version 2 is the keyed
-/// format; version 1 (per-stream RNG state) and a version-2 snapshot of
-/// the dictionary path (`"mode":"dictionary"`, written by earlier
-/// builds) are rejected with ParseError.
+/// Thread count is not part of a checkpoint. Version 3 is the keyed
+/// format sampled with exact monomial updates (core/simulator.h).
+/// Earlier versions are rejected with ParseError, so their jobs rerun:
+/// version 1 held per-stream RNG state, and a version-2 prefix was
+/// sampled by the earlier rule (a resample after every gate), so a
+/// resumed run would match neither build's uninterrupted run. Version 2
+/// also covers the dictionary-path snapshots (`"mode":"dictionary"`)
+/// that some builds wrote.
 
 #pragma once
 
@@ -64,8 +68,9 @@ struct RunCounters {
   std::size_t max_dictionary_size = 0;
   /// Number of independent state evolutions (1 on the dictionary path).
   std::size_t trajectories = 0;
-  /// Candidate updates skipped because the gate was diagonal.
-  std::size_t diagonal_updates_skipped = 0;
+  /// Bitstring updates made by moving through a diagonal or
+  /// permutation gate instead of resampling (core/simulator.h).
+  std::size_t monomial_moves = 0;
 
   /// Sums the counters; the dictionary peak takes the max.
   RunCounters& operator+=(const RunCounters& other) {
@@ -74,7 +79,7 @@ struct RunCounters {
     max_dictionary_size =
         std::max(max_dictionary_size, other.max_dictionary_size);
     trajectories += other.trajectories;
-    diagonal_updates_skipped += other.diagonal_updates_skipped;
+    monomial_moves += other.monomial_moves;
     return *this;
   }
 
@@ -96,7 +101,7 @@ struct ShardCheckpoint {
 /// A resumable snapshot of a whole run.
 struct RunCheckpoint {
   /// The format version this build writes and reads.
-  static constexpr std::uint64_t kVersion = 2;
+  static constexpr std::uint64_t kVersion = 3;
 
   /// The key every draw of the run derives from (drawn from the
   /// caller's Rng, so fixed by the seed).
@@ -114,8 +119,7 @@ struct RunCheckpoint {
   /// Compact single-line JSON (journal-record friendly).
   [[nodiscard]] std::string to_json() const;
   /// Inverse of to_json(). Throws ValueError on a document that is not
-  /// a checkpoint, ParseError on malformed fields, another version or
-  /// a dictionary-path snapshot.
+  /// a checkpoint, ParseError on malformed fields or another version.
   [[nodiscard]] static RunCheckpoint from_json(const JsonValue& value);
   [[nodiscard]] static RunCheckpoint parse(std::string_view text);
 };

@@ -38,11 +38,22 @@
 ///    operator, apply each operator to a copy of the state and read the
 ///    weights off the copies. Mid-circuit measurements read their
 ///    outcome off the current bitstring — a faithful sample by the BGL
-///    invariant — and collapse the state accordingly;
-///  - optional skipping of diagonal-gate updates: a diagonal unitary
-///    rescales every candidate amplitude by a unit-modulus phase, so the
-///    candidate distribution is unchanged and the resampling step can be
-///    elided exactly (ablated in the bench suite).
+///    invariant — and collapse the state accordingly.
+///
+/// Exact monomial updates. A diagonal or permutation unitary (one
+/// nonzero per row and per column: the kernels' kDiagonal and
+/// kPermutation classes, cached per gate by Gate::compiled_unitary)
+/// maps |x⟩ to a unit phase times |π(x)⟩. If b samples |ψ|², π(b) then
+/// samples |Gψ|² exactly, so after such a gate the sampler moves b (on
+/// the dictionary path, every entry) to π(b) instead of resampling it;
+/// a diagonal gate leaves b where it is. This generalizes the paper's
+/// diagonal-gate skip. It holds only when the state applies the gate's
+/// own matrix, so it needs native hooks and, where the state has it,
+/// `applies_exactly(qubits)` (a bond-capped MPS says false for two
+/// qubits). Custom hooks may apply something else, as near-Clifford's
+/// sampled Clifford branches do, so they resample after every gate as
+/// the paper's algorithm does. Dense and controlled gates and channels
+/// always resample. RunCounters::monomial_moves counts the moves.
 ///
 /// One loop per path, at every thread count. A run draws one key from
 /// the caller's Rng and keys every later draw to a position in the run:
@@ -142,9 +153,6 @@ concept AmplitudeReadable = requires(const S& s, Bitstring b) {
 
 /// Tuning knobs.
 struct SimulatorOptions {
-  /// When true, the candidate-resampling step is skipped for gates that
-  /// are diagonal in the computational basis (exact; see file comment).
-  bool skip_diagonal_updates = false;
   /// Force-disable the dictionary batching of Sec. 3.2.3 even when the
   /// circuit allows it (used by the Fig. 2 ablation).
   bool disable_sample_parallelization = false;
@@ -192,13 +200,19 @@ struct SimulatorOptions {
 ///  - copy-constructible (fresh copy per run / trajectory);
 ///  - ADL-visible `apply_op(const Operation&, State&, Rng&)` and
 ///    `compute_probability(const State&, Bitstring)` — or explicit
-///    callables passed to the constructor (the Python package's API);
+///    callables passed to the constructor (the Python package's API).
+///    The ADL apply_op must apply a unitary gate's own matrix exactly
+///    (up to a global phase) wherever `applies_exactly` does not say
+///    otherwise: the monomial updates (see file comment) rely on it;
 ///  - optional members for full feature support:
 ///      `project(std::span<const Qubit>, Bitstring)` (mid-circuit
 ///      measurement), `apply_matrix(const Matrix&, std::span<const
 ///      Qubit>)` + `renormalize()` (exact channel branching, see
 ///      KrausBranching), `amplitude(Bitstring)` (channel weights
-///      without per-branch copies, see AmplitudeReadable).
+///      without per-branch copies, see AmplitudeReadable),
+///      `bool applies_exactly(std::span<const Qubit>) const` (false
+///      where an apply on those qubits can truncate; it may depend on
+///      the qubits and the state's configuration, not its amplitudes).
 template <typename State>
 class Simulator {
  public:
@@ -239,36 +253,25 @@ class Simulator {
   /// contain at least one measurement and must be fully resolved.
   /// Records come in repetition order.
   Result run(const Circuit& circuit, std::uint64_t repetitions, Rng& rng) {
-    check_runnable(circuit, /*require_measurements=*/true);
-    const RunScope scope = begin_run(rng, shard_count(circuit, repetitions),
-                                     /*observed=*/true);
-    const bool dictionary = can_parallelize(circuit);
-    Result result;
-    if (dictionary) {
-      result = run_dictionary(circuit, repetitions, scope, stats_);
-    } else {
-      declare_measurement_keys(circuit, result);
-      for (const Result& shard :
-           run_trajectories<Result>(circuit, repetitions, scope, stats_)) {
-        result.append(shard);
-      }
-    }
-    // The dictionary path completes every repetition at the final gate,
-    // and a resumed run streamed its prefix before the interruption:
-    // both owe only the final update.
-    if (options_.progress.enabled() &&
-        (dictionary || options_.resume != nullptr)) {
-      options_.progress.sink(ProgressUpdate{repetitions, repetitions, true,
-                                            key_histograms(result)});
-    }
-    return result;
+    return run_impl(circuit, repetitions, rng, /*consume_state=*/false);
   }
 
   /// Convenience overload with a seed instead of an engine.
   Result run(const Circuit& circuit, std::uint64_t repetitions = 1,
-             std::uint64_t seed = 0) {
+             std::uint64_t seed = 0) & {
     Rng rng(seed);
     return run(circuit, repetitions, rng);
+  }
+
+  /// The same run for a simulator built for it alone (a backend's run):
+  /// the dictionary path evolves the initial state itself instead of a
+  /// copy, which saves a copy and its page faults on a large state and
+  /// leaves the simulator unfit for another run. last_run_stats() is
+  /// filled as usual.
+  Result run(const Circuit& circuit, std::uint64_t repetitions = 1,
+             std::uint64_t seed = 0) && {
+    Rng rng(seed);
+    return run_impl(circuit, repetitions, rng, /*consume_state=*/true);
   }
 
   /// Samples final bitstrings over *all* qubits, ignoring measurement
@@ -279,8 +282,8 @@ class Simulator {
     const RunScope scope = begin_run(rng, shard_count(circuit, repetitions),
                                      /*observed=*/false);
     if (can_parallelize(circuit)) {
-      const Dictionary dictionary =
-          sample_dictionary(circuit, repetitions, scope, stats_);
+      const Dictionary dictionary = sample_dictionary(
+          circuit, initial_state_, repetitions, scope, stats_);
       return {dictionary.begin(), dictionary.end()};
     }
     Counts counts;
@@ -301,8 +304,9 @@ class Simulator {
   void set_options(SimulatorOptions options) { options_ = options; }
 
   /// True when both hooks are the library defaults, which is what lets
-  /// channels take the exact joint branch update (custom hooks route
-  /// channels through `apply` plus a standard candidate update).
+  /// channels take the exact joint branch update and monomial gates move
+  /// the bitstring (custom hooks route channels through `apply` plus a
+  /// standard candidate update and resample after every gate).
   [[nodiscard]] bool hooks_are_native() const { return hooks_are_native_; }
 
   /// Throws unless `circuit` is runnable (parameters resolved, and
@@ -316,8 +320,102 @@ class Simulator {
 
  private:
   /// The Sec. 3.2.3 dictionary: unique bitstring → multiplicity, sorted
-  /// by bitstring.
+  /// by bitstring after each resample and at the end of a run.
   using Dictionary = std::vector<std::pair<Bitstring, std::uint64_t>>;
+
+  /// How the bitstring follows one gate (see file comment): resampled
+  /// from its candidates' probabilities, or moved. A move sends the
+  /// gate-local basis index c of the support (qubits[0] the most
+  /// significant bit) to image[c]; a diagonal gate's image is the
+  /// identity, so it leaves the bitstring as it is.
+  struct BitUpdate {
+    bool moves = false;
+    bool permutes = false;  // image is not the identity
+    std::array<std::uint8_t, (1u << kMaxGateArity)> image{};
+
+    /// Where a move sends `b`.
+    [[nodiscard]] Bitstring moved(Bitstring b,
+                                  std::span<const Qubit> qubits) const {
+      if (!permutes) return b;
+      std::size_t local = 0;
+      for (const Qubit q : qubits) {
+        local = (local << 1) | static_cast<std::size_t>(get_bit(b, q));
+      }
+      const std::size_t to = image[local];
+      const std::size_t k = qubits.size();
+      for (std::size_t j = 0; j < k; ++j) {
+        const auto bit = static_cast<int>((to >> (k - 1 - j)) & 1u);
+        b = with_bit(b, qubits[j], bit);
+      }
+      return b;
+    }
+  };
+
+  /// The update that follows `op` on `state`: a move when the hooks are
+  /// native, the state applies the gate exactly, and the gate's cached
+  /// class is diagonal or permutation; a resample otherwise.
+  [[nodiscard]] BitUpdate bit_update(const Operation& op,
+                                     const State& state) const {
+    const Gate& gate = op.gate();
+    if (!hooks_are_native_ || !gate.is_unitary()) return {};
+    if constexpr (requires { state.applies_exactly(op.qubits()); }) {
+      if (!state.applies_exactly(op.qubits())) return {};
+    }
+    const std::shared_ptr<const kernels::CompiledMatrix> compiled =
+        gate.compiled_unitary();
+    const kernels::Classification& c = compiled->classification;
+    BitUpdate update;
+    switch (c.cls) {
+      case kernels::GateClass::kDiagonal:
+        update.moves = true;
+        break;
+      case kernels::GateClass::kPermutation:
+        // new_amp[r] = factors[r] * old_amp[perm[r]]: |perm[r]⟩ → |r⟩.
+        update.moves = true;
+        update.permutes = true;
+        for (std::size_t r = 0; r < c.perm.size(); ++r) {
+          update.image[c.perm[r]] = static_cast<std::uint8_t>(r);
+        }
+        break;
+      case kernels::GateClass::kControlled:
+      case kernels::GateClass::kDense:
+        break;
+    }
+    return update;
+  }
+
+  /// run() with the dictionary path evolving the initial state itself
+  /// (`consume_state`) or a copy of it.
+  Result run_impl(const Circuit& circuit, std::uint64_t repetitions, Rng& rng,
+                  bool consume_state) {
+    check_runnable(circuit, /*require_measurements=*/true);
+    const RunScope scope = begin_run(rng, shard_count(circuit, repetitions),
+                                     /*observed=*/true);
+    const bool dictionary = can_parallelize(circuit);
+    Result result;
+    if (dictionary) {
+      result = consume_state
+                   ? run_dictionary(circuit, std::move(initial_state_),
+                                    repetitions, scope, stats_)
+                   : run_dictionary(circuit, initial_state_, repetitions,
+                                    scope, stats_);
+    } else {
+      declare_measurement_keys(circuit, result);
+      for (const Result& shard :
+           run_trajectories<Result>(circuit, repetitions, scope, stats_)) {
+        result.append(shard);
+      }
+    }
+    // The dictionary path completes every repetition at the final gate,
+    // and a resumed run streamed its prefix before the interruption:
+    // both owe only the final update.
+    if (options_.progress.enabled() &&
+        (dictionary || options_.resume != nullptr)) {
+      options_.progress.sink(ProgressUpdate{repetitions, repetitions, true,
+                                            key_histograms(result)});
+    }
+    return result;
+  }
 
   /// A run's fixed inputs besides the circuit: its key, the pool its
   /// shards fan out on (null = the calling thread), and whether
@@ -406,6 +504,11 @@ class Simulator {
                                     RunStats& stats) const {
     constexpr bool kRecords = std::is_same_v<Out, Result>;
     const std::vector<Operation> ops = circuit.all_operations();
+    std::vector<BitUpdate> updates;
+    updates.reserve(ops.size());
+    for (const Operation& op : ops) {
+      updates.push_back(bit_update(op, initial_state_));
+    }
     const std::vector<std::uint64_t> sizes = shard_sizes(repetitions);
     const std::size_t shards = sizes.size();
     std::vector<std::uint64_t> first(shards, 0);
@@ -493,14 +596,14 @@ class Simulator {
           fault::throw_if_fails("shard_run");
           Rng rng(mix_key(scope.key, first[i] + done));
           if constexpr (kRecords) {
-            trajectory(ops, rng, &out, local);
+            trajectory(ops, updates, rng, &out, local);
             if (progress || checkpoints) {
               for (const std::string& key : out.keys()) {
                 ++cumulative[key][out.values(key).back()];
               }
             }
           } else {
-            ++out[trajectory(ops, rng, nullptr, local)];
+            ++out[trajectory(ops, updates, rng, nullptr, local)];
           }
         }
         if (progress && ((first[i] + done) % progress_every == 0 ||
@@ -523,19 +626,21 @@ class Simulator {
     return outputs;
   }
 
-  /// run() on the dictionary path: the dictionary's entries become
-  /// records. Every repetition completes at the final gate, so the path
-  /// takes no checkpoint and resumes none (see file comment).
-  Result run_dictionary(const Circuit& circuit, std::uint64_t repetitions,
-                        const RunScope& scope, RunStats& stats) const {
+  /// run() on the dictionary path, evolving `state`: the dictionary's
+  /// entries become records. Every repetition completes at the final
+  /// gate, so the path takes no checkpoint and resumes none (see file
+  /// comment).
+  Result run_dictionary(const Circuit& circuit, State state,
+                        std::uint64_t repetitions, const RunScope& scope,
+                        RunStats& stats) const {
     BGLS_REQUIRE(options_.resume == nullptr,
                  "checkpoints resume only the per-trajectory path, and this "
                  "run takes the dictionary path; resume with the same "
                  "batching configuration");
     Result result;
     declare_measurement_keys(circuit, result);
-    const Dictionary dictionary =
-        sample_dictionary(circuit, repetitions, scope, stats);
+    const Dictionary dictionary = sample_dictionary(
+        circuit, std::move(state), repetitions, scope, stats);
     for (const Moment& moment : circuit.moments()) {
       for (const Operation& op : moment.operations()) {
         if (!op.gate().is_measurement()) continue;
@@ -548,24 +653,24 @@ class Simulator {
     return result;
   }
 
-  /// The dictionary path (Sec. 3.2.3): evolves one state and, after
-  /// each gate, resamples the dictionary in order, each entry drawing
-  /// from Rng(mix_key(mix_key(key, g), bits)). The run is one shard.
-  /// Fills `stats`.
-  Dictionary sample_dictionary(const Circuit& circuit,
+  /// The dictionary path (Sec. 3.2.3): evolves `state` and, after each
+  /// gate, moves every entry or resamples the dictionary in order, each
+  /// entry drawing from Rng(mix_key(mix_key(key, g), bits)). The run is
+  /// one shard. Fills `stats`.
+  Dictionary sample_dictionary(const Circuit& circuit, State state,
                                std::uint64_t repetitions,
                                const RunScope& scope, RunStats& stats) const {
     stats.used_sample_parallelization = true;
     stats.trajectories = 1;  // one shared evolution
     stats.max_dictionary_size = 1;
 
-    State state = initial_state_;
     // The evolution is deterministic on this path (no channels), but
     // custom apply hooks receive a keyed stream in case they draw.
     Rng evolution(scope.key);
     Dictionary dictionary;
     if (repetitions > 0) dictionary.emplace_back(Bitstring{0}, repetitions);
     Dictionary resampled;
+    bool sorted = true;
     double evolve_seconds = 0.0;
     double resample_seconds = 0.0;
 
@@ -585,8 +690,18 @@ class Simulator {
         apply_op_(op, state, evolution);
         evolve_seconds += watch.lap();
         ++stats.state_applications;
-        if (options_.skip_diagonal_updates && op.gate().is_diagonal()) {
-          ++stats.diagonal_updates_skipped;
+        const BitUpdate update = bit_update(op, state);
+        if (update.moves) {
+          // A bijection: no two entries meet, so nothing folds. The
+          // order is restored at the next resample's sort or at the end.
+          if (update.permutes) {
+            for (auto& entry : dictionary) {
+              entry.first = update.moved(entry.first, op.qubits());
+            }
+            sorted = false;
+          }
+          ++stats.monomial_moves;
+          resample_seconds += watch.lap();
           continue;
         }
         resampled.clear();
@@ -608,10 +723,12 @@ class Simulator {
             dictionary.push_back(entry);
           }
         }
+        sorted = true;
         stats.max_dictionary_size =
             std::max(stats.max_dictionary_size, dictionary.size());
       }
     }
+    if (!sorted) std::sort(dictionary.begin(), dictionary.end());
 
     stats.evolve_ms = evolve_seconds * 1000.0;
     stats.per_shard.assign(
@@ -764,9 +881,11 @@ class Simulator {
   }
 
   /// One full trajectory over `ops` (the circuit's flattened
-  /// operations); returns the final bitstring and (optionally) appends
-  /// measurement records.
-  Bitstring trajectory(const std::vector<Operation>& ops, Rng& rng,
+  /// operations, with `updates[i]` the update that follows ops[i]);
+  /// returns the final bitstring and (optionally) appends measurement
+  /// records.
+  Bitstring trajectory(const std::vector<Operation>& ops,
+                       const std::vector<BitUpdate>& updates, Rng& rng,
                        Result* result, RunCounters& stats) const {
     State state = initial_state_;
     Bitstring b = 0;
@@ -774,7 +893,8 @@ class Simulator {
     // operations (feed-forward).
     std::map<std::string, Bitstring> records;
     ++stats.trajectories;
-    for (const auto& op : ops) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const Operation& op = ops[i];
       options_.cancel_token.throw_if_stopped();
       const Gate& gate = op.gate();
       if (gate.is_measurement()) {
@@ -804,9 +924,9 @@ class Simulator {
       }
       apply_op_(op, state, rng);
       ++stats.state_applications;
-      if (options_.skip_diagonal_updates && gate.is_unitary() &&
-          gate.is_diagonal()) {
-        ++stats.diagonal_updates_skipped;
+      if (updates[i].moves) {
+        b = updates[i].moved(b, op.qubits());
+        ++stats.monomial_moves;
         continue;
       }
       b = update_bits(state, b, op, rng, stats);

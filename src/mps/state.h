@@ -63,7 +63,9 @@ class MPSState {
 
   /// False when apply_matrix on `qubits` can drop more than relatively
   /// negligible weight: a two-qubit split under a bond cap. The
-  /// simulator then weighs channel branches on truncated copies.
+  /// simulator then weighs channel branches on truncated copies, and
+  /// resamples after a diagonal or permutation gate instead of moving
+  /// the sample (core/simulator.h).
   [[nodiscard]] bool applies_exactly(std::span<const Qubit> qubits) const {
     return qubits.size() < 2 || options_.max_bond_dim == 0;
   }

@@ -154,9 +154,11 @@ void ServiceDaemon::start() {
 
 void ServiceDaemon::replay_journal() {
   const Stopwatch replay_watch;
-  std::size_t skipped = 0;
+  // Lines that fail their frame or CRC check: a record torn by a crash
+  // mid-append, or a corrupt one.
+  std::size_t unreadable_lines = 0;
   const std::vector<JsonValue> records =
-      Journal::replay_file(options_.journal_path, &skipped);
+      Journal::replay_file(options_.journal_path, &unreadable_lines);
 
   // Fold the event stream into per-job final state. Records after an
   // evict (or for ids never submitted *and* never terminal) are
@@ -282,6 +284,7 @@ void ServiceDaemon::replay_journal() {
             {"evicted", evicted},
             {"resubmitted", resubmitted},
             {"dropped", dropped},
+            {"unreadable_lines", unreadable_lines},
             {"unreadable_checkpoints", unreadable_checkpoints},
             {"seconds", replay_seconds}});
 }

@@ -59,7 +59,7 @@ void expect_same_run(const RunResult& resumed, const RunResult& baseline,
   EXPECT_EQ(a.probability_evaluations, b.probability_evaluations) << context;
   EXPECT_EQ(a.max_dictionary_size, b.max_dictionary_size) << context;
   EXPECT_EQ(a.trajectories, b.trajectories) << context;
-  EXPECT_EQ(a.diagonal_updates_skipped, b.diagonal_updates_skipped) << context;
+  EXPECT_EQ(a.monomial_moves, b.monomial_moves) << context;
   EXPECT_EQ(resumed.backend_name, baseline.backend_name) << context;
 }
 

@@ -1,8 +1,9 @@
 // Determinism regression suite for the sampler: for a fixed seed, the
 // merged histogram must be bit-identical across every execution
 // configuration — thread count (1, 2 and 8, no exceptions), sync vs
-// async submission, seed vs Rng entry points, native vs custom hooks,
-// and Session::run_batch. This pins the core invariant (every draw is
+// async submission, seed vs Rng entry points, native vs custom hooks
+// (on dense circuits, where both resample after every gate), and
+// Session::run_batch. This pins the core invariant (every draw is
 // keyed to its repetition or dictionary entry; threads only decide
 // *where* a shard runs, never *what* it computes).
 
@@ -138,41 +139,96 @@ TEST(EngineDeterminism, SimulatorDelegationMatchesDirectEngineUse) {
   }
 }
 
+/// A random circuit over dense gates only: H, Rx, Ry and an entangling
+/// two-qubit unitary with no zero entry. No gate is diagonal or a
+/// permutation, so native hooks resample after every gate too.
+Circuit dense_workload(int n) {
+  const Matrix entangler = Matrix::kron(Gate::H().unitary(),
+                                        Gate::H().unitary()) *
+                           Gate::CZ().unitary() *
+                           Matrix::kron(Gate::Ry(0.4).unitary(),
+                                        Gate::Rx(0.9).unitary());
+  Rng circuit_rng(43);
+  RandomCircuitOptions options;
+  options.num_moments = 12;
+  options.op_density = 0.8;
+  options.gate_domain = {Gate::H(), Gate::Rx(0.3), Gate::Ry(1.1),
+                         Gate::TwoQubitMatrix(entangler, "E")};
+  return with_terminal_measurement(
+      generate_random_circuit(n, options, circuit_rng), n, "m");
+}
+
+/// Custom hooks that compute exactly what the native ones do.
+Simulator<StateVectorState> custom_hooks_simulator(int n,
+                                                   SimulatorOptions options) {
+  return Simulator<StateVectorState>{
+      StateVectorState(n),
+      [](const Operation& op, StateVectorState& state, Rng& rng) {
+        apply_op(op, state, rng);
+      },
+      [](const StateVectorState& state, Bitstring b) {
+        return compute_probability(state, b);
+      },
+      options};
+}
+
 TEST(EngineDeterminism, CustomHooksMatchNativeHooksThroughEngine) {
-  // Draws are keyed, so hooks that compute the same values as the
-  // native ones must produce bit-identical histograms at every thread
-  // count.
+  // Custom hooks resample after every gate, as the paper's rule does;
+  // native hooks move the bitstring through diagonal and permutation
+  // gates instead (core/simulator.h). Draws are keyed, so on circuits
+  // of dense gates only, where both resample after every gate, hooks
+  // that compute the native values give the native histogram bit for
+  // bit at every thread count. On circuits with such gates the two
+  // rules draw differently, and the custom hooks' histogram is the same
+  // at every thread count.
   // (Channel circuits are excluded: native and custom hooks
   // legitimately route channels differently.)
-  std::vector<Workload> cases;
-  cases.push_back({"batched", batched_workload(4), 4, 4000, "m"});
-  cases.push_back(wide_batched());
-  cases.push_back({"feed-forward", feed_forward_workload(), 2, 400, "out"});
-  for (const Workload& workload : cases) {
+  Circuit dense_feed_forward;
+  dense_feed_forward.append(h(0));
+  dense_feed_forward.append(measure({0}, "mid"));
+  dense_feed_forward.append(ry(1.2, 1).controlled_by_measurement("mid"));
+  dense_feed_forward.append(measure({1}, "out"));
+  std::vector<Workload> dense;
+  dense.push_back({"dense batched", dense_workload(4), 4, 4000, "m"});
+  dense.push_back({"dense wide", dense_workload(10), 10, 2000, "m"});
+  dense.push_back(
+      {"dense feed-forward", std::move(dense_feed_forward), 2, 400, "out"});
+  std::vector<Workload> monomial;
+  monomial.push_back({"batched", batched_workload(4), 4, 4000, "m"});
+  monomial.push_back(wide_batched());
+  monomial.push_back({"feed-forward", feed_forward_workload(), 2, 400, "out"});
+
+  const auto custom_hash = [](const Workload& workload, int threads) {
+    SimulatorOptions options;
+    options.num_threads = threads;
+    Simulator<StateVectorState> custom =
+        custom_hooks_simulator(workload.qubits, options);
+    EXPECT_FALSE(custom.hooks_are_native());
+    return histogram_hash(
+        custom.run(workload.circuit, workload.repetitions, kSeed)
+            .histogram(workload.key));
+  };
+  for (const Workload& workload : dense) {
     for (const int threads : {1, 2, 8}) {
       SimulatorOptions options;
       options.num_threads = threads;
       Simulator<StateVectorState> native{StateVectorState(workload.qubits),
                                          options};
-      Simulator<StateVectorState> custom{
-          StateVectorState(workload.qubits),
-          [](const Operation& op, StateVectorState& state, Rng& rng) {
-            apply_op(op, state, rng);
-          },
-          [](const StateVectorState& state, Bitstring b) {
-            return compute_probability(state, b);
-          },
-          options};
       ASSERT_TRUE(native.hooks_are_native());
-      ASSERT_FALSE(custom.hooks_are_native());
-      EXPECT_EQ(
-          histogram_hash(
-              custom.run(workload.circuit, workload.repetitions, kSeed)
-                  .histogram(workload.key)),
-          histogram_hash(
-              native.run(workload.circuit, workload.repetitions, kSeed)
-                  .histogram(workload.key)))
+      EXPECT_EQ(custom_hash(workload, threads),
+                histogram_hash(
+                    native.run(workload.circuit, workload.repetitions, kSeed)
+                        .histogram(workload.key)))
           << workload.name << ": custom hooks changed the histogram at "
+          << threads << " threads";
+      EXPECT_EQ(native.last_run_stats().monomial_moves, 0u) << workload.name;
+    }
+  }
+  for (const Workload& workload : monomial) {
+    const std::uint64_t reference = custom_hash(workload, 1);
+    for (const int threads : {2, 8}) {
+      EXPECT_EQ(custom_hash(workload, threads), reference)
+          << workload.name << ": custom hooks' histogram changed at "
           << threads << " threads";
     }
   }

@@ -2,9 +2,9 @@
 /// The write-ahead scheduler journal (service/journal.h): CRC framing,
 /// append/replay round trips, torn-record tolerance (the kill -9
 /// case), compaction, the "journal_write" fault-injection path that
-/// tears an append on purpose, and daemon replay of a journal holding
-/// a version-1 or a dictionary-path checkpoint (warn, then rerun from
-/// scratch).
+/// tears an append on purpose, daemon replay of a journal holding a
+/// version-1, version-2 or dictionary-path checkpoint (warn, then rerun
+/// from scratch), and the replay summary's count of torn lines.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -270,12 +271,136 @@ TEST_F(JournalTest, ReplayRerunsVersionOneCheckpointFromScratch) {
   EXPECT_TRUE(warned_unreadable_checkpoint(1, "version 1"));
 }
 
+TEST_F(JournalTest, ReplayRerunsVersionTwoCheckpointFromScratch) {
+  // A journal left by a build that wrote version-2 checkpoints: one
+  // trajectory job plus a snapshot of work it had done. That prefix was
+  // sampled by the earlier rule (a resample after every gate), so a
+  // resumed run would match neither build's uninterrupted run. Replay
+  // logs a warning and reruns the job from the start, to the bytes a
+  // fresh run produces.
+  service::SubmitArgs args;
+  args.qasm =
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n"
+      "h q[0];\ncx q[0],q[1];\nmeasure q -> c;\n";
+  args.repetitions = 300;
+  args.seed = 23;
+  args.no_batch = true;
+  std::string line = service::submit_request_line(args);
+  line.pop_back();  // the trailing newline
+  const RunRequest request = service::parse_submit(JsonValue::parse(line));
+
+  // The request's first snapshot, relabeled as version 2.
+  std::string snapshot;
+  {
+    RunRequest checkpointed = request;
+    checkpointed.with_checkpoint(100, [&](const RunCheckpoint& checkpoint) {
+      if (snapshot.empty()) snapshot = checkpoint.to_json();
+    });
+    (void)Session().run(checkpointed);
+  }
+  const std::string version =
+      "{\"version\":" + std::to_string(RunCheckpoint::kVersion) + ",";
+  ASSERT_EQ(snapshot.rfind(version, 0), 0u) << snapshot;
+  snapshot.replace(0, version.size(), "{\"version\":2,");
+  {
+    std::ostringstream submit;
+    JsonWriter json(submit, JsonWriter::Style::kCompact);
+    json.begin_object();
+    json.key("type").value("submit");
+    json.key("job").value(std::uint64_t{1});
+    json.key("line").value(line);
+    json.end_object();
+    Journal journal;
+    journal.open(path_);
+    journal.append(submit.str());
+    journal.append(R"({"type":"checkpoint","job":1,"data":)" + snapshot + "}");
+  }
+
+  obs::Logger::global().reset_for_testing();
+  service::DaemonOptions options;
+  options.endpoint = service::Endpoint::unix_socket(path_ + ".sock");
+  options.journal_path = path_;
+  service::ServiceDaemon daemon(options);
+  daemon.start();
+  service::ServiceClient client(daemon.endpoint());
+  const std::string report = client.wait_report(1);
+  EXPECT_EQ(daemon.scheduler().stats().resumed, 0u);
+  daemon.stop();
+  std::remove((path_ + ".sock").c_str());
+
+  Session session;
+  EXPECT_EQ(report, service::run_report_string(
+                        service::report_context(request,
+                                                request.circuit.num_qubits()),
+                        session.run(request)));
+  EXPECT_TRUE(warned_unreadable_checkpoint(1, "version 2"));
+}
+
+TEST_F(JournalTest, ReplaySummaryCountsTornLines) {
+  // kill -9 mid-append leaves a torn final record. Replay drops it and
+  // says so: the "journal replayed" summary counts it as an unreadable
+  // line, beside the job it still restores.
+  service::SubmitArgs args;
+  args.qasm =
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n"
+      "h q[0];\ncx q[0],q[1];\nmeasure q -> c;\n";
+  args.repetitions = 100;
+  args.seed = 5;
+  std::string line = service::submit_request_line(args);
+  line.pop_back();  // the trailing newline
+  {
+    std::ostringstream submit;
+    JsonWriter json(submit, JsonWriter::Style::kCompact);
+    json.begin_object();
+    json.key("type").value("submit");
+    json.key("job").value(std::uint64_t{1});
+    json.key("line").value(line);
+    json.end_object();
+    Journal journal;
+    journal.open(path_);
+    journal.append(submit.str());
+    journal.append(R"({"type":"submit","job":2,"line":"torn"})");
+  }
+  std::string raw = read_raw();
+  raw.resize(raw.size() - 10);  // cut inside the last record
+  std::ofstream(path_, std::ios::binary | std::ios::trunc) << raw;
+
+  obs::Logger::global().reset_for_testing();
+  service::DaemonOptions options;
+  options.endpoint = service::Endpoint::unix_socket(path_ + ".sock");
+  options.journal_path = path_;
+  service::ServiceDaemon daemon(options);
+  daemon.start();
+  service::ServiceClient client(daemon.endpoint());
+  client.wait_report(1);
+  daemon.stop();
+  std::remove((path_ + ".sock").c_str());
+
+  bool summarized = false;
+  for (const obs::LogRecord& record :
+       obs::Logger::global().tail(100, obs::LogLevel::kInfo)) {
+    if (record.component != "daemon" || record.message != "journal replayed") {
+      continue;
+    }
+    summarized = true;
+    std::optional<std::uint64_t> unreadable;
+    std::optional<std::uint64_t> resubmitted;
+    for (const obs::LogField& field : record.fields) {
+      if (field.key == "unreadable_lines") unreadable = field.uint_value;
+      if (field.key == "resubmitted") resubmitted = field.uint_value;
+    }
+    EXPECT_EQ(unreadable, std::optional<std::uint64_t>{1});
+    EXPECT_EQ(resubmitted, std::optional<std::uint64_t>{1});
+  }
+  EXPECT_TRUE(summarized);
+}
+
 TEST_F(JournalTest, ReplayRerunsDictionaryModeCheckpointFromScratch) {
   // A journal left by a build that checkpointed the dictionary path: one
   // batched job plus the snapshot such a build wrote first (its key and
-  // split with nothing done). This build reads a dictionary-path
-  // snapshot as unusable, so replay logs a warning and reruns the job
-  // from the start, to the bytes a fresh run produces.
+  // split with nothing done). Those builds wrote version 2, which this
+  // build reads as unusable, so replay logs a warning and reruns the
+  // job from the start, to the bytes a fresh run produces.
   service::SubmitArgs args;
   args.qasm =
       "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n"
@@ -299,8 +424,8 @@ TEST_F(JournalTest, ReplayRerunsDictionaryModeCheckpointFromScratch) {
         R"({"type":"checkpoint","job":1,"data":{"version":2,)"
         R"("mode":"dictionary","run_key":7707246786203363646,"total":300,)"
         R"("stats":{"state_applications":0,"probability_evaluations":0,)"
-        R"("max_dictionary_size":0,"trajectories":0,)"
-        R"("diagonal_updates_skipped":0},"shards":[{"total":300,)"
+        R"("max_dictionary_size":0,"trajectories":0},)"
+        R"("shards":[{"total":300,)"
         R"("completed":0,"histograms":{}}]}})");
   }
 
@@ -322,7 +447,7 @@ TEST_F(JournalTest, ReplayRerunsDictionaryModeCheckpointFromScratch) {
                         service::report_context(request,
                                                 request.circuit.num_qubits()),
                         session.run(request)));
-  EXPECT_TRUE(warned_unreadable_checkpoint(1, "'dictionary' path"));
+  EXPECT_TRUE(warned_unreadable_checkpoint(1, "version 2"));
 }
 
 TEST_F(JournalTest, AppendOnClosedJournalThrows) {

@@ -480,20 +480,29 @@ TEST(KernelEquivalence, CompiledMatrixOverloadMatchesClassifyingOverload) {
 }
 
 TEST(KernelEquivalence, SamplingIdenticalThroughGateCacheAndRawMatrices) {
-  // End to end: apply(op) now routes through the per-gate cache; it
-  // must sample bit-identically to explicit apply_matrix(unitary()).
+  // End to end: apply(op) routes through the per-gate cache; it must
+  // sample bit-identically to explicit apply_matrix(unitary()). Both
+  // simulators take custom hooks, so both resample after every gate and
+  // read every state the two apply paths produce; only the apply
+  // differs.
   Rng circuit_rng(97);
   const Circuit circuit = testing::with_terminal_measurement(
       random_clifford_t_circuit(4, 10, 5, circuit_rng), 4, "m");
-  Simulator<StateVectorState> cached{StateVectorState(4)};
+  const auto probability = [](const StateVectorState& state, Bitstring b) {
+    return state.probability(b);
+  };
+  Simulator<StateVectorState> cached{
+      StateVectorState(4),
+      [](const Operation& op, StateVectorState& state, Rng& rng) {
+        apply_op(op, state, rng);
+      },
+      probability};
   Simulator<StateVectorState> raw{
       StateVectorState(4),
       [](const Operation& op, StateVectorState& state, Rng&) {
         state.apply_matrix(op.gate().unitary(), op.qubits());
       },
-      [](const StateVectorState& state, Bitstring b) {
-        return state.probability(b);
-      }};
+      probability};
   EXPECT_EQ(cached.run(circuit, 2000, 5).histogram("m"),
             raw.run(circuit, 2000, 5).histogram("m"));
 }

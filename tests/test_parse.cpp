@@ -177,7 +177,8 @@ TEST(ParseCallSites, JournalSkipsCorruptCrcDigits) {
 
 TEST(ParseCallSites, CheckpointRejectsMalformedHistogramKeys) {
   const std::string frame =
-      "{\"version\":2,\"mode\":\"trajectory\",\"run_key\":7,\"total\":2,"
+      "{\"version\":" + std::to_string(RunCheckpoint::kVersion) +
+      ",\"run_key\":7,\"total\":2,"
       "\"shards\":[{\"total\":2,\"completed\":1,"
       "\"histograms\":{\"m\":{\"%s\":1}}}]}";
   const auto with_key = [&](const std::string& key) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "core/baseline.h"
 #include "densitymatrix/state.h"
 #include "mps/state.h"
+#include "stabilizer/ch_form.h"
 #include "statevector/state.h"
 #include "test_helpers.h"
 
@@ -268,6 +270,15 @@ class CopyPath {
   void project(std::span<const Qubit> qubits, Bitstring bits) {
     inner_.project(qubits, bits);
   }
+  // Forwarded where the inner state has it, so that a bond-capped MPS
+  // resamples after the two-qubit gates it truncates, as it does bare.
+  [[nodiscard]] bool applies_exactly(std::span<const Qubit> qubits) const
+    requires requires(const Inner& inner, std::span<const Qubit> support) {
+      inner.applies_exactly(support);
+    }
+  {
+    return inner_.applies_exactly(qubits);
+  }
   friend void apply_op(const Operation& op, CopyPath& state, Rng& rng) {
     bgls::apply_op(op, state.inner_, rng);
   }
@@ -398,7 +409,9 @@ TEST(Simulator, BondCappedMpsWeighsMultiQubitChannelsOnCopies) {
   // a candidate the truncated state gives zero amplitude, and a later
   // gate would find all its candidate weights zero (this circuit does so
   // within 200 repetitions). The capped MPS weighs such channels on
-  // truncated copies instead, so it matches the copy path exactly.
+  // truncated copies instead, so it matches the copy path exactly. The
+  // copy path forwards applies_exactly, so both resample after the
+  // two-qubit gates the cap truncates and move through the rest.
   Rng circuit_rng(103);
   RandomCircuitOptions options;
   options.num_moments = 8;
@@ -462,22 +475,196 @@ TEST(Simulator, DensityMatrixBackendSamplesCorrectly) {
   EXPECT_LT(total_variation_distance(normalize(counts), ideal), 0.02);
 }
 
-TEST(Simulator, SkipDiagonalUpdatesIsExact) {
-  Rng circuit_rng(59);
-  RandomCircuitOptions options;
-  options.num_moments = 12;
-  options.gate_domain = {Gate::H(), Gate::T(), Gate::S(),
-                         Gate::CZ(), Gate::ZZ(0.7)};
-  const Circuit circuit = generate_random_circuit(4, options, circuit_rng);
+/// One gate of each monomial class (see core/simulator.h), and a dense
+/// control, placed on a 3-qubit register. Two-qubit gates act on
+/// neighbours, so the MPS applies them without reordering.
+struct GateCase {
+  std::string name;
+  Gate gate;
+  std::vector<Qubit> qubits;
+  bool monomial = true;
+};
 
-  SimulatorOptions skip;
-  skip.skip_diagonal_updates = true;
-  Simulator<StateVectorState> sim{StateVectorState(4), skip};
-  Rng rng(61);
-  const Counts counts = sim.sample(circuit, 40000, rng);
-  const auto ideal = testing::ideal_distribution(circuit, 4);
-  EXPECT_LT(total_variation_distance(normalize(counts), ideal), 0.02);
-  EXPECT_GT(sim.last_run_stats().diagonal_updates_skipped, 0u);
+/// |00⟩ → |01⟩ → |10⟩ → |11⟩ → |00⟩ with factors i, −1, −i and 1: a
+/// permutation that is not its own inverse, so a move in the wrong
+/// direction would show.
+Gate cycle_gate() {
+  Matrix m(4, 4);
+  m(1, 0) = Complex{0.0, 1.0};
+  m(2, 1) = Complex{-1.0, 0.0};
+  m(3, 2) = Complex{0.0, -1.0};
+  m(0, 3) = Complex{1.0, 0.0};
+  return Gate::TwoQubitMatrix(m, "CYC");
+}
+
+/// Diagonal: T, CZ, ZZ, CCZ. Permutation with unit factors: X, CX in
+/// both qubit orders, SWAP, CCX, CSWAP; with non-unit factors: Y, ISWAP
+/// and the cycle. Dense: H. Gates wider than `max_arity` are left out.
+std::vector<GateCase> matrix_gate_cases(std::size_t max_arity) {
+  std::vector<GateCase> cases{
+      {"T", Gate::T(), {1}},
+      {"CZ", Gate::CZ(), {0, 1}},
+      {"ZZ", Gate::ZZ(0.7), {1, 2}},
+      {"CCZ", Gate::CCZ(), {2, 0, 1}},
+      {"X", Gate::X(), {2}},
+      {"Y", Gate::Y(), {0}},
+      {"CX", Gate::CX(), {0, 1}},
+      {"CX reversed", Gate::CX(), {1, 0}},
+      {"SWAP", Gate::Swap(), {1, 2}},
+      {"ISWAP", Gate::ISwap(), {1, 2}},
+      {"cycle", cycle_gate(), {2, 1}},
+      {"CCX", Gate::CCX(), {2, 0, 1}},
+      {"CSWAP", Gate::CSwap(), {1, 2, 0}},
+      {"H (dense)", Gate::H(), {1}, false},
+  };
+  std::erase_if(cases, [&](const GateCase& c) {
+    return c.qubits.size() > max_arity;
+  });
+  return cases;
+}
+
+/// The Clifford gates the CH form applies natively, by class.
+std::vector<GateCase> clifford_gate_cases() {
+  return {
+      {"Z", Gate::Z(), {1}},
+      {"S", Gate::S(), {0}},
+      {"CZ", Gate::CZ(), {0, 1}},
+      {"X", Gate::X(), {2}},
+      {"Y", Gate::Y(), {0}},
+      {"CX", Gate::CX(), {0, 1}},
+      {"CX reversed", Gate::CX(), {1, 0}},
+      {"SWAP", Gate::Swap(), {1, 2}},
+      {"H (dense)", Gate::H(), {1}, false},
+  };
+}
+
+/// The case's gate twice, between dense layers that make a wrong move
+/// show: before the first, every qubit has its own marginal; after it, a
+/// mixing layer turns the gate's phases into populations. The Clifford
+/// form uses H layers (qubit 1 starts at |0⟩, qubits 0 and 2 at |+⟩).
+/// The angles were picked with an exact model of the sampler's Markov
+/// chain: a move in the wrong direction, one with the gate-local bit
+/// order reversed, or a permutation that leaves the sample in place
+/// shifts the sampled distribution by at least 3x the 5,000-sample TVD
+/// bound on every gate where that error changes anything.
+Circuit monomial_case_circuit(const GateCase& c, bool clifford) {
+  Circuit circuit;
+  const Operation gate(c.gate, c.qubits);
+  if (clifford) {
+    circuit.append(h(0));
+    circuit.append(h(2));
+    circuit.append(gate);
+    circuit.append(h(0));
+    circuit.append(h(1));
+    circuit.append(gate);
+    return circuit;
+  }
+  constexpr std::array<double, 3> kPrep{2.1, 2.5, 0.9};
+  constexpr std::array<double, 3> kMix{0.3, 0.6, 0.9};
+  for (Qubit q = 0; q < 3; ++q) circuit.append(ry(kPrep[q], q));
+  circuit.append(gate);
+  for (Qubit q = 0; q < 3; ++q) circuit.append(rx(kMix[q], q));
+  circuit.append(gate);
+  return circuit;
+}
+
+/// Samples every case on both paths from `initial` and checks the TVD to
+/// the exact distribution: 20,000 samples on the dictionary path, 5,000
+/// trajectories on the other. Each check fails a correct sampler with
+/// probability at most 1e-9 (tvd_sampling_bound), so the 118 checks of
+/// the MonomialUpdates tests together fail with at most 1.2e-7. Also
+/// checks the move count: both applies of a monomial gate move, except
+/// a two-qubit one when `moves_multi_qubit` is false (a bond cap).
+template <typename State>
+void expect_exact_on_both_paths(const State& initial,
+                                const std::vector<GateCase>& cases,
+                                bool clifford, bool moves_multi_qubit) {
+  for (const GateCase& c : cases) {
+    const Circuit circuit = monomial_case_circuit(c, clifford);
+    const Distribution exact = testing::ideal_distribution(circuit, 3);
+    const bool moves =
+        c.monomial && (moves_multi_qubit || c.qubits.size() == 1);
+    for (const bool trajectories : {false, true}) {
+      SCOPED_TRACE(c.name + (trajectories ? " (trajectories)" : ""));
+      const std::uint64_t reps = trajectories ? 5000 : 20000;
+      SimulatorOptions options;
+      options.disable_sample_parallelization = trajectories;
+      Simulator<State> sim{initial, options};
+      Rng rng(17);
+      const Counts counts = sim.sample(circuit, reps, rng);
+      EXPECT_LE(total_variation_distance(normalize(counts), exact),
+                tvd_sampling_bound(exact, reps, 1e-9));
+      const RunStats& stats = sim.last_run_stats();
+      EXPECT_EQ(stats.used_sample_parallelization, !trajectories);
+      EXPECT_EQ(stats.monomial_moves, moves ? 2 * stats.trajectories : 0);
+    }
+  }
+}
+
+TEST(MonomialUpdates, StatevectorSamplesExactly) {
+  expect_exact_on_both_paths(StateVectorState(3), matrix_gate_cases(3),
+                             false, true);
+}
+
+TEST(MonomialUpdates, DensityMatrixSamplesExactly) {
+  expect_exact_on_both_paths(DensityMatrixState(3), matrix_gate_cases(3),
+                             false, true);
+}
+
+TEST(MonomialUpdates, MpsSamplesExactly) {
+  expect_exact_on_both_paths(MPSState(3), matrix_gate_cases(2), false, true);
+}
+
+TEST(MonomialUpdates, BondCappedMpsResamplesTwoQubitGates) {
+  // A bond cap makes applies_exactly false for two qubits, so two-qubit
+  // gates resample. Bond dimension 2 holds any 3-qubit state, so the
+  // capped state stays exact and the TVD checks still apply.
+  const MPSState capped(3, MPSOptions{2, 1e-12});
+  ASSERT_FALSE(capped.applies_exactly(std::vector<Qubit>{0, 1}));
+  expect_exact_on_both_paths(capped, matrix_gate_cases(2), false, false);
+}
+
+TEST(MonomialUpdates, ChFormSamplesExactly) {
+  expect_exact_on_both_paths(CHState(3), clifford_gate_cases(), true, true);
+}
+
+TEST(MonomialUpdates, GhzEvaluatesTwoProbabilitiesOnEveryNativeBackend) {
+  // GHZ(n) is H and then n − 1 CX gates. H splits the one entry
+  // {0…0: 1000} over 2 candidates, and every CX then moves the entries,
+  // so a dictionary run evaluates exactly 2 probabilities.
+  const int n = 5;
+  const Circuit circuit = with_terminal_measurement(ghz_circuit(n), n);
+  const auto expect_two = [&](auto initial, const std::string& backend) {
+    Simulator<decltype(initial)> sim{std::move(initial)};
+    const Result result = sim.run(circuit, 1000, 3);
+    const RunStats& stats = sim.last_run_stats();
+    EXPECT_TRUE(stats.used_sample_parallelization) << backend;
+    EXPECT_EQ(stats.probability_evaluations, 2u) << backend;
+    EXPECT_EQ(stats.monomial_moves, static_cast<std::size_t>(n - 1))
+        << backend;
+    EXPECT_EQ(result.histogram("m").size(), 2u) << backend;
+  };
+  expect_two(StateVectorState(n), "statevector");
+  expect_two(DensityMatrixState(n), "densitymatrix");
+  expect_two(MPSState(n), "mps");
+  expect_two(CHState(n), "stabilizer");
+
+  // Custom hooks resample after every gate, as the paper's rule does: H
+  // splits the entry over 2 candidates, and each CX splits the two
+  // entries (all zeros, and the ones on the qubits it has reached) over
+  // 4 candidates each. That is 2 + 8(n − 1) evaluations.
+  Simulator<StateVectorState> custom{
+      StateVectorState(n),
+      [](const Operation& op, StateVectorState& state, Rng& rng) {
+        apply_op(op, state, rng);
+      },
+      [](const StateVectorState& state, Bitstring b) {
+        return compute_probability(state, b);
+      }};
+  custom.run(circuit, 1000, 3);
+  EXPECT_EQ(custom.last_run_stats().probability_evaluations,
+            static_cast<std::size_t>(2 + 8 * (n - 1)));
+  EXPECT_EQ(custom.last_run_stats().monomial_moves, 0u);
 }
 
 TEST(Simulator, SameSeedSameResult) {
