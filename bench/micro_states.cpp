@@ -167,6 +167,45 @@ void BM_StateVector_ApplyX_Generic(benchmark::State& state) {
 }
 BENCHMARK(BM_StateVector_ApplyX_Generic)->Arg(8)->Arg(16)->Arg(20);
 
+/// How a diagonal run is applied: as one phase-table pass (the sampler's
+/// deferred group), one apply() per gate, or one per gate on the
+/// forced-generic path.
+enum class DiagonalRun { kFused, kGateByGate, kGeneric };
+
+/// The same 8 diagonal gates (T, S, Z, CZ) on 9 qubits, 4 of them below
+/// qubit 6, applied to an equal superposition.
+template <DiagonalRun kMode>
+void apply_diagonal_run_body(benchmark::State& state) {
+  const kernels::ForceGenericScope scope(kMode == DiagonalRun::kGeneric);
+  const int n = static_cast<int>(state.range(0));
+  StateVectorState psi(n);
+  for (int q = 0; q < n; ++q) psi.apply(h(q));
+  const std::vector<Operation> ops{t(0),     s(3),          cz(2, n - 1),
+                                   t(7),     z(n / 2),      cz(5, 11),
+                                   s(n - 3), t(n - 1)};
+  std::vector<const Operation*> group;
+  for (const Operation& op : ops) group.push_back(&op);
+  for (auto _ : state) {
+    if constexpr (kMode == DiagonalRun::kFused) {
+      psi.apply_diagonal_group(group);
+    } else {
+      for (const Operation& op : ops) psi.apply(op);
+    }
+  }
+}
+void BM_StateVector_ApplyDiagonalRun(benchmark::State& state) {
+  apply_diagonal_run_body<DiagonalRun::kFused>(state);
+}
+BENCHMARK(BM_StateVector_ApplyDiagonalRun)->Arg(16)->Arg(20);
+void BM_StateVector_ApplyDiagonalRun_GateByGate(benchmark::State& state) {
+  apply_diagonal_run_body<DiagonalRun::kGateByGate>(state);
+}
+BENCHMARK(BM_StateVector_ApplyDiagonalRun_GateByGate)->Arg(16)->Arg(20);
+void BM_StateVector_ApplyDiagonalRun_Generic(benchmark::State& state) {
+  apply_diagonal_run_body<DiagonalRun::kGeneric>(state);
+}
+BENCHMARK(BM_StateVector_ApplyDiagonalRun_Generic)->Arg(16)->Arg(20);
+
 // The gate-classification cache, measured directly: a cold compile
 // (matrix construction + structural classification, what every apply
 // used to pay) against the memoized lookup every apply now performs.

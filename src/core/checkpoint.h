@@ -58,7 +58,10 @@ class Result;
 /// thread count, resumed or not. RunStats (core/simulator.h) adds what
 /// scheduling decides; per_shard and RunCheckpoint::stats hold these.
 struct RunCounters {
-  /// Number of apply_op invocations across all trajectories.
+  /// Gates applied across all trajectories: one per gate, also where
+  /// the dictionary path applies a group of diagonal gates in one pass
+  /// or never applies trailing ones (core/simulator.h). The kernels'
+  /// apply counters count passes.
   std::size_t state_applications = 0;
   /// Number of compute_probability invocations, plus one per (Kraus
   /// branch, candidate) weight of each channel step, also where that

@@ -55,6 +55,24 @@
 /// the paper's algorithm does. Dense and controlled gates and channels
 /// always resample. RunCounters::monomial_moves counts the moves.
 ///
+/// Deferred diagonal gates. The sampler reads only probabilities, and a
+/// diagonal gate changes none, so its phases matter only once a gate
+/// that mixes amplitudes acts on one of its qubits. On the dictionary
+/// path, with native hooks and a state that applies a group of diagonal
+/// gates in one pass (DiagonalGrouping: the statevector, from 2^14
+/// amplitudes up), a diagonal gate joins a pending group instead of
+/// being applied. The group is applied just before the first later gate
+/// that is not diagonal and acts on one of its qubits, or before a
+/// diagonal gate that would make it wider than the state's limit (10
+/// qubits); gates on other qubits commute with it and go as usual, and
+/// their resamples read |e^{iφ}a|² = |a|². A group of one gate is
+/// applied as that gate; a group still pending at the end is never
+/// applied. The group's phases are multiplied together before they meet
+/// the amplitudes, and they meet them after gates they used to precede,
+/// so a deferred run rounds differently from a gate-by-gate one and a
+/// draw at a near-even split can flip. RunCounters::state_applications
+/// still counts every gate; the kernels' apply counters count passes.
+///
 /// One loop per path, at every thread count. A run draws one key from
 /// the caller's Rng and keys every later draw to a position in the run:
 ///  - trajectory r draws from Rng(mix_key(key, r));
@@ -78,6 +96,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <concepts>
 #include <functional>
 #include <map>
@@ -150,6 +169,17 @@ template <typename S>
 concept AmplitudeReadable = requires(const S& s, Bitstring b) {
   { s.amplitude(b) } -> std::convertible_to<Complex>;
 };
+
+/// States that apply a group of diagonal gates in one pass
+/// (statevector): diagonal_group_qubits() is the widest group the state
+/// takes, in qubits, and 0 where it applies such gates one by one.
+template <typename S>
+concept DiagonalGrouping =
+    requires(S s, const S& cs, std::span<const Operation* const> ops) {
+      { cs.num_qubits() } -> std::convertible_to<int>;
+      { cs.diagonal_group_qubits() } -> std::convertible_to<int>;
+      s.apply_diagonal_group(ops);
+    };
 
 /// Tuning knobs.
 struct SimulatorOptions {
@@ -382,6 +412,42 @@ class Simulator {
         break;
     }
     return update;
+  }
+
+  /// The widest group of diagonal gates the dictionary path defers when
+  /// it runs `circuit` on `state` (see file comment). It is 0, and every
+  /// gate goes where it stands, with custom hooks, on a state without a
+  /// one-pass group apply, and on a circuit wider than the state, whose
+  /// applies must fail where they stand.
+  [[nodiscard]] int diagonal_group_qubits(const State& state,
+                                          const Circuit& circuit) const {
+    if constexpr (DiagonalGrouping<State>) {
+      if (hooks_are_native_ && circuit.num_qubits() <= state.num_qubits()) {
+        return state.diagonal_group_qubits();
+      }
+    }
+    return 0;
+  }
+
+  /// Applies the deferred diagonal gates and empties `pending`: one gate
+  /// through apply_op like any other, more in the state's one pass.
+  void apply_pending(std::vector<const Operation*>& pending, State& state,
+                     Rng& evolution) const {
+    if (pending.size() == 1) {
+      apply_op_(*pending.front(), state, evolution);
+    } else if (pending.size() > 1) {
+      if constexpr (DiagonalGrouping<State>) {
+        state.apply_diagonal_group(pending);
+      }
+    }
+    pending.clear();
+  }
+
+  /// The qubits of `qubits` as a mask (bit q for qubit q).
+  [[nodiscard]] static Bitstring qubit_mask(std::span<const Qubit> qubits) {
+    Bitstring mask = 0;
+    for (const Qubit q : qubits) mask = with_bit(mask, q, 1);
+    return mask;
   }
 
   /// run() with the dictionary path evolving the initial state itself
@@ -671,6 +737,11 @@ class Simulator {
     if (repetitions > 0) dictionary.emplace_back(Bitstring{0}, repetitions);
     Dictionary resampled;
     bool sorted = true;
+    // Diagonal gates waiting for one pass, and their qubits. Gates still
+    // pending at the end are never applied: nothing reads the state after.
+    const int group_qubits = diagonal_group_qubits(state, circuit);
+    std::vector<const Operation*> pending;
+    Bitstring pending_qubits = 0;
     double evolve_seconds = 0.0;
     double resample_seconds = 0.0;
 
@@ -687,10 +758,29 @@ class Simulator {
         // Cooperative stop at gate granularity.
         options_.cancel_token.throw_if_stopped();
         fault::throw_if_fails("shard_run");
-        apply_op_(op, state, evolution);
-        evolve_seconds += watch.lap();
         ++stats.state_applications;
         const BitUpdate update = bit_update(op, state);
+        if (group_qubits > 0) {
+          // Deferred diagonal gates (see file comment): the group goes
+          // before a gate that does not commute with it or would widen
+          // it past the state's limit.
+          const Bitstring support = qubit_mask(op.qubits());
+          const bool diagonal = update.moves && !update.permutes;
+          if (diagonal ? std::popcount(pending_qubits | support) > group_qubits
+                       : (pending_qubits & support) != 0) {
+            apply_pending(pending, state, evolution);
+            pending_qubits = 0;
+          }
+          if (diagonal) {
+            pending.push_back(&op);
+            pending_qubits |= support;
+            ++stats.monomial_moves;
+            evolve_seconds += watch.lap();
+            continue;
+          }
+        }
+        apply_op_(op, state, evolution);
+        evolve_seconds += watch.lap();
         if (update.moves) {
           // A bijection: no two entries meet, so nothing folds. The
           // order is restored at the next resample's sort or at the end.

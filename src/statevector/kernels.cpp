@@ -795,6 +795,107 @@ void apply_matrix(std::span<Complex> amplitudes, int num_qubits,
                       qubits);
 }
 
+// --- Phase-table pass ---------------------------------------------------
+
+namespace {
+
+/// A phase-table pass works in chunks of this many amplitudes; the table
+/// bits of qubits at or above log2(kChunk) are fixed within a chunk.
+constexpr std::size_t kChunk = 64;
+
+}  // namespace
+
+int phase_table_qubits(std::size_t dim) {
+  return dim >= kParallelThreshold && !force_generic() ? kMaxPhaseTableQubits
+                                                       : 0;
+}
+
+void PhaseTable::reset(std::span<const int> qubits) {
+  qubits_.assign(qubits.begin(), qubits.end());
+  std::sort(qubits_.begin(), qubits_.end());
+  table_.assign(std::size_t{1} << qubits_.size(), Complex{1.0, 0.0});
+}
+
+void PhaseTable::multiply(std::span<const Complex> phases,
+                          std::span<const int> qubits) {
+  // The table bit of each gate qubit, gate-local MSB first.
+  std::array<std::size_t, kMaxPhaseTableQubits> bits{};
+  const std::size_t k = qubits.size();
+  for (std::size_t j = 0; j < k; ++j) {
+    bits[j] = static_cast<std::size_t>(
+        std::lower_bound(qubits_.begin(), qubits_.end(), qubits[j]) -
+        qubits_.begin());
+  }
+  for (std::size_t t = 0; t < table_.size(); ++t) {
+    std::size_t local = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      local = (local << 1) | ((t >> bits[j]) & 1u);
+    }
+    table_[t] = cmul(table_[t], phases[local]);
+  }
+}
+
+void PhaseTable::apply(std::span<Complex> amplitudes) {
+  const TimedApply timer(class_index(GateClass::kDiagonal), amplitudes.size());
+  const std::size_t dim = amplitudes.size();
+  const std::size_t chunk = std::min(dim, kChunk);
+  // Group qubits below the chunk width vary within a chunk ("low", table
+  // bits [0, low)); the rest are fixed per chunk ("high").
+  std::size_t low = 0;
+  while (low < qubits_.size() &&
+         (std::size_t{1} << qubits_[low]) < chunk) {
+    ++low;
+  }
+  const std::size_t high = qubits_.size() - low;
+  const auto pattern = [&](std::size_t base) {
+    std::size_t p = 0;
+    for (std::size_t i = 0; i < high; ++i) {
+      p |= ((base >> qubits_[low + i]) & 1u) << i;
+    }
+    return p;
+  };
+  Complex* a = amplitudes.data();
+  const auto num_chunks = static_cast<std::int64_t>(dim / chunk);
+
+  if (low == 0) {
+    // One factor per chunk.
+#ifdef BGLS_HAVE_OPENMP
+#pragma omp parallel for schedule(static) if (use_openmp(dim))
+#endif
+    for (std::int64_t c = 0; c < num_chunks; ++c) {
+      const std::size_t base = static_cast<std::size_t>(c) * chunk;
+      const Complex factor = table_[pattern(base)];
+      if (!is_one(factor)) scale_run(a + base, chunk, factor);
+    }
+    return;
+  }
+
+  // One row per high pattern: row p holds the entries of the chunk's
+  // amplitudes, in amplitude order.
+  std::array<std::size_t, kChunk> low_index{};
+  for (std::size_t j = 0; j < chunk; ++j) {
+    for (std::size_t i = 0; i < low; ++i) {
+      low_index[j] |= ((j >> qubits_[i]) & 1u) << i;
+    }
+  }
+  const std::size_t patterns = std::size_t{1} << high;
+  if (rows_.size() < patterns * chunk) rows_.resize(patterns * chunk);
+  for (std::size_t p = 0; p < patterns; ++p) {
+    for (std::size_t j = 0; j < chunk; ++j) {
+      rows_[p * chunk + j] = table_[(p << low) | low_index[j]];
+    }
+  }
+#ifdef BGLS_HAVE_OPENMP
+#pragma omp parallel for schedule(static) if (use_openmp(dim))
+#endif
+  for (std::int64_t c = 0; c < num_chunks; ++c) {
+    const std::size_t base = static_cast<std::size_t>(c) * chunk;
+    Complex* amps = a + base;
+    const Complex* row = rows_.data() + pattern(base) * chunk;
+    for (std::size_t j = 0; j < chunk; ++j) amps[j] = cmul(amps[j], row[j]);
+  }
+}
+
 ForceGenericScope::ForceGenericScope(bool force)
     : previous_(g_force_generic.exchange(force, std::memory_order_relaxed)) {}
 

@@ -50,16 +50,35 @@
 /// OpenMP threads (BENCH_micro_states.json, medians of 5) H takes
 /// 0.30 ms, X 0.32, Y 0.50, T 0.28, CNOT 0.21 and CZ 0.16.
 ///
+/// A group of diagonal gates can also go in one pass (PhaseTable): a
+/// table over the group's qubits (at most kMaxPhaseTableQubits, 1,024
+/// entries) holds the product of the gates' phases in circuit order, and
+/// each amplitude is multiplied once by its entry. The pass works in
+/// chunks of 64 amplitudes, whose table bits above qubit 5 are fixed:
+/// with no group qubit below 6 a chunk is one constant multiply (skipped
+/// when the entry is 1); otherwise one 64-entry row per pattern of the
+/// high bits is built first, so the inner loop multiplies two
+/// unit-stride arrays. At the library's baseline codegen these kernels
+/// are bound by complex multiplies rather than by memory bandwidth, so
+/// the saving is the multiplies the group no longer makes, not only the
+/// passes. The sampler defers diagonal gates into such groups
+/// (core/simulator.h) on states of at least 2^14 amplitudes
+/// (phase_table_qubits); below that, building the table costs more than
+/// the gates it replaces.
+///
 /// Large passes parallelize over disjoint amplitude blocks with OpenMP
 /// (BGLS_HAVE_OPENMP, enabled by the BGLS_ENABLE_OPENMP build flag).
 /// Every kernel performs the same floating-point operations per
 /// amplitude in every configuration, so results are bit-identical
 /// across kernels on/off (for exact-zero-structured matrices), thread
-/// counts, and loop shapes — the determinism the engine's tests pin.
+/// counts, and loop shapes — the determinism the engine's tests pin. A
+/// phase-table pass multiplies the gates' phases together first, so it
+/// rounds differently from the same gates applied one by one, but
+/// identically at every thread count.
 ///
 /// A ForceGenericScope routes everything through the pre-specialization
-/// dense paths; tests and benches use them as the reference
-/// implementation.
+/// dense paths, gate by gate (phase_table_qubits reads 0 under it);
+/// tests and benches use them as the reference implementation.
 
 #pragma once
 
@@ -126,6 +145,41 @@ void apply_matrix(std::span<Complex> amplitudes, int num_qubits,
 void apply_matrix(std::span<Complex> amplitudes, int num_qubits,
                   const CompiledMatrix& compiled,
                   std::span<const int> qubits);
+
+/// Widest group of diagonal gates one PhaseTable pass takes, in qubits.
+inline constexpr int kMaxPhaseTableQubits = 10;
+
+/// The widest group of diagonal gates worth one PhaseTable pass on a
+/// state of `dim` amplitudes, in qubits: kMaxPhaseTableQubits from 2^14
+/// amplitudes up (the OpenMP threshold), and 0, meaning gate by gate,
+/// below that or while a ForceGenericScope forces the generic path.
+[[nodiscard]] int phase_table_qubits(std::size_t dim);
+
+/// One pass for a group of diagonal gates (see file comment). reset()
+/// starts a group, multiply() adds its gates in circuit order, apply()
+/// multiplies the product into the amplitudes. A table reused across
+/// passes allocates only when a pass needs more room than any before.
+class PhaseTable {
+ public:
+  /// Starts a group on `qubits` (distinct, at most
+  /// kMaxPhaseTableQubits, in any order): every entry reads 1.
+  void reset(std::span<const int> qubits);
+
+  /// Multiplies in a diagonal gate: `phases` are its diagonal in
+  /// gate-local order (qubits[0] the most significant bit) on `qubits`,
+  /// all of which belong to the group.
+  void multiply(std::span<const Complex> phases, std::span<const int> qubits);
+
+  /// Multiplies each amplitude by its entry, in one pass over the state,
+  /// counted as one diagonal apply. Every thread count gives the same
+  /// bytes.
+  void apply(std::span<Complex> amplitudes);
+
+ private:
+  std::vector<int> qubits_;     // ascending; table bit j is qubits_[j]
+  std::vector<Complex> table_;  // 2^|qubits_| entries
+  std::vector<Complex> rows_;   // one 64-entry row per high-bit pattern
+};
 
 /// RAII toggle for tests/benches comparing the two paths: while alive,
 /// every apply takes the generic dense path (`force`) or the

@@ -1,9 +1,9 @@
 #include "statevector/state.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
-#include "statevector/kernels.h"
 #include "util/error.h"
 
 namespace bgls {
@@ -41,6 +41,35 @@ void StateVectorState::apply(const Operation& op) {
       gate.compiled_unitary();
   check_targets(compiled->matrix, op.qubits());
   kernels::apply_matrix(amplitudes_, num_qubits_, *compiled, op.qubits());
+}
+
+void StateVectorState::apply_diagonal_group(
+    std::span<const Operation* const> ops) {
+  std::array<Qubit, kernels::kMaxPhaseTableQubits> qubits{};
+  std::size_t count = 0;
+  for (const Operation* op : ops) {
+    for (const Qubit q : op->qubits()) {
+      if (std::find(qubits.begin(), qubits.begin() + count, q) !=
+          qubits.begin() + count) {
+        continue;
+      }
+      BGLS_REQUIRE(count < qubits.size(), "a diagonal group spans at most ",
+                   qubits.size(), " qubits");
+      qubits[count++] = q;
+    }
+  }
+  phase_table_.reset({qubits.data(), count});
+  for (const Operation* op : ops) {
+    const Gate& gate = op->gate();
+    BGLS_REQUIRE(gate.is_unitary(), "'", gate.name(), "' is not unitary");
+    const std::shared_ptr<const kernels::CompiledMatrix> compiled =
+        gate.compiled_unitary();
+    BGLS_REQUIRE(compiled->classification.cls == kernels::GateClass::kDiagonal,
+                 "'", gate.name(), "' is not diagonal");
+    check_targets(compiled->matrix, op->qubits());
+    phase_table_.multiply(compiled->classification.phases, op->qubits());
+  }
+  phase_table_.apply(amplitudes_);
 }
 
 void StateVectorState::apply_matrix(const Matrix& m,

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "statevector/kernels.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -64,6 +65,21 @@ class StateVectorState {
   /// concrete). Throws for measurements and channels — the sampler and
   /// trajectory machinery own those.
   void apply(const Operation& op);
+
+  /// The widest group of diagonal gates apply_diagonal_group takes, in
+  /// qubits: kernels::phase_table_qubits of the state's dimension, 0
+  /// (gate by gate) below 2^14 amplitudes, where building the phase
+  /// table costs more than the gates it replaces.
+  [[nodiscard]] int diagonal_group_qubits() const {
+    return kernels::phase_table_qubits(amplitudes_.size());
+  }
+
+  /// Applies the diagonal unitaries `ops`, in circuit order, in one pass
+  /// (kernels::PhaseTable): each amplitude is multiplied once by the
+  /// product of their phases. The product rounds differently from the
+  /// gates applied one by one. Their qubits number at most
+  /// kernels::kMaxPhaseTableQubits.
+  void apply_diagonal_group(std::span<const Operation* const> ops);
 
   /// Applies an arbitrary (2^k x 2^k) matrix to the listed qubits without
   /// renormalizing — used for Kraus branches. The gate-local index uses
@@ -106,6 +122,8 @@ class StateVectorState {
 
   int num_qubits_ = 0;
   std::vector<Complex> amplitudes_;
+  /// apply_diagonal_group's table, whose memory a run's passes reuse.
+  kernels::PhaseTable phase_table_;
 };
 
 /// The BGLS `apply_op` customization point for statevectors: applies

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -457,6 +459,105 @@ TEST(KernelDeterminism, HistogramsBitIdenticalAcrossOmpThreadCounts) {
   EXPECT_EQ(serial, parallel);
 }
 #endif  // BGLS_HAVE_OPENMP
+
+/// Diagonal gates on exactly the qubits of `support`: a one-qubit phase
+/// on each, then two- and three-qubit ones on random subsets of it.
+std::vector<Operation> diagonal_group(const std::vector<Qubit>& support,
+                                      Rng& rng) {
+  const auto pick = [&] {
+    return support[rng.uniform_int(support.size())];
+  };
+  std::vector<Operation> ops;
+  const std::array<Gate, 4> one_qubit{Gate::T(), Gate::S(), Gate::Z(),
+                                      Gate::Rz(rng.uniform(0.0, 6.28))};
+  for (const Qubit q : support) {
+    ops.emplace_back(one_qubit[rng.uniform_int(one_qubit.size())],
+                     std::vector<Qubit>{q});
+  }
+  for (int i = 0; i < 6; ++i) {
+    const Qubit a = pick(), b = pick(), c = pick();
+    if (a == b) continue;
+    const std::array<Gate, 3> two_qubit{Gate::CZ(), Gate::ZZ(0.3 + i),
+                                        Gate::CPhase(1.1 * (i + 1))};
+    ops.emplace_back(two_qubit[static_cast<std::size_t>(i) % 3],
+                     std::vector<Qubit>{a, b});
+    if (c != a && c != b) {
+      ops.emplace_back(Gate::CCZ(), std::vector<Qubit>{c, a, b});
+    }
+  }
+  return ops;
+}
+
+TEST(PhaseTable, MatchesGateByGateAtEveryWidthAndThreadCount) {
+  // One table pass against the same diagonal gates applied one by one:
+  // equal to rounding (the table multiplies the phases together first),
+  // and byte-identical at every thread count. Supports either reach
+  // below qubit 6, where a 64-amplitude chunk needs a row of entries,
+  // or lie wholly above it, where a chunk takes one factor.
+  const int n = 16;
+  Rng rng(71);
+  const StateVectorState initial = random_state(n, rng);
+#ifdef BGLS_HAVE_OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  for (int width = 2; width <= kernels::kMaxPhaseTableQubits; ++width) {
+    for (const bool with_low : {true, false}) {
+      std::vector<Qubit> pool;
+      for (Qubit q = with_low ? 0 : 6; q < n; ++q) pool.push_back(q);
+      std::vector<Qubit> support;
+      if (with_low) support.push_back(static_cast<Qubit>(rng.uniform_int(6)));
+      while (support.size() < static_cast<std::size_t>(width)) {
+        const Qubit q = pool[rng.uniform_int(pool.size())];
+        if (std::find(support.begin(), support.end(), q) == support.end()) {
+          support.push_back(q);
+        }
+      }
+      const std::vector<Operation> ops = diagonal_group(support, rng);
+      StateVectorState gate_by_gate = initial;
+      for (const Operation& op : ops) gate_by_gate.apply(op);
+
+      std::vector<std::vector<Complex>> fused;
+      for (const int threads : omp_thread_counts()) {
+#ifdef BGLS_HAVE_OPENMP
+        omp_set_num_threads(threads);
+#endif
+        kernels::PhaseTable table;
+        table.reset(support);
+        for (const Operation& op : ops) {
+          table.multiply(op.gate().compiled_unitary()->classification.phases,
+                         op.qubits());
+        }
+        std::vector<Complex> amplitudes(initial.amplitudes().begin(),
+                                        initial.amplitudes().end());
+        table.apply(amplitudes);
+        fused.push_back(std::move(amplitudes));
+      }
+      SCOPED_TRACE("width " + std::to_string(width) +
+                   (with_low ? " with" : " without") + " low qubits");
+      double worst = 0.0;
+      for (std::size_t i = 0; i < fused[0].size(); ++i) {
+        worst = std::max(worst,
+                         std::abs(fused[0][i] - gate_by_gate.amplitudes()[i]));
+      }
+      EXPECT_LE(worst, 1e-12);
+      for (std::size_t t = 1; t < fused.size(); ++t) {
+        EXPECT_TRUE(fused[t] == fused[0]) << omp_thread_counts()[t]
+                                          << " threads";
+      }
+    }
+  }
+#ifdef BGLS_HAVE_OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
+TEST(PhaseTable, TableWidthFollowsTheSizeRule) {
+  EXPECT_EQ(kernels::phase_table_qubits(std::size_t{1} << 13), 0);
+  EXPECT_EQ(kernels::phase_table_qubits(std::size_t{1} << 14),
+            kernels::kMaxPhaseTableQubits);
+  const kernels::ForceGenericScope generic(true);
+  EXPECT_EQ(kernels::phase_table_qubits(std::size_t{1} << 20), 0);
+}
 
 TEST(KernelEquivalence, CompiledMatrixOverloadMatchesClassifyingOverload) {
   // The precomputed-classification overload (what Gate::compiled_unitary

@@ -16,7 +16,9 @@
 #include "core/baseline.h"
 #include "densitymatrix/state.h"
 #include "mps/state.h"
+#include "obs/metrics.h"
 #include "stabilizer/ch_form.h"
+#include "statevector/kernels.h"
 #include "statevector/state.h"
 #include "test_helpers.h"
 
@@ -665,6 +667,218 @@ TEST(MonomialUpdates, GhzEvaluatesTwoProbabilitiesOnEveryNativeBackend) {
   EXPECT_EQ(custom.last_run_stats().probability_evaluations,
             static_cast<std::size_t>(2 + 8 * (n - 1)));
   EXPECT_EQ(custom.last_run_stats().monomial_moves, 0u);
+}
+
+// --- Deferred diagonal gates ---------------------------------------------
+
+/// Diagonal applies the statevector kernels have counted: one per pass.
+std::uint64_t diagonal_passes() {
+  return obs::MetricsRegistry::global()
+      .counter("bgls_kernel_apply_total{class=\"diagonal\"}",
+               "Statevector matrix applies by kernel dispatch class")
+      .value();
+}
+
+/// The exact distribution of `circuit` on `qubits` (bit j of an outcome
+/// is qubits[j]), from evolve() on the generic kernels, gate by gate:
+/// testing::ideal_distribution's 2^n x 2^n matrices cannot reach 14
+/// qubits.
+Distribution exact_marginal(const Circuit& circuit, int n,
+                            const std::vector<Qubit>& qubits) {
+  const kernels::ForceGenericScope reference(true);
+  StateVectorState state(n);
+  Rng unused(0);
+  evolve(circuit, state, unused);
+  Distribution marginal;
+  for (Bitstring b = 0; b < state.dimension(); ++b) {
+    Bitstring packed = 0;
+    for (std::size_t j = 0; j < qubits.size(); ++j) {
+      packed = with_bit(packed, static_cast<int>(j), get_bit(b, qubits[j]));
+    }
+    marginal[packed] += state.probability(b);
+  }
+  return marginal;
+}
+
+/// `circuit` without its diagonal gates.
+Circuit without_diagonal_gates(const Circuit& circuit) {
+  Circuit out;
+  for (const Operation& op : circuit.all_operations()) {
+    if (op.gate().compiled_unitary()->classification.cls !=
+        kernels::GateClass::kDiagonal) {
+      out.append(op);
+    }
+  }
+  return out;
+}
+
+/// Samples `circuit` on the dictionary path, measuring `qubits`, and
+/// checks the TVD to the exact marginal: a correct sampler fails with
+/// probability at most 1e-9 (tvd_sampling_bound), so the three
+/// DeferredDiagonals TVD checks together fail with at most 3e-9. The
+/// check has power: the marginal without the circuit's diagonal gates
+/// lies more than three bounds away. Returns the run's stats.
+RunStats expect_marginal_exact(const Circuit& circuit, int n,
+                               const std::vector<Qubit>& qubits) {
+  constexpr std::uint64_t kReps = 20000;
+  const Distribution exact = exact_marginal(circuit, n, qubits);
+  const double bound = tvd_sampling_bound(exact, kReps, 1e-9);
+  EXPECT_GT(total_variation_distance(
+                exact_marginal(without_diagonal_gates(circuit), n, qubits),
+                exact),
+            3 * bound);
+  Circuit measured = circuit;
+  measured.append(measure(qubits, "m"));
+  Simulator<StateVectorState> sim{StateVectorState(n)};
+  const Result result = sim.run(measured, kReps, 29);
+  EXPECT_TRUE(sim.last_run_stats().used_sample_parallelization);
+  EXPECT_LE(total_variation_distance(normalize(result.histogram("m")), exact),
+            bound);
+  return sim.last_run_stats();
+}
+
+/// T, S, Z, CZ, CCZ, ZZ and Rz runs between H and CX layers on 14
+/// qubits. The first run spans every qubit, so it splits at the 10-qubit
+/// cap; the CX layers apply the groups on the qubits they touch, and the
+/// H layers turn the phases into populations.
+Circuit diagonal_runs_circuit() {
+  const int n = 14;
+  Circuit c;
+  for (Qubit q = 0; q < n; ++q) c.append(h(q));
+  for (Qubit q = 0; q < n; ++q) {
+    c.append(q % 3 == 0 ? t(q) : q % 3 == 1 ? s(q) : rz(0.4 + 0.1 * q, q));
+  }
+  c.append(cz(0, 13));
+  c.append(Operation(Gate::CCZ(), {2, 5, 8}));
+  c.append(zz(0.9, 4, 11));
+  c.append(z(6));
+  for (Qubit q = 0; q + 1 < n; q += 2) c.append(cnot(q, q + 1));
+  for (Qubit q = 0; q < n; q += 2) c.append(h(q));
+  c.append(t(1));
+  c.append(cz(1, 2));
+  c.append(s(3));
+  c.append(zz(1.3, 5, 9));
+  c.append(Operation(Gate::CCZ(), {7, 10, 12}));
+  c.append(rz(0.7, 12));
+  c.append(t(0));
+  for (Qubit q = 1; q + 1 < n; q += 2) c.append(cnot(q, q + 1));
+  for (Qubit q = 0; q < n; ++q) c.append(h(q));
+  return c;
+}
+
+TEST(DeferredDiagonals, RunsBetweenHAndCxLayersSampleExactly) {
+  const Circuit circuit = diagonal_runs_circuit();
+  const std::uint64_t before = diagonal_passes();
+  const RunStats stats = expect_marginal_exact(circuit, 14, {0, 1, 2, 3, 4});
+  // Every gate still counts as an application, and the 25 diagonal
+  // gates and 13 CX gates as moves; the diagonal ones went in 4 passes.
+  EXPECT_EQ(stats.state_applications, circuit.all_operations().size());
+  EXPECT_EQ(stats.monomial_moves, 38u);
+  EXPECT_EQ(diagonal_passes() - before, 4u);
+}
+
+TEST(DeferredDiagonals, GroupsSplitAtTheCapSampleExactly) {
+  // Phases on 12 qubits: the eleventh gate would widen the group past 10
+  // qubits, so the first ten go as one pass and the last two as another.
+  const int n = 14;
+  Circuit c;
+  for (Qubit q = 0; q < 12; ++q) c.append(h(q));
+  for (Qubit q = 0; q < 12; ++q) {
+    c.append(q % 2 == 0 ? t(q) : rz(0.3 * (q + 1), q));
+  }
+  c.append(cz(10, 11));
+  for (Qubit q = 0; q < 12; ++q) c.append(h(q));
+  const std::uint64_t before = diagonal_passes();
+  expect_marginal_exact(c, n, {0, 5, 9, 10, 11});
+  EXPECT_EQ(diagonal_passes() - before, 2u);
+}
+
+TEST(DeferredDiagonals, TrailingDiagonalGatesAreNeverApplied) {
+  // Nothing reads the state after the last gate, so a final run of
+  // phases that fits one group costs no pass; the earlier runs still
+  // shape the marginal.
+  const int n = 14;
+  Circuit c = diagonal_runs_circuit();
+  for (Qubit q = 0; q < 10; ++q) c.append(q % 2 == 0 ? t(q) : s(q));
+  c.append(cz(0, 9));
+  c.append(Operation(Gate::CCZ(), {2, 3, 4}));
+  const std::uint64_t before_trailing = diagonal_passes();
+  expect_marginal_exact(diagonal_runs_circuit(), n, {0, 1, 2, 3, 4});
+  const std::uint64_t runs_only = diagonal_passes() - before_trailing;
+  const std::uint64_t before = diagonal_passes();
+  expect_marginal_exact(c, n, {0, 1, 2, 3, 4});
+  EXPECT_EQ(diagonal_passes() - before, runs_only);
+}
+
+TEST(DeferredDiagonals, GatesPastTheStateStillFail) {
+  // A circuit wider than the state is applied gate by gate, so a phase
+  // on a qubit the state lacks fails where it stands, also as the last
+  // gate.
+  Simulator<StateVectorState> sim{StateVectorState(14)};
+  Circuit c{h(0), t(20)};
+  c.append(measure({0}, "m"));
+  EXPECT_THROW(sim.run(c, 10, 1), ValueError);
+}
+
+/// 10 T gates on qubits 0..9 between H layers on those qubits, measured
+/// on every one of the `n` qubits.
+Circuit ten_t_gates_circuit(int n) {
+  Circuit c;
+  for (Qubit q = 0; q < 10; ++q) c.append(h(q));
+  for (Qubit q = 0; q < 10; ++q) c.append(t(q));
+  c.append(h(0));
+  return with_terminal_measurement(c, n);
+}
+
+TEST(DeferredDiagonals, PassCountsArePinned) {
+  const int n = 14;
+  const auto passes = [&](const Circuit& circuit) {
+    Simulator<StateVectorState> sim{StateVectorState(n)};
+    const std::uint64_t before = diagonal_passes();
+    sim.run(circuit, 100, 5);
+    EXPECT_EQ(sim.last_run_stats().state_applications,
+              circuit.all_operations().size() - 1);
+    return diagonal_passes() - before;
+  };
+  // Ten T gates fill one group; H on one of their qubits applies it.
+  EXPECT_EQ(passes(ten_t_gates_circuit(n)), 1u);
+  // Twelve: the eleventh starts a second group, which H on qubit 11
+  // applies.
+  Circuit twelve;
+  for (Qubit q = 0; q < 12; ++q) twelve.append(h(q));
+  for (Qubit q = 0; q < 12; ++q) twelve.append(t(q));
+  twelve.append(h(11));
+  EXPECT_EQ(passes(with_terminal_measurement(twelve, n)), 2u);
+  // A group of one gate is that gate's own apply.
+  EXPECT_EQ(passes(with_terminal_measurement(Circuit{h(3), t(3), h(3)}, n)),
+            1u);
+  // Diagonal gates after the last H are never applied.
+  Circuit trailing;
+  for (Qubit q = 0; q < n; ++q) trailing.append(h(q));
+  for (Qubit q = 0; q < 10; ++q) trailing.append(t(q));
+  trailing.append(cz(0, 9));
+  EXPECT_EQ(passes(with_terminal_measurement(trailing, n)), 0u);
+}
+
+TEST(DeferredDiagonals, SmallStatesAndCustomHooksApplyEveryGate) {
+  // Below 2^14 amplitudes, and with custom hooks, every diagonal gate is
+  // its own apply where it stands.
+  const auto passes = [](Simulator<StateVectorState> sim, int n) {
+    const std::uint64_t before = diagonal_passes();
+    sim.run(ten_t_gates_circuit(n), 100, 5);
+    return diagonal_passes() - before;
+  };
+  EXPECT_EQ(passes(Simulator<StateVectorState>{StateVectorState(13)}, 13),
+            10u);
+  const Simulator<StateVectorState> custom{
+      StateVectorState(14),
+      [](const Operation& op, StateVectorState& state, Rng& rng) {
+        apply_op(op, state, rng);
+      },
+      [](const StateVectorState& state, Bitstring b) {
+        return compute_probability(state, b);
+      }};
+  EXPECT_EQ(passes(custom, 14), 10u);
 }
 
 TEST(Simulator, SameSeedSameResult) {

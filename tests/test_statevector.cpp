@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "circuit/random.h"
+#include "statevector/kernels.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
@@ -272,6 +274,53 @@ TEST(StateVector, EvolveSkipsMeasurements) {
   evolve(c, state, rng);
   // H then H = identity: back to |0⟩.
   EXPECT_NEAR(state.probability(0), 1.0, 1e-12);
+}
+
+/// Pointers to `ops`, the form apply_diagonal_group takes.
+std::vector<const Operation*> pointers(const std::vector<Operation>& ops) {
+  std::vector<const Operation*> out;
+  for (const Operation& op : ops) out.push_back(&op);
+  return out;
+}
+
+TEST(StateVector, DiagonalGroupMatchesGateByGate) {
+  // One pass multiplies the gates' phases together before they meet the
+  // amplitudes, so it equals the gates applied one by one to rounding.
+  const int n = 14;
+  Rng rng(83);
+  const StateVectorState initial = random_state(n, rng);
+  const std::vector<Operation> ops{
+      t(0), s(7), cz(0, 13), zz(0.4, 3, 7), rz(1.3, 13),
+      Operation(Gate::CCZ(), {3, 0, 9}), z(9), t(0)};
+  StateVectorState gate_by_gate = initial;
+  for (const Operation& op : ops) gate_by_gate.apply(op);
+  StateVectorState grouped = initial;
+  grouped.apply_diagonal_group(pointers(ops));
+  EXPECT_LE(grouped.max_abs_diff(gate_by_gate), 1e-12);
+  EXPECT_GT(grouped.max_abs_diff(initial), 0.1);
+}
+
+TEST(StateVector, DiagonalGroupWidthFollowsTheSizeRule) {
+  // Below 2^14 amplitudes the table costs more than the gates it
+  // replaces; a forced-generic scope applies gate by gate.
+  EXPECT_EQ(StateVectorState(13).diagonal_group_qubits(), 0);
+  EXPECT_EQ(StateVectorState(14).diagonal_group_qubits(),
+            kernels::kMaxPhaseTableQubits);
+  const kernels::ForceGenericScope generic(true);
+  EXPECT_EQ(StateVectorState(14).diagonal_group_qubits(), 0);
+}
+
+TEST(StateVector, DiagonalGroupRejectsOtherGatesAndWideGroups) {
+  StateVectorState state(14);
+  EXPECT_THROW(state.apply_diagonal_group(pointers({t(0), h(1)})),
+               ValueError);
+  EXPECT_THROW(state.apply_diagonal_group(pointers({t(0), t(14)})),
+               ValueError);
+  std::vector<Operation> wide;
+  for (Qubit q = 0; q <= kernels::kMaxPhaseTableQubits; ++q) {
+    wide.push_back(t(q));
+  }
+  EXPECT_THROW(state.apply_diagonal_group(pointers(wide)), ValueError);
 }
 
 TEST(StateVector, ComputeProbabilityFreeFunction) {

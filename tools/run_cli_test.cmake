@@ -4,9 +4,14 @@
 #  2. sample it again through the statevector backend at 1, 2 and 4
 #     threads, on the dictionary path and with --no-batch on the
 #     trajectory path, and require the reports to be byte-identical (the
-#     sampler's determinism guarantee, visible at the CLI surface).
+#     sampler's determinism guarantee, visible at the CLI surface); on
+#     the dictionary path, also with the kernels' OpenMP team cut to one
+#     thread (OMP_NUM_THREADS=1), which --threads does not change.
 #
-# Variables: BGLS_RUN, QASM, EXPECTED, WORK_DIR.
+# Variables: BGLS_RUN, QASM, EXPECTED, WORK_DIR, and optionally PATHS
+# (default "dictionary;trajectory"): the sampling paths step 3 checks.
+
+file(MAKE_DIRECTORY ${WORK_DIR})
 
 function(run_bgls_run out_file)
   execute_process(
@@ -51,8 +56,11 @@ if(bits_pos EQUAL -1)
     "${x0_report}")
 endif()
 
-# 3. Thread-count invariance on both sampling paths.
-foreach(path IN ITEMS dictionary trajectory)
+# 3. Thread-count invariance on the sampling paths.
+if(NOT DEFINED PATHS)
+  set(PATHS dictionary trajectory)
+endif()
+foreach(path IN LISTS PATHS)
   set(extra)
   if(path STREQUAL "trajectory")
     set(extra --no-batch)
@@ -62,16 +70,29 @@ foreach(path IN ITEMS dictionary trajectory)
                  --backend sv --threads ${threads} --reps 4096 --seed 11
                  ${extra})
   endforeach()
-  foreach(threads IN ITEMS 2 4)
+  set(variants t2 t4)
+  if(path STREQUAL "dictionary")
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E env OMP_NUM_THREADS=1
+              ${BGLS_RUN} --backend sv --threads 1 --reps 4096 --seed 11
+              --out ${WORK_DIR}/cli_sv_${path}_omp1.json ${QASM}
+      RESULT_VARIABLE rc_omp1)
+    if(NOT rc_omp1 EQUAL 0)
+      message(FATAL_ERROR
+        "bgls_run at OMP_NUM_THREADS=1 failed (exit ${rc_omp1})")
+    endif()
+    list(APPEND variants omp1)
+  endif()
+  foreach(variant IN LISTS variants)
     execute_process(
       COMMAND ${CMAKE_COMMAND} -E compare_files
               ${WORK_DIR}/cli_sv_${path}_t1.json
-              ${WORK_DIR}/cli_sv_${path}_t${threads}.json
+              ${WORK_DIR}/cli_sv_${path}_${variant}.json
       RESULT_VARIABLE diff_threads)
     if(NOT diff_threads EQUAL 0)
       message(FATAL_ERROR
         "bgls_run statevector output (${path} path) changed with the "
-        "thread count (1 vs ${threads}) — the determinism contract is "
+        "thread count (t1 vs ${variant}) — the determinism contract is "
         "broken")
     endif()
   endforeach()
